@@ -44,18 +44,15 @@ from .metrics import (
     GaussianBank,
     GaussianParams,
     MetricError,
-    ValueDistribution,
     alpha_weight,
     conditional_hits_entropy,
     fit_bank,
     gaussian_fit,
     hits_entropy,
     interval_mass,
-    joint_value_distribution,
     lp_norm,
     mutual_information,
     rule_based_information,
-    value_distribution,
     weighted_mutual_information,
 )
 from .rules import (

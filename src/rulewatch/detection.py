@@ -25,19 +25,19 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .histogram import HitHistogram, HitMatrix
+from .histogram import HitHistogram, HitMatrix, count_matrix
 from .metrics import (
     SIGMA_FLOOR_DEFAULT,
     MetricError,
     fit_bank,
-    lp_norm,
+    lp_norms,
     rule_based_information,
     rule_based_information_batch,
-    weighted_mutual_information,
+    split_metrics,
 )
 from .rules import Ruleset, format_ruleset
 
@@ -55,12 +55,13 @@ GROUP_METRICS = ("rbi", "l1", "l2")
 ROTATIONS = 200
 ROTATION_SEED = 20230303
 
-# Version tag for the recorded tie-break / interval / logarithm conventions
+# Version tag for the recorded tie-break / interval / logarithm conventions,
+# the closed-form wmi (whose values differ from a per-value sum by rounding)
 # and the group calibration; part of the fingerprint so baselines never
 # silently cross conventions.
 DECISIONS_TAG = (
-    "closed-intervals.strict-majority.natural-log.value-frequency."
-    f"rbi-loo+rotations{ROTATIONS}-seed{ROTATION_SEED}+scaled.v2"
+    "closed-intervals.strict-majority.natural-log.value-frequency.closed-form-wmi."
+    f"rbi-loo+rotations{ROTATIONS}-seed{ROTATION_SEED}+scaled.v3"
 )
 
 # Upper bound on the hit frequencies gathered per rotation-kernel call.
@@ -240,28 +241,8 @@ def check_compatible(base: Baselines, training: HitMatrix) -> None:
 # Single-split mode
 # ---------------------------------------------------------------------------
 
-_PAIR_METRICS: dict[str, Callable[[HitHistogram, HitHistogram], float]] = {
-    "wmi": weighted_mutual_information,
-    "l1": lambda a, b: lp_norm(a, b, 1),
-    "l2": lambda a, b: lp_norm(a, b, 2),
-}
-
-
-def _pair_intervals(
-    columns: Sequence[HitHistogram], names: Sequence[str]
-) -> dict[str, tuple[float, float]]:
-    # All pair metrics are symmetric, so unordered pairs give the same
-    # min/max envelope as ordered ones.
-    intervals = {}
-    for name in names:
-        fn = _PAIR_METRICS[name]
-        values = [
-            fn(columns[i], columns[j])
-            for i in range(len(columns))
-            for j in range(i + 1, len(columns))
-        ]
-        intervals[name] = (min(values), max(values))
-    return intervals
+def _envelope(values: np.ndarray) -> tuple[float, float]:
+    return float(values.min()), float(values.max())
 
 
 def single_split_baseline(
@@ -269,12 +250,24 @@ def single_split_baseline(
     config: Mapping[str, object] | None = None,
     fingerprint: str = "",
 ) -> Baselines:
-    """Envelope of weighted mutual information and norms over training pairs."""
+    """Envelope of weighted mutual information and norms over training pairs.
+
+    All three metrics are symmetric, so row i scored against rows i+1...
+    covers every pair once and gives the same min/max as ordered pairs.
+    """
     if training.n_training < 2:
         raise DetectionError(
             f"baseline needs at least 2 training splits, got {training.n_training}"
         )
-    iv = _pair_intervals(training.training_columns, ("wmi", "l1", "l2"))
+    counts, n_s = training.training_counts, training.split_size
+    parts = [
+        split_metrics(counts[i + 1 :], n_s, counts[i], n_s)
+        for i in range(training.n_training - 1)
+    ]
+    iv = {
+        name: _envelope(np.concatenate([getattr(p, name) for p in parts]))
+        for name in SINGLE_METRICS
+    }
     cfg = dict(config or {})
     cfg.setdefault("n_rules", training.n_rules)
     cfg.setdefault("n_tr", training.n_training)
@@ -293,20 +286,24 @@ def detect_split(
     """Compare one operational histogram against every training column.
 
     Each metric votes once per training column; a strict majority of
-    out-of-envelope votes raises that metric's flag.
+    out-of-envelope votes raises that metric's flag. One ``split_metrics``
+    call scores the histogram against all training columns.
     """
     check_compatible(base, training)
     if op.n_rules != training.n_rules:
         raise MetricError(
             f"operational histogram has {op.n_rules} rules, training {training.n_rules}"
         )
-    reports = {}
     for name in metrics:
-        if name not in _PAIR_METRICS:
+        if name not in SINGLE_METRICS:
             raise DetectionError(f"unknown single-split metric {name!r}")
-        fn = _PAIR_METRICS[name]
-        values = [fn(tr, op) for tr in training.training_columns]
-        reports[name] = _metric_report(name, values, base.interval(name))
+    scores = split_metrics(
+        training.training_counts, training.split_size, op.counts, op.split_size
+    )._asdict()
+    reports = {
+        name: _metric_report(name, scores[name].tolist(), base.interval(name))
+        for name in metrics
+    }
     return DetectionReport(mode=SINGLE_SPLIT, per_metric=reports)
 
 
@@ -426,7 +423,11 @@ def group_baseline(
         fold_scores.append(rule_based_information(fold, fold_bank, ref_bank))
     all_columns = list(tr1) + list(tr2)
     rotation_scores = _rotation_scores(all_columns, k, len(tr2) - 1, sigma_floor)
-    iv = _pair_intervals(all_columns, ("l1", "l2"))
+    training = HitMatrix(tuple(all_columns))
+    counts, n_s = training.training_counts, training.split_size
+    upper = np.triu_indices(len(all_columns), 1)
+    norms = lp_norms(counts[:, None, :], n_s, counts[None, :, :], n_s)
+    iv = {name: _envelope(v[upper]) for name, v in zip(("l1", "l2"), norms)}
     cfg = dict(config or {})
     cfg.setdefault("n_rules", tr1[0].n_rules)
     cfg.setdefault("n_tr", len(all_columns))
@@ -449,32 +450,39 @@ def detect_group(
     """Score an operational group against the reference part of training.
 
     Rule-based information casts a single vote; the norms vote once per
-    (training column, group member) pair. Norm votes run over ALL training
-    columns, matching the envelopes built by ``group_baseline``.
+    (training column, group member) pair, in that order, computed in one
+    broadcast. Norm votes run over ALL training columns, matching the
+    envelopes built by ``group_baseline``. The group members must share a
+    split size.
     """
     check_compatible(base, training)
     if len(op_group) < 2:
         raise DetectionError(
             f"group detection needs at least 2 operational histograms, got {len(op_group)}"
         )
-    sigma_floor = float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
-    reports = {}
     for name in metrics:
-        if name == "rbi":
-            ref_bank = fit_bank(tr1, sigma_floor, source="TR1")
-            op_bank = fit_bank(op_group, sigma_floor, source="OP")
-            value = rule_based_information(op_group, op_bank, ref_bank)
-            reports[name] = _metric_report(name, [value], base.interval(name))
-        elif name in ("l1", "l2"):
-            p = 1 if name == "l1" else 2
-            values = [
-                lp_norm(tr, op, p)
-                for tr in training.training_columns
-                for op in op_group
-            ]
-            reports[name] = _metric_report(name, values, base.interval(name))
-        else:
+        if name not in GROUP_METRICS:
             raise DetectionError(f"unknown group metric {name!r}")
+    sizes = {h.split_size for h in op_group}
+    if len(sizes) > 1:
+        raise DetectionError(f"operational group has split sizes {sorted(sizes)}; need one")
+    if any(h.n_rules != training.n_rules for h in op_group):
+        raise MetricError(f"operational histograms must have {training.n_rules} rules")
+    values: dict[str, list[float]] = {}
+    if "rbi" in metrics:
+        sigma_floor = float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
+        ref_bank = fit_bank(tr1, sigma_floor, source="TR1")
+        op_bank = fit_bank(op_group, sigma_floor, source="OP")
+        values["rbi"] = [rule_based_information(op_group, op_bank, ref_bank)]
+    if "l1" in metrics or "l2" in metrics:
+        norms = lp_norms(
+            training.training_counts[:, None, :], training.split_size,
+            count_matrix(op_group)[None, :, :], op_group[0].split_size,
+        )
+        values["l1"], values["l2"] = (v.ravel().tolist() for v in norms)
+    reports = {
+        name: _metric_report(name, values[name], base.interval(name)) for name in metrics
+    }
     return DetectionReport(mode=GROUP, per_metric=reports)
 
 

@@ -4,7 +4,9 @@ A split is a bunch of ``n_s`` samples treated as one observation unit. Its
 hit histogram is the per-rule count of samples satisfying each premise,
 scaled by ``n_s``. Counts are stored exactly as integers so that histogram
 values compare exactly (they are integer multiples of ``1/n_s``), which the
-value-frequency distributions in the metrics layer rely on.
+value-frequency metrics rely on. ``HitMatrix.training_counts`` stacks the
+training columns into the (n_tr, n_rules) int64 matrix the metric kernels
+take.
 """
 from __future__ import annotations
 
@@ -105,6 +107,9 @@ class HitMatrix:
                 raise ValueError(
                     f"histogram with {col.n_rules} rules in a matrix of {n_r}"
                 )
+        sizes = {col.split_size for col in self.training_columns}
+        if len(sizes) > 1:
+            raise ValueError(f"training columns have split sizes {sorted(sizes)}; need one")
 
     @property
     def n_rules(self) -> int:
@@ -119,8 +124,25 @@ class HitMatrix:
         return len(self.operational_columns)
 
     @property
+    def split_size(self) -> int:
+        """The split size shared by every training column."""
+        return self.training_columns[0].split_size
+
+    @property
     def columns(self) -> tuple[HitHistogram, ...]:
         return self.training_columns + self.operational_columns
+
+    @cached_property
+    def training_counts(self) -> np.ndarray:
+        """Read-only (n_tr, n_rules) int64 matrix of the training counts."""
+        return count_matrix(self.training_columns)
+
+
+def count_matrix(columns: Sequence[HitHistogram]) -> np.ndarray:
+    """Read-only (n_cols, n_rules) int64 matrix of the histograms' counts."""
+    counts = np.array([col.counts for col in columns], dtype=np.int64)
+    counts.setflags(write=False)
+    return counts
 
 
 def make_splits(

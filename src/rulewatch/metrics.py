@@ -2,14 +2,24 @@
 
 Two families:
 
-* Value-frequency information metrics. Each histogram is read as a sequence
-  of exact values (integer hit counts over a common split size); the
-  probability of a value is its multiplicity among the rules, and the joint
-  distribution counts exact value pairs per rule. Plain mutual information
-  on these distributions is blind to WHERE values sit, so two histograms
+* Single-split metrics between hit-count vectors: the l1 and l2 norms and
+  the value-frequency information metrics. ``split_metrics`` scores one
+  operational count vector against every row of a training count matrix
+  in one numpy pass; the scalar functions (``lp_norm``,
+  ``weighted_mutual_information``, ``mutual_information``) are one-row
+  calls of the same code, so batch, stream and scalar values agree bit for
+  bit. Norms are integer sums over exact count gaps, divided once. For the
+  information metrics each histogram is read as a multiset of exact values
+  whose probability is multiplicity / n_rules, and the joint multiset
+  counts exact value pairs per rule. An entropy term of a value of
+  multiplicity m is -p*ln(p) with p = a*m/n_rules, so a whole entropy is
+  -(a/n_rules) * [sum m^2 ln m + ln(a/n_rules) * sum m^2] over the
+  multiplicities; the kernel reads those sums off integer
+  counts-of-multiplicities (``value_multiplicities``). Plain mutual
+  information (a = 1) is blind to WHERE values sit, so two histograms
   holding the same values in different rule positions look identical; the
-  weighted variant scales every entropy term by the mean absolute per-rule
-  difference, which restores position sensitivity.
+  weighted variant sets a to the mean absolute per-rule difference, which
+  restores position sensitivity.
 
 * Per-rule Gaussian surprise. Hit frequencies of each rule across a group
   of splits are modeled as independent Gaussians (one per rule, avoiding a
@@ -25,9 +35,9 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +48,7 @@ PROB_CLAMP = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 # Floating guard: analytically the weighted information is nonnegative, but
-# the final three-term subtraction may round to a tiny negative.
+# the closed form's final subtraction may round to a tiny negative.
 _NEG_EPS = -1e-12
 
 
@@ -52,101 +62,124 @@ def _check_same_rules(a: HitHistogram, b: HitHistogram) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Norms and the pair weight
+# Single-split kernel: norms and value-frequency information
 # ---------------------------------------------------------------------------
 
-def lp_norm(a: HitHistogram, b: HitHistogram, p: int) -> float:
-    """l1 or l2 distance between hit-frequency vectors.
+class SplitMetrics(NamedTuple):
+    """Per-training-row single-split metric values, one array each."""
 
-    Computed on integer counts when both histograms share a split size, so
-    equal inputs give exactly 0 and decimal inputs survive round-tripping.
+    wmi: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+
+
+def lp_norms(
+    a: np.ndarray, a_size: int, b: np.ndarray, b_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """l1 and l2 distances between hit-count arrays, reduced over the last axis.
+
+    ``a`` and ``b`` hold counts over split sizes ``a_size`` and ``b_size``
+    and broadcast against each other. Both are put over the common
+    denominator L = lcm(a_size, b_size), so every per-rule gap is an exact
+    integer: l1 = sum|gap| / L and l2 = sqrt(sum gap^2) / L. With equal
+    split sizes L is the split size, so equal inputs give exactly 0 and no
+    value depends on the order of the rules or of the arguments. Only when
+    the integer sums could overflow int64 (large coprime split sizes) are
+    the gaps summed as floats.
     """
+    scale = math.lcm(a_size, b_size)
+    gap = np.abs(a * (scale // a_size) - b * (scale // b_size))
+    if scale * scale * gap.shape[-1] >= 2**63:  # integer sums could overflow int64
+        gap = gap.astype(np.float64)
+    return gap.sum(axis=-1) / scale, np.sqrt((gap * gap).sum(axis=-1)) / scale
+
+
+def value_multiplicities(keys: np.ndarray) -> np.ndarray:
+    """Counts of multiplicities of the values in each row of ``keys``.
+
+    For an (n_rows, n) integer array, entry [r, m] of the (n_rows, n + 1)
+    result is the number of distinct values occurring exactly m times in
+    row r; column 0 is always 0. It depends on the row only through its
+    multiset of values, so permuting a row leaves it unchanged.
+    """
+    rows, n = keys.shape
+    ordered = np.sort(keys, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # Every row opens with a run, so each run ends where the next one starts.
+    begin = np.flatnonzero(starts)
+    lengths = np.append(begin[1:], rows * n) - begin
+    cells = (begin // n) * (n + 1) + lengths
+    return np.bincount(cells, minlength=rows * (n + 1)).reshape(rows, n + 1)
+
+
+@lru_cache(maxsize=None)
+def _square_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """m^2 (int64) and m^2 ln m (float64) for m = 0..n."""
+    m = np.arange(n + 1)
+    m2 = m * m
+    m2_ln_m = m2 * np.log(np.maximum(m, 1))
+    m2.setflags(write=False)
+    m2_ln_m.setflags(write=False)
+    return m2, m2_ln_m
+
+
+def _information(train: np.ndarray, op: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Weighted information of every training row with ``op`` at weights ``alpha``.
+
+    With d = c_train + c_op - c_joint, the integer difference of the three
+    counts-of-multiplicities vectors, the information is
+    -(a/n) * [sum_m d_m m^2 ln m + ln(a/n) * sum_m d_m m^2]. Each row is
+    reduced on its own, in the fixed order m = 0..n, so a row's value does
+    not depend on the other rows, and the integer d makes the result exactly
+    symmetric and invariant under joint rule permutations. The p = 1 term
+    (a = 1 and all n values equal) is dropped: its p*ln(p) is 0. a = 0
+    gives exactly 0.
+    """
+    n_tr, n = train.shape
+    joint = train * (int(op.max()) + 1) + op
+    mult = value_multiplicities(np.vstack([train, op[None, :], joint]))
+    d = mult[:n_tr] + mult[n_tr] - mult[n_tr + 1 :]
+    d[alpha == 1.0, n] = 0
+    m2, m2_ln_m = _square_tables(n)
+    weight = np.where(alpha > 0.0, alpha, 1.0) / n
+    out = -weight * ((d * m2_ln_m).sum(axis=1) + np.log(weight) * (d * m2).sum(axis=1))
+    out[(alpha == 0.0) | ((_NEG_EPS < out) & (out <= 0.0))] = 0.0
+    return out
+
+
+def split_metrics(
+    train: np.ndarray, train_size: int, op: np.ndarray, op_size: int
+) -> SplitMetrics:
+    """``wmi``, ``l1`` and ``l2`` of one operational count vector against each training row.
+
+    ``train`` is an (n_tr, n_rules) array of hit counts over splits of
+    ``train_size`` samples, ``op`` an (n_rules,) array of counts over
+    ``op_size`` samples. The pair weight of ``wmi`` is l1 / n_rules. Entry i
+    of each result depends on row i alone.
+    """
+    train = np.asarray(train, dtype=np.int64)
+    op = np.asarray(op, dtype=np.int64)
+    if train.ndim != 2 or op.shape != train.shape[1:]:
+        raise MetricError(
+            f"training counts {train.shape} and operational counts {op.shape} do not pair up"
+        )
+    l1, l2 = lp_norms(train, train_size, op, op_size)
+    return SplitMetrics(_information(train, op, l1 / train.shape[1]), l1, l2)
+
+
+def lp_norm(a: HitHistogram, b: HitHistogram, p: int) -> float:
+    """l1 or l2 distance between hit-frequency vectors (see ``lp_norms``)."""
     _check_same_rules(a, b)
     if p not in (1, 2):
         raise MetricError(f"p must be 1 or 2, got {p}")
-    if a.split_size == b.split_size:
-        if p == 1:
-            return sum(abs(x - y) for x, y in zip(a.counts, b.counts)) / a.split_size
-        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.counts, b.counts))) / a.split_size
-    diffs = [abs(x - y) for x, y in zip(a.values, b.values)]
-    if p == 1:
-        return math.fsum(diffs)
-    return math.sqrt(math.fsum(d * d for d in diffs))
+    l1, l2 = lp_norms(np.asarray(a.counts), a.split_size, np.asarray(b.counts), b.split_size)
+    return float(l1 if p == 1 else l2)
 
 
 def alpha_weight(a: HitHistogram, b: HitHistogram) -> float:
     """Mean absolute per-rule hit difference; the pair weight in [0, 1]."""
     return lp_norm(a, b, 1) / a.n_rules
-
-
-# ---------------------------------------------------------------------------
-# Value-frequency distributions and information metrics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ValueDistribution:
-    """Empirical distribution of the exact values occurring in a histogram."""
-
-    support: tuple
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.support) != len(self.probabilities):
-            raise MetricError("support and probabilities differ in length")
-        if any(p <= 0 for p in self.probabilities):
-            raise MetricError("probabilities must be positive")
-        total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > 1e-12:
-            raise MetricError(f"probabilities sum to {total}, not 1")
-
-
-def value_distribution(h: HitHistogram) -> ValueDistribution:
-    """Probability of each distinct value = multiplicity among the rules / n_rules."""
-    mult = Counter(h.counts)
-    n_r = h.n_rules
-    keys = sorted(mult)
-    return ValueDistribution(
-        support=tuple(k / h.split_size for k in keys),
-        probabilities=tuple(mult[k] / n_r for k in keys),
-    )
-
-
-def joint_value_distribution(a: HitHistogram, b: HitHistogram) -> ValueDistribution:
-    """Distribution of exact per-rule value pairs across two histograms."""
-    _check_same_rules(a, b)
-    mult = Counter(zip(a.counts, b.counts))
-    n_r = a.n_rules
-    keys = sorted(mult)
-    return ValueDistribution(
-        support=tuple((ka / a.split_size, kb / b.split_size) for ka, kb in keys),
-        probabilities=tuple(mult[k] / n_r for k in keys),
-    )
-
-
-def _rulewise_entropy(mult: Counter, n_r: int, alpha: float) -> float:
-    """-sum over rules of a*P(value) * log(a*P(value)), grouped by value.
-
-    The sum depends only on the multiset of value multiplicities, so
-    iterating them in sorted order makes the result bit-identical under
-    argument swaps and joint rule permutations.
-    """
-    total = 0.0
-    for m in sorted(mult.values()):
-        p = alpha * m / n_r
-        if 0.0 < p < 1.0:
-            total -= m * p * math.log(p)
-    return total
-
-
-def _pair_information(a: HitHistogram, b: HitHistogram, alpha: float) -> float:
-    n_r = a.n_rules
-    h_a = _rulewise_entropy(Counter(a.counts), n_r, alpha)
-    h_b = _rulewise_entropy(Counter(b.counts), n_r, alpha)
-    h_ab = _rulewise_entropy(Counter(zip(a.counts, b.counts)), n_r, alpha)
-    out = h_a + h_b - h_ab
-    if _NEG_EPS < out < 0.0:
-        return 0.0
-    return out
 
 
 def mutual_information(a: HitHistogram, b: HitHistogram) -> float:
@@ -157,7 +190,8 @@ def mutual_information(a: HitHistogram, b: HitHistogram) -> float:
     the same values in shuffled positions.
     """
     _check_same_rules(a, b)
-    return _pair_information(a, b, 1.0)
+    train = np.asarray([a.counts], dtype=np.int64)
+    return float(_information(train, np.asarray(b.counts, dtype=np.int64), np.ones(1))[0])
 
 
 def weighted_mutual_information(a: HitHistogram, b: HitHistogram) -> float:
@@ -168,10 +202,7 @@ def weighted_mutual_information(a: HitHistogram, b: HitHistogram) -> float:
     value-preserving position shuffles raise the score.
     """
     _check_same_rules(a, b)
-    alpha = alpha_weight(a, b)
-    if alpha == 0.0:
-        return 0.0
-    return _pair_information(a, b, alpha)
+    return float(split_metrics([a.counts], a.split_size, b.counts, b.split_size).wmi[0])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,14 @@ def test_from_csv_non_numeric_cell_is_hard_error(tmp_path):
         DataTable.from_csv(p)
 
 
+def test_from_csv_error_names_the_column_past_a_label(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,label,b\n1,x,2\n3,y, oops \n")
+    with pytest.raises(CsvFormatError) as info:
+        DataTable.from_csv(p, label_column="label")
+    assert str(info.value) == f"{p}: row 3, column 'b': not a number: 'oops'"
+
+
 def test_from_csv_empty_cell_is_hard_error(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n1,\n")

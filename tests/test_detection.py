@@ -83,6 +83,16 @@ def test_baseline_matches_explicit_pair_loop(rng):
         assert base.interval(name) == (min(values), max(values))
 
 
+def test_detect_split_reports_python_floats(rng):
+    m = _matrix(rng, n_tr=4)
+    base = single_split_baseline(m)
+    report = detect_split(m, random_histogram(rng, m.n_rules, m.split_size), base)
+    for mr in report.per_metric.values():
+        assert all(type(v) is float for v in mr.values)
+        assert type(mr.representative) is float
+    assert all(type(v) is float for v in base.wmi + base.l1 + base.l2)
+
+
 def test_baseline_needs_two_columns():
     h = HitHistogram((1,), 4)
     with pytest.raises(DetectionError):
@@ -268,6 +278,30 @@ def test_detect_group_far_shift_is_ood(rng):
     rbi_value = report.per_metric["rbi"].values[0]
     assert rbi_value < base.rbi[0] or math.isinf(rbi_value)
     assert report.per_metric["l1"].flag
+
+
+def test_group_norms_match_explicit_pair_loops(rng):
+    tr1 = [random_histogram(rng, 4, 30) for _ in range(4)]
+    tr2 = [random_histogram(rng, 4, 30) for _ in range(4)]
+    cols = tr1 + tr2
+    base = group_baseline(tr1, tr2)
+    op = [random_histogram(rng, 4, 30) for _ in range(3)]
+    report = detect_group(tr1, op, base, HitMatrix(tuple(cols)))
+    for name, p in (("l1", 1), ("l2", 2)):
+        pairs = [lp_norm(a, b, p) for a, b in itertools.combinations(cols, 2)]
+        assert base.interval(name) == (min(pairs), max(pairs))
+        votes = [lp_norm(tr, h, p) for tr in cols for h in op]
+        assert list(report.per_metric[name].values) == votes
+        assert all(type(v) is float for v in report.per_metric[name].values)
+
+
+def test_detect_group_rejects_mixed_member_split_sizes(rng):
+    tr1 = [random_histogram(rng, 2, 20) for _ in range(3)]
+    tr2 = [random_histogram(rng, 2, 20) for _ in range(3)]
+    base = group_baseline(tr1, tr2)
+    training = HitMatrix(tuple(tr1 + tr2))
+    with pytest.raises(DetectionError, match="split sizes"):
+        detect_group(tr1, [tr2[0], HitHistogram((1, 2), 40)], base, training)
 
 
 def test_detect_group_requires_two_members(rng):

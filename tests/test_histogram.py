@@ -133,3 +133,20 @@ def test_hit_matrix_rejects_mixed_rule_counts():
     b = HitHistogram((1,), 4)
     with pytest.raises(ValueError):
         HitMatrix((a, b))
+
+
+def test_hit_matrix_rejects_mixed_training_split_sizes():
+    with pytest.raises(ValueError, match="split sizes"):
+        HitMatrix((HitHistogram((1, 2), 4), HitHistogram((1, 2), 5)))
+    # operational columns may differ (a stream window of another length)
+    m = HitMatrix((HitHistogram((1, 2), 4),), (HitHistogram((1, 2), 5),))
+    assert m.split_size == 4
+
+
+def test_hit_matrix_training_counts():
+    m = HitMatrix((HitHistogram((1, 2), 4), HitHistogram((3, 0), 4)))
+    counts = m.training_counts
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [[1, 2], [3, 0]]
+    assert not counts.flags.writeable
+    assert m.training_counts is counts

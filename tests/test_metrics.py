@@ -16,14 +16,19 @@ from rulewatch import (
     gaussian_fit,
     hits_entropy,
     interval_mass,
-    joint_value_distribution,
     lp_norm,
     mutual_information,
     rule_based_information,
-    value_distribution,
     weighted_mutual_information,
 )
-from rulewatch.metrics import PROB_CLAMP, erfc_array, rule_based_information_batch
+from rulewatch.metrics import (
+    PROB_CLAMP,
+    erfc_array,
+    lp_norms,
+    rule_based_information_batch,
+    split_metrics,
+    value_multiplicities,
+)
 
 # Reference histograms whose exact information values are hand-derived:
 # four distinct values each, B and C holding the same values in reversed
@@ -70,25 +75,24 @@ def test_lp_different_split_sizes():
     assert lp_norm(a, c, 1) == pytest.approx(0.5)
 
 
-# -- value distributions -----------------------------------------------------
+# -- value multiplicities ----------------------------------------------------
 
 def test_value_distribution_counts_multiplicity():
     h = HitHistogram.from_values([0.25, 0.25, 0.5, 0.5], 4)
-    d = value_distribution(h)
-    assert d.support == (0.25, 0.5)
-    assert d.probabilities == (0.5, 0.5)
+    # two distinct values (0.25, 0.5), each held by 2 of the 4 rules
+    assert value_multiplicities(np.array([h.counts])).tolist() == [[0, 0, 2, 0, 0]]
 
 
 def test_value_distribution_all_distinct_uniform():
-    d = value_distribution(A)
-    assert len(d.support) == 4
-    assert all(p == 0.25 for p in d.probabilities)
+    # four distinct values, each of multiplicity 1 (probability 1/4)
+    assert value_multiplicities(np.array([A.counts])).tolist() == [[0, 4, 0, 0, 0]]
 
 
 def test_joint_distribution_on_reference_pair():
-    d = joint_value_distribution(A, B)
-    assert len(d.support) == 4
-    assert all(p == 0.25 for p in d.probabilities)
+    # joint key t * (max_o + 1) + o: four distinct (A, B) value pairs
+    a, b = np.array(A.counts), np.array(B.counts)
+    joint = a * (b.max() + 1) + b
+    assert value_multiplicities(joint[None, :]).tolist() == [[0, 4, 0, 0, 0]]
 
 
 # -- mutual information ------------------------------------------------------
@@ -208,6 +212,134 @@ def test_lp_metric_axioms(pair, data):
         assert dab >= 0.0
         assert (dab == 0.0) == (a.counts == b.counts)
         assert lp_norm(a, c, p) <= lp_norm(a, b, p) + lp_norm(b, c, p) + 1e-12
+
+
+# -- single-split kernel -----------------------------------------------------
+
+@st.composite
+def count_matrices(draw):
+    """(training counts, operational counts, split size) with repeated values.
+
+    Counts come from a small pool so that values and value pairs repeat and
+    the multiplicity bookkeeping is exercised, not just the all-distinct case.
+    """
+    n_r = draw(st.integers(1, 64))
+    n_s = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.integers(0, n_s), min_size=1, max_size=5))
+    cell = st.sampled_from(pool)
+    n_tr = draw(st.integers(1, 8))
+    train = np.array([[draw(cell) for _ in range(n_r)] for _ in range(n_tr)], dtype=np.int64)
+    op = np.array([draw(cell) for _ in range(n_r)], dtype=np.int64)
+    return train, op, n_s
+
+
+def _hist(counts, n_s):
+    return HitHistogram(tuple(int(c) for c in counts), n_s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_matrices())
+def test_split_metrics_matches_per_rule_oracle(case):
+    train, op, n_s = case
+    got = split_metrics(train, n_s, op, n_s)
+    b = _hist(op, n_s)
+    for i, row in enumerate(train):
+        a = _hist(row, n_s)
+        alpha = got.l1[i] / len(op)
+        expected = 0.0 if alpha == 0.0 else _mi_oracle(a, b, alpha)
+        assert got.wmi[i] == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_matrices())
+def test_split_metrics_rows_equal_one_row_calls(case):
+    train, op, n_s = case
+    got = split_metrics(train, n_s, op, n_s)
+    b = _hist(op, n_s)
+    for i, row in enumerate(train):
+        a = _hist(row, n_s)
+        alone = split_metrics(train[i : i + 1], n_s, op, n_s)
+        assert [v[0] for v in alone] == [v[i] for v in got]
+        assert weighted_mutual_information(a, b) == got.wmi[i]
+        assert lp_norm(a, b, 1) == got.l1[i]
+        assert lp_norm(a, b, 2) == got.l2[i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_matrices(), st.randoms())
+def test_split_metrics_symmetry_identity_permutation(case, rand):
+    train, op, n_s = case
+    got = split_metrics(train, n_s, op, n_s)
+    order = list(range(len(op)))
+    rand.shuffle(order)
+    permuted = split_metrics(train[:, order], n_s, op[order], n_s)
+    for i, row in enumerate(train):
+        swapped = split_metrics(op[None, :], n_s, row, n_s)
+        assert [v[0] for v in swapped] == [v[i] for v in got]
+        assert [v[i] for v in permuted] == [v[i] for v in got]
+        same = split_metrics(row[None, :], n_s, row, n_s)
+        assert [v[0] for v in same] == [0.0, 0.0, 0.0]
+    assert (got.wmi >= 0.0).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_matrices())
+def test_split_metrics_norms_are_integer_sums(case):
+    train, op, n_s = case
+    got = split_metrics(train, n_s, op, n_s)
+    for i, row in enumerate(train):
+        gaps = [int(x) - int(y) for x, y in zip(row, op)]
+        assert got.l1[i] == sum(abs(g) for g in gaps) / n_s
+        assert got.l2[i] == math.sqrt(sum(g * g for g in gaps)) / n_s
+
+
+def test_split_metrics_mismatched_split_sizes():
+    train = np.array([[1, 2, 0], [2, 1, 2]])  # over 2 samples
+    op = np.array([2, 4, 1])  # over 4 samples: values 0.5, 1.0, 0.25
+    got = split_metrics(train, 2, op, 4)
+    assert got.l1.tolist() == [0.0 + 0.0 + 0.25, 0.5 + 0.5 + 0.75]
+    assert got.l2.tolist() == [math.sqrt(1) / 4, math.sqrt(4 + 4 + 9) / 4]
+    # multiplicities are taken over counts, as for equal split sizes
+    a, b = _hist(train[1], 2), _hist(op, 4)
+    assert got.wmi[1] == pytest.approx(_mi_oracle(a, b, got.l1[1] / 3), abs=1e-12)
+    assert got.wmi[0] == pytest.approx(_mi_oracle(_hist(train[0], 2), b, 0.25 / 3), abs=1e-12)
+    assert weighted_mutual_information(a, b) == got.wmi[1]
+    assert lp_norm(b, a, 2) == got.l2[1]
+
+
+def test_lp_norms_large_coprime_split_sizes_do_not_overflow():
+    # lcm(n_t, n_o) is about 4.6e18 here: the squared gaps leave int64
+    n_t, n_o = 2**31 - 1, 2**31 - 2
+    train = np.array([[n_t, 0, n_t // 3]])
+    op = np.array([0, n_o, n_o // 2])
+    l1, l2 = lp_norms(train, n_t, op, n_o)
+    gaps = [abs(t / n_t - o / n_o) for t, o in zip(train[0], op)]
+    assert l1[0] == pytest.approx(sum(gaps), rel=1e-12)
+    assert l2[0] == pytest.approx(math.sqrt(sum(g * g for g in gaps)), rel=1e-12)
+
+
+def test_split_metrics_alpha_one_all_equal_is_zero():
+    # every rule differs by the full split: alpha = 1, and a constant
+    # histogram has one value of probability 1, whose p*ln(p) term is 0
+    for n_r in (1, 2, 3, 7):
+        zeros, ones = (0,) * n_r, (5,) * n_r
+        got = split_metrics(np.array([zeros]), 5, np.array(ones), 5)
+        assert got.l1.tolist() == [float(n_r)]
+        assert got.wmi.tolist() == [0.0]
+        const = HitHistogram((3,) * n_r, 10)
+        assert mutual_information(const, const) == 0.0
+        assert mutual_information(const, _hist(range(n_r), 10)) == 0.0
+    # alpha = 1 with a non-constant side: only that side's entropy is left
+    got = split_metrics(np.array([[0, 5, 0]]), 5, np.array([5, 0, 5]), 5)
+    expected = _mi_oracle(_hist((0, 5, 0), 5), _hist((5, 0, 5), 5), 1.0)
+    assert got.wmi[0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_split_metrics_validates_shapes():
+    with pytest.raises(MetricError):
+        split_metrics(np.zeros((2, 3)), 4, np.zeros(4), 4)
+    with pytest.raises(MetricError):
+        split_metrics(np.zeros(3), 4, np.zeros(3), 4)
 
 
 # -- gaussian machinery ------------------------------------------------------
