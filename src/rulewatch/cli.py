@@ -17,6 +17,7 @@ import numpy as np
 from .config import RunConfig, build_config, load_config_file
 from .data import DataError, DataTable
 from .detection import (
+    FINGERPRINT_KEYS,
     BaselineBundle,
     DetectionError,
     FingerprintMismatchError,
@@ -28,10 +29,10 @@ from .detection import (
     single_split_baseline,
 )
 from .eval import run_eval
-from .histogram import OPERATIONAL, Split, hit_histogram, hit_matrix, make_splits
+from .histogram import hit_histogram, hit_matrix, make_splits, operational_splits
 from .inducer import InducerError, induce_ruleset
 from .metrics import MetricError
-from .rules import RuleError, Ruleset, format_ruleset, parse_ruleset
+from .rules import RuleError, format_ruleset, parse_ruleset
 from .streaming import MomentAccumulator, StreamMonitor, StreamStateError, TickRecord
 from .synth import make_source
 
@@ -93,25 +94,8 @@ def _load_features(path: str, label_column: str | None) -> DataTable:
 
 
 def _fingerprint_config(cfg: RunConfig) -> dict:
-    return {
-        "n_s": cfg.n_s,
-        "n_tr": cfg.n_tr,
-        "n_op": cfg.resolved_n_op,
-        "seed": cfg.seed,
-        "sigma_floor": cfg.sigma_floor,
-        "mode": cfg.mode,
-    }
-
-
-def _check_bundle_fingerprint(bundle: BaselineBundle, ruleset: Ruleset) -> None:
-    cfg = bundle.baselines.config
-    fp_cfg = {k: cfg[k] for k in ("n_s", "n_tr", "n_op", "seed", "sigma_floor", "mode") if k in cfg}
-    expected = compute_fingerprint(ruleset, fp_cfg)
-    if expected != bundle.baselines.config_fingerprint:
-        raise FingerprintMismatchError(
-            "baseline fingerprint does not match the supplied ruleset/configuration; "
-            "rebuild the baseline or supply the original rules"
-        )
+    echo = cfg.echo()
+    return {k: echo[k] for k in FINGERPRINT_KEYS}
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -130,9 +114,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     table = DataTable.from_csv(args.data, label_column=cfg.label_column)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ruleset = induce_ruleset(
-            table, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf, seed=cfg.seed
-        )
+        ruleset = induce_ruleset(table, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     _write_text(args.output, format_ruleset(ruleset))
@@ -175,39 +157,25 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _operational_splits(table: DataTable, n_s: int, count: int) -> list[Split]:
-    from .data import InsufficientDataError
-
-    if table.n_rows < n_s * count:
-        raise InsufficientDataError(
-            f"operational data has {table.n_rows} rows; "
-            f"need {n_s * count} ({count} splits of {n_s})"
-        )
-    return [
-        Split(table.take(np.arange(i * n_s, (i + 1) * n_s)), origin=OPERATIONAL, index=i)
-        for i in range(count)
-    ]
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset = parse_ruleset(Path(args.rules).read_text())
     bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
-    _check_bundle_fingerprint(bundle, ruleset)
+    bundle.verify(ruleset)
     bcfg = bundle.baselines.config
     n_s = int(bcfg.get("n_s", cfg.n_s))
     mode = bcfg.get("mode", cfg.mode)
     table = _load_features(args.op_data, cfg.label_column)
     if mode == "group":
         n_op = int(bcfg.get("n_op", cfg.resolved_n_op))
-        op_splits = _operational_splits(table, n_s, n_op)
+        op_splits = operational_splits(table, n_s, n_op)
         op_group = [hit_histogram(ruleset, s) for s in op_splits]
         report = detect_group(
             list(bundle.tr1_columns), op_group, bundle.baselines, bundle.training,
             metrics=cfg.metrics or ("rbi", "l1", "l2"),
         )
     else:
-        op_split = _operational_splits(table, n_s, 1)[0]
+        op_split = operational_splits(table, n_s, 1)[0]
         report = detect_split(
             bundle.training, hit_histogram(ruleset, op_split), bundle.baselines,
             metrics=cfg.metrics or ("wmi", "l1", "l2"),
@@ -251,7 +219,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset = parse_ruleset(Path(args.rules).read_text())
     bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
-    _check_bundle_fingerprint(bundle, ruleset)
+    bundle.verify(ruleset)
     mode_name = bundle.baselines.config.get("mode", cfg.mode)
     stream_mode = "group" if mode_name == "group" else "single-split"
     with warnings.catch_warnings(record=True) as caught:

@@ -86,7 +86,7 @@ class DataTable:
     def take(self, indices: np.ndarray) -> "DataTable":
         labels = None
         if self.labels is not None:
-            labels = tuple(self.labels[int(i)] for i in indices)
+            labels = tuple(map(self.labels.__getitem__, indices.tolist()))
         return DataTable(self.columns, self.X[indices].copy(), labels)
 
     @classmethod

@@ -64,6 +64,9 @@ DECISIONS_TAG = (
     f"rbi-loo+rotations{ROTATIONS}-seed{ROTATION_SEED}+scaled.v3"
 )
 
+# Run configuration keys a baseline fingerprint covers, besides the ruleset.
+FINGERPRINT_KEYS = ("n_s", "n_tr", "n_op", "seed", "sigma_floor", "mode")
+
 # Upper bound on the hit frequencies gathered per rotation-kernel call.
 _ROTATION_CHUNK_VALUES = 1 << 13
 
@@ -538,6 +541,22 @@ class BaselineBundle:
         except (KeyError, TypeError, ValueError) as exc:
             raise DetectionError(f"malformed baseline document: {exc}") from exc
         return cls(baselines=base, training=HitMatrix(columns))
+
+    def verify(self, ruleset: Ruleset) -> None:
+        """Raise ``FingerprintMismatchError`` unless built for ``ruleset``.
+
+        The fingerprint is recomputed from the ruleset and the
+        ``FINGERPRINT_KEYS`` entries of the stored config.
+        """
+        cfg = self.baselines.config
+        expected = compute_fingerprint(
+            ruleset, {k: cfg[k] for k in FINGERPRINT_KEYS if k in cfg}
+        )
+        if expected != self.baselines.config_fingerprint:
+            raise FingerprintMismatchError(
+                "baseline fingerprint does not match the supplied ruleset/configuration; "
+                "rebuild the baseline or supply the original rules"
+            )
 
     @property
     def tr1_columns(self) -> tuple[HitHistogram, ...]:

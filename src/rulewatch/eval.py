@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .data import DataTable
 from .detection import (
     DetectionReport,
     detect_group,
@@ -22,7 +21,7 @@ from .detection import (
     group_baseline,
     single_split_baseline,
 )
-from .histogram import OPERATIONAL, Split, hit_histogram, hit_matrix, make_splits
+from .histogram import hit_histogram, hit_matrix, make_splits, operational_splits
 from .inducer import induce_ruleset
 from .rules import Ruleset
 
@@ -54,13 +53,6 @@ class EvalSummary:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _operational_splits(table: DataTable, n_s: int, count: int) -> list[Split]:
-    return [
-        Split(table.take(np.arange(i * n_s, (i + 1) * n_s)), origin=OPERATIONAL, index=i)
-        for i in range(count)
-    ]
-
-
 def _induce(in_source, cfg: RunConfig, rng: np.random.Generator) -> Ruleset:
     # Dedicated inducer sample: keeps tree adaptation noise out of the
     # baseline splits' hit statistics.
@@ -78,8 +70,8 @@ def _run_repetition_single(
     splits = make_splits(train_table, cfg.n_s, cfg.n_tr, seed=int(rng.integers(2**31)))
     training = hit_matrix(ruleset, splits)
     base = single_split_baseline(training, config={"n_s": cfg.n_s})
-    fresh = _operational_splits(in_source.sample(cfg.n_s, rng), cfg.n_s, 1)[0]
-    ood = _operational_splits(ood_source.sample(cfg.n_s, rng), cfg.n_s, 1)[0]
+    fresh = operational_splits(in_source.sample(cfg.n_s, rng), cfg.n_s, 1)[0]
+    ood = operational_splits(ood_source.sample(cfg.n_s, rng), cfg.n_s, 1)[0]
     fp_report = detect_split(training, hit_histogram(ruleset, fresh), base)
     fn_report = detect_split(training, hit_histogram(ruleset, ood), base)
     return fp_report, fn_report
@@ -102,11 +94,11 @@ def _run_repetition_group(
     )
     fresh_group = [
         hit_histogram(ruleset, s)
-        for s in _operational_splits(in_source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
+        for s in operational_splits(in_source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
     ]
     ood_group = [
         hit_histogram(ruleset, s)
-        for s in _operational_splits(ood_source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
+        for s in operational_splits(ood_source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
     ]
     fp_report = detect_group(tr1, fresh_group, base, training)
     fn_report = detect_group(tr1, ood_group, base, training)

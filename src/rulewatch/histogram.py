@@ -173,6 +173,19 @@ def make_splits(
     return splits
 
 
+def operational_splits(table: DataTable, n_s: int, count: int) -> list[Split]:
+    """The first ``count * n_s`` rows of ``table`` as consecutive operational splits."""
+    if table.n_rows < n_s * count:
+        raise InsufficientDataError(
+            f"operational data has {table.n_rows} rows; "
+            f"need {n_s * count} ({count} splits of {n_s})"
+        )
+    return [
+        Split(table.take(np.arange(i * n_s, (i + 1) * n_s)), origin=OPERATIONAL, index=i)
+        for i in range(count)
+    ]
+
+
 def hit_histogram(ruleset: Ruleset, split: Split) -> HitHistogram:
     """Count, per rule, how many split samples satisfy the premise."""
     mask = ruleset.hit_mask_table(split.table.X, split.table.columns)

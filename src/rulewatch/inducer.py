@@ -1,11 +1,16 @@
 """Depth-limited decision tree whose leaves become conjunctive rules.
 
 Splits greedily minimize Gini impurity over midpoints of consecutive
-distinct feature values. Candidate comparison is exact (integer cross
-multiplication), with ties broken by lowest feature index then lowest
-threshold, so induction is fully deterministic. Root-to-leaf paths flatten
-into rules whose premises partition the feature space: every sample
-satisfies exactly one induced rule.
+distinct feature values. Each tree node scores every boundary of every
+feature in one numpy pass over its (n, d) matrix: integer Gini numerators
+and denominators as arrays, then a float prefilter. Those float scores are
+correctly rounded exact fractions while n**3 / 4 < 2**53 (n below about
+330k rows), so the prefilter's band always holds the exact best. Only the
+near-ties it keeps are compared exactly, as fractions, with ties broken by
+lowest feature index then lowest threshold, so induction is fully
+deterministic. Root-to-leaf paths flatten into rules whose premises
+partition the feature space: every sample satisfies exactly one induced
+rule.
 """
 from __future__ import annotations
 
@@ -49,12 +54,10 @@ def induce_tree(
     dataset: DataTable,
     max_depth: int = 4,
     min_leaf: int = 50,
-    seed: int = 0,
 ) -> TreeNode:
     """Grow a binary classification tree on a labeled table.
 
-    ``seed`` is reserved for API stability; all tie-breaking is rule-based,
-    so induction is deterministic without it.
+    All tie-breaking is rule-based, so induction is deterministic.
     """
     if dataset.labels is None:
         raise InducerError("induction needs a labeled dataset")
@@ -68,7 +71,9 @@ def induce_tree(
     if len(classes) < 2:
         raise InducerError(f"induction needs >= 2 classes, got {classes}")
     class_code = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_code[label] for label in dataset.labels], dtype=np.int64)
+    y = np.fromiter(
+        map(class_code.__getitem__, dataset.labels), dtype=np.int64, count=dataset.n_rows
+    )
     return _grow(dataset.X, y, dataset.columns, classes, depth_left=max_depth, min_leaf=min_leaf)
 
 
@@ -111,52 +116,52 @@ def _best_split(
     Minimizing weighted Gini impurity is equivalent to maximizing
     sum_c nl_c^2 / nl + sum_c nr_c^2 / nr; that score is the fraction
     (A*nr + B*nl) / (nl*nr) with integer numerator and denominator, which
-    permits exact comparison. A float prefilter narrows the field, then
-    exact arithmetic decides among near-ties.
+    permits exact comparison.
+
+    One pass scores every boundary of every feature: an argsort of the
+    node's (n, d) matrix along axis 0, per-class cumulative counts over the
+    sorted rows, and the integer numerator and denominator of every
+    boundary position as arrays. A position is a candidate when its two
+    sorted neighbours differ and both sides keep ``min_leaf`` rows; the
+    counts there do not depend on how the sort orders equal values, so the
+    sort need not be stable. A float prefilter over that score array keeps
+    the near-ties, and only those are compared exactly (``Fraction``), ties
+    going to the lowest feature, then the lowest threshold
+    ``(xs[i] + xs[i+1]) / 2``.
     """
     n, d = X.shape
-    total = np.bincount(y, minlength=n_classes).astype(np.int64)
-    candidates: list[tuple[int, int, int, float]] = []  # (num, den, feature, threshold)
-    best_float = -np.inf
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[np.arange(n), ys] = 1
-        cum = np.cumsum(onehot, axis=0)
-        nl = boundaries + 1
-        keep = (nl >= min_leaf) & (n - nl >= min_leaf)
-        if not np.any(keep):
-            continue
-        boundaries = boundaries[keep]
-        nl = nl[keep]
-        nr = n - nl
-        nl_c = cum[boundaries]
-        nr_c = total[None, :] - nl_c
-        A = (nl_c * nl_c).sum(axis=1)
-        B = (nr_c * nr_c).sum(axis=1)
-        num = A * nr + B * nl
-        den = nl * nr
-        thresholds = (xs[boundaries] + xs[boundaries + 1]) / 2.0
-        fscore = num / den
-        best_float = max(best_float, float(fscore.max()))
-        for i in range(len(boundaries)):
-            candidates.append((int(num[i]), int(den[i]), f, float(thresholds[i])))
-    if not candidates:
+    lo, hi = min_leaf - 1, n - min_leaf  # boundary rows with both sides >= min_leaf
+    if lo >= hi:
         return None
-    # num and den are exactly representable doubles here, so the float
-    # score is within one ulp; a 1e-9 band safely contains the exact best.
-    shortlist = [
-        c for c in candidates if c[0] / c[1] >= best_float - 1e-9 * max(abs(best_float), 1.0)
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    valid = xs[lo:hi] < xs[lo + 1 : hi + 1]
+    if not valid.any():
+        return None
+    total = np.bincount(y, minlength=n_classes).astype(np.int64)
+    ys = y[order]
+    A = np.zeros((hi - lo, d), dtype=np.int64)
+    B = np.zeros((hi - lo, d), dtype=np.int64)
+    for c in range(n_classes):
+        nl_c = np.cumsum(ys[:hi] == c, axis=0, dtype=np.int64)[lo:]
+        nr_c = total[c] - nl_c
+        A += nl_c * nl_c
+        B += nr_c * nr_c
+    nl = np.arange(lo + 1, hi + 1, dtype=np.int64)[:, None]
+    nr = n - nl
+    num = A * nr + B * nl
+    den = nl * nr
+    # num <= n**3 / 4 and den <= n**2 / 4, so while n**3 / 4 < 2**53 both
+    # are exact doubles and each float score is the correctly rounded
+    # fraction; a 1e-9 band then safely contains the exact best.
+    fscore = np.where(valid, num / den, -np.inf)
+    best_float = float(fscore.max())
+    features, rows = np.nonzero(fscore.T >= best_float - 1e-9 * max(abs(best_float), 1.0))
+    shortlist = [  # (num, den, feature, threshold)
+        (int(num[i, f]), int(den[i, 0]), f, float((xs[lo + i, f] + xs[lo + i + 1, f]) / 2.0))
+        for f, i in zip(features.tolist(), rows.tolist())
     ]
-    best = max(
-        shortlist,
-        key=lambda c: (Fraction(c[0], c[1]), -c[2], -c[3]),
-    )
+    best = max(shortlist, key=lambda c: (Fraction(c[0], c[1]), -c[2], -c[3]))
     parent_score = Fraction(int((total * total).sum()), n)
     if Fraction(best[0], best[1]) <= parent_score:
         return None  # no impurity decrease
@@ -199,7 +204,6 @@ def induce_ruleset(
     dataset: DataTable,
     max_depth: int = 4,
     min_leaf: int = 50,
-    seed: int = 0,
     warn: bool = True,
 ) -> Ruleset:
     """Induce a tree and flatten it to rules, warning on flat hit shapes.
@@ -208,7 +212,7 @@ def induce_ruleset(
     the hit histograms that downstream detection fingerprints, degrading
     its resolution.
     """
-    tree = induce_tree(dataset, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
+    tree = induce_tree(dataset, max_depth=max_depth, min_leaf=min_leaf)
     ruleset = tree_to_rules(tree)
     if warn:
         if ruleset.n_rules < 4:

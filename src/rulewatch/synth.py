@@ -50,7 +50,7 @@ class GaussianMixtureSource:
             X[:, idx] += comp * self.class_sep
         if self.mean_shift:
             X += np.asarray(self.mean_shift)
-        labels = tuple(str(c) for c in comp)
+        labels = tuple(map(str, comp.tolist()))
         return DataTable(_feature_names(self.n_features), X, labels)
 
     def stream(self, rng: np.random.Generator, chunk: int = 256) -> Iterator[dict[str, float]]:
@@ -82,7 +82,7 @@ class RuleAlignedSource:
         X = rng.random((n, self.n_features))
         below1 = X[:, 0] <= self.cut
         below2 = X[:, 1] <= self.cut if self.n_features > 1 else np.ones(n, bool)
-        labels = tuple(str(int(b1 & b2)) for b1, b2 in zip(below1, below2))
+        labels = tuple(map(str, (below1 & below2).astype(np.int64).tolist()))
         if self.mean_shift:
             X = X + np.asarray(self.mean_shift)
         return DataTable(_feature_names(self.n_features), X, labels)

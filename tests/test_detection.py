@@ -344,6 +344,18 @@ def test_bundle_round_trip(rng):
     assert loaded.to_document() == text  # byte-stable round trip
 
 
+def test_bundle_verify_rejects_ruleset_one_threshold_apart(rng):
+    m = _matrix(rng)
+    rs = parse_ruleset("if x1 <= 1 then a\nif x1 > 1 then b\n")
+    moved = parse_ruleset("if x1 <= 1 then a\nif x1 > 1.5 then b\n")
+    cfg = {"n_s": 50, "n_tr": 6, "mode": "single"}
+    base = single_split_baseline(m, config=cfg, fingerprint=compute_fingerprint(rs, cfg))
+    bundle = BaselineBundle.from_document(BaselineBundle(base, m).to_document())
+    bundle.verify(rs)
+    with pytest.raises(FingerprintMismatchError):
+        bundle.verify(moved)
+
+
 def test_bundle_rejects_garbage():
     with pytest.raises(DetectionError):
         BaselineBundle.from_document("{}")

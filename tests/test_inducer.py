@@ -1,7 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rulewatch import (
     DataTable,
@@ -16,6 +19,7 @@ from rulewatch import (
     ruleset_hits,
     tree_to_rules,
 )
+from rulewatch import inducer
 
 
 def _table(X, labels, columns=None):
@@ -178,3 +182,97 @@ def test_min_leaf_respected():
             check(node.right)
 
     check(tree)
+
+
+def _reference_best_split(X, y, n_classes, min_leaf):
+    """The per-feature loop ``_best_split`` the one-pass version replaced."""
+    n, d = X.shape
+    total = np.bincount(y, minlength=n_classes).astype(np.int64)
+    candidates: list[tuple[int, int, int, float]] = []  # (num, den, feature, threshold)
+    best_float = -np.inf
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
+        if boundaries.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes), dtype=np.int64)
+        onehot[np.arange(n), ys] = 1
+        cum = np.cumsum(onehot, axis=0)
+        nl = boundaries + 1
+        keep = (nl >= min_leaf) & (n - nl >= min_leaf)
+        if not np.any(keep):
+            continue
+        boundaries = boundaries[keep]
+        nl = nl[keep]
+        nr = n - nl
+        nl_c = cum[boundaries]
+        nr_c = total[None, :] - nl_c
+        A = (nl_c * nl_c).sum(axis=1)
+        B = (nr_c * nr_c).sum(axis=1)
+        num = A * nr + B * nl
+        den = nl * nr
+        thresholds = (xs[boundaries] + xs[boundaries + 1]) / 2.0
+        fscore = num / den
+        best_float = max(best_float, float(fscore.max()))
+        for i in range(len(boundaries)):
+            candidates.append((int(num[i]), int(den[i]), f, float(thresholds[i])))
+    if not candidates:
+        return None
+    shortlist = [
+        c for c in candidates if c[0] / c[1] >= best_float - 1e-9 * max(abs(best_float), 1.0)
+    ]
+    best = max(
+        shortlist,
+        key=lambda c: (Fraction(c[0], c[1]), -c[2], -c[3]),
+    )
+    parent_score = Fraction(int((total * total).sum()), n)
+    if Fraction(best[0], best[1]) <= parent_score:
+        return None  # no impurity decrease
+    return best[2], best[3]
+
+
+@st.composite
+def split_problems(draw, max_rows=40):
+    """Small integer-valued features (heavy ties), 2-4 classes, min_leaf up to n/2."""
+    n = draw(st.integers(2, max_rows))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    levels = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, levels - 1), min_size=n * d, max_size=n * d))
+    scale = draw(st.sampled_from([1.0, 0.1, -2.5]))
+    X = np.array(cells, dtype=np.float64).reshape(n, d) * scale
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = 3.0  # a constant feature
+    y = np.array(
+        draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)), dtype=np.int64
+    )
+    min_leaf = draw(st.integers(1, max(1, n // 2)))
+    return X, y, n_classes, min_leaf
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_problems())
+@example((np.array([[0.0], [1.0]]), np.array([0, 1]), 2, 1))
+@example((np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0, 1]), 2, 1))
+@example(  # -0.0 and 0.0 tie, so the sort may order them either way
+    (np.array([[-0.0], [0.0], [1.0], [-0.0], [-1.0], [0.0]]), np.array([0, 1, 1, 0, 0, 1]), 2, 1)
+)
+def test_best_split_matches_reference(problem):
+    X, y, n_classes, min_leaf = problem
+    assert inducer._best_split(X, y, n_classes, min_leaf) == _reference_best_split(
+        X, y, n_classes, min_leaf
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_problems(max_rows=60), st.integers(1, 4))
+def test_induce_tree_matches_reference_split_search(problem, max_depth):
+    X, y, n_classes, min_leaf = problem
+    y[:2] = (0, 1)  # induction needs two classes
+    table = _table(X, y)
+    tree = induce_tree(table, max_depth=max_depth, min_leaf=min_leaf)
+    with mock.patch.object(inducer, "_best_split", _reference_best_split):
+        expected = induce_tree(table, max_depth=max_depth, min_leaf=min_leaf)
+    assert tree == expected
