@@ -64,7 +64,6 @@ from .rules import (
     RuleError,
     RuleSyntaxError,
     Ruleset,
-    evaluate_premise,
     format_ruleset,
     parse_ruleset,
     ruleset_hits,

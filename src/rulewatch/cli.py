@@ -142,7 +142,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     fingerprint = compute_fingerprint(ruleset, fp_cfg)
     echo = dict(fp_cfg)
     if cfg.mode == "group":
-        gc = GroupConfig(n_tr=cfg.n_tr, n_op=cfg.resolved_n_op, n_s=cfg.n_s, seed=cfg.seed)
+        gc = GroupConfig(n_tr=cfg.n_tr, n_op=cfg.resolved_n_op)
         columns = training.training_columns
         echo["k"] = gc.k
         base = group_baseline(

@@ -199,13 +199,13 @@ def _json_float(v: float) -> float | str:
 def _metric_report(
     name: str, values: Sequence[float], interval: tuple[float, float]
 ) -> MetricReport:
-    votes_out = sum(0 if interval_contains(interval, v) else 1 for v in values)
+    out = [not interval_contains(interval, v) for v in values]
     distances = sorted(normalized_distance(interval, v) for v in values)
     return MetricReport(
         name=name,
         values=tuple(values),
-        flag=2 * votes_out > len(values),
-        votes_out=votes_out,
+        flag=strict_majority(out),
+        votes_out=sum(out),
         votes_total=len(values),
         normalized_distance=statistics.median(distances),
         baseline=interval,
@@ -320,8 +320,6 @@ class GroupConfig:
 
     n_tr: int
     n_op: int
-    n_s: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.n_op < 2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class Split:
     @property
     def size(self) -> int:
         return self.table.n_rows
-
-    @property
-    def samples(self) -> Iterator[dict[str, float]]:
-        return self.table.iter_records()
 
 
 @dataclass(frozen=True)

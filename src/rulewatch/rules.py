@@ -11,9 +11,17 @@ line oriented::
 Keywords are case-insensitive. Comparison thresholds are decimal reals and
 are compared with exact binary floating-point semantics, so hit counts are
 deterministic for a given ruleset text.
+
+One kernel, ``_hits``, evaluates tables (``Ruleset.hit_mask_table``) and
+single samples (``ruleset_hits``) against closed bounds ``lo <= v <= hi``
+compiled once per ruleset; ``v > t`` becomes ``v >= nextafter(t, +inf)``,
+exact for every non-NaN float64. Before any rule runs, the input must hold
+every feature some rule uses (else ``MissingFeatureError``) as a non-NaN,
+non-bool number (else ``NonNumericValueError``); other fields are ignored.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,16 +68,6 @@ class Interval:
         if not (self.lo <= self.hi):
             raise RuleError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
 
-    def contains(self, value: float) -> bool:
-        lo_ok = value >= self.lo if self.lo_closed else value > self.lo
-        hi_ok = value <= self.hi if self.hi_closed else value < self.hi
-        return lo_ok and hi_ok
-
-    def contains_array(self, values: np.ndarray) -> np.ndarray:
-        lo_ok = values >= self.lo if self.lo_closed else values > self.lo
-        hi_ok = values <= self.hi if self.hi_closed else values < self.hi
-        return lo_ok & hi_ok
-
     def to_text(self) -> str:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
@@ -95,36 +93,22 @@ class Condition:
                 raise RuleError("'in' condition requires an interval")
         elif self.operator not in _COMPARATORS:
             raise RuleError(f"unknown operator {self.operator!r}")
+        elif math.isnan(self.threshold):
+            raise RuleError(f"condition on {self.feature!r} has a NaN threshold")
 
-    def holds(self, value: float) -> bool:
-        op = self.operator
+    def bounds(self) -> tuple[float, float]:
+        """Closed ``(lo, hi)``: the condition holds on a non-NaN ``v`` iff ``lo <= v <= hi``."""
+        op, t, iv = self.operator, self.threshold, self.interval
         if op == "in":
-            return self.interval.contains(value)
-        t = self.threshold
-        if op == "<":
-            return value < t
-        if op == "<=":
-            return value <= t
-        if op == ">":
-            return value > t
-        if op == ">=":
-            return value >= t
-        return value == t
-
-    def holds_array(self, values: np.ndarray) -> np.ndarray:
-        op = self.operator
-        if op == "in":
-            return self.interval.contains_array(values)
-        t = self.threshold
-        if op == "<":
-            return values < t
-        if op == "<=":
-            return values <= t
-        if op == ">":
-            return values > t
-        if op == ">=":
-            return values >= t
-        return values == t
+            lo, lo_open, hi, hi_open = iv.lo, not iv.lo_closed, iv.hi, not iv.hi_closed
+        else:  # a comparison is an interval with an infinite end
+            lo = -math.inf if op in ("<", "<=") else t
+            hi = math.inf if op in (">", ">=") else t
+            lo_open, hi_open = op == ">", op == "<"
+        if (lo_open and lo == math.inf) or (hi_open and hi == -math.inf):
+            return math.inf, -math.inf  # holds for no value
+        return (math.nextafter(lo, math.inf) if lo_open else lo,
+                math.nextafter(hi, -math.inf) if hi_open else hi)
 
     def to_text(self) -> str:
         if self.operator == "in":
@@ -175,51 +159,81 @@ class Ruleset:
                 seen.setdefault(cond.feature, None)
         return tuple(seen)
 
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compiled premises: read-only ``(idx, lo, hi)``, each ``(K, n_rules)``.
+
+        Rule ``j`` hits a row ``v`` (in ``feature_names`` order) iff
+        ``lo[:, j] <= v[idx[:, j]] <= hi[:, j]``: one merged pair per feature
+        it uses, padded to ``K`` with its first pair (AND is idempotent).
+        """
+        position = {name: i for i, name in enumerate(self.feature_names)}
+        merged = []
+        for rule in self.rules:
+            pairs: dict[int, tuple[float, float]] = {}
+            for cond in rule.premise:
+                f, (lo, hi) = position[cond.feature], cond.bounds()
+                old_lo, old_hi = pairs.get(f, (lo, hi))
+                pairs[f] = (max(old_lo, lo), min(old_hi, hi))
+            merged.append([(f, lo, hi) for f, (lo, hi) in pairs.items()])
+        width = max(map(len, merged), default=0)
+        padded = [m + m[:1] * (width - len(m)) for m in merged]
+        idx, lo, hi = np.array(padded, dtype=np.float64).reshape(len(padded), width, 3).T
+        arrays = (idx.astype(np.intp), lo.copy(), hi.copy())
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
     def hit_mask_table(self, X: np.ndarray, columns: Sequence[str]) -> np.ndarray:
         """Boolean hit table of shape (n_samples, n_rules) for a feature matrix."""
         col_index = {name: i for i, name in enumerate(columns)}
-        n = X.shape[0]
-        out = np.empty((n, len(self.rules)), dtype=bool)
-        for j, rule in enumerate(self.rules):
-            mask = np.ones(n, dtype=bool)
-            for cond in rule.premise:
-                idx = col_index.get(cond.feature)
-                if idx is None:
-                    raise MissingFeatureError(
-                        f"rule {rule.id}: feature {cond.feature!r} not in columns {list(columns)}"
-                    )
-                mask &= cond.holds_array(X[:, idx])
-            out[:, j] = mask
-        return out
+        missing = [name for name in self.feature_names if name not in col_index]
+        if missing:
+            raise MissingFeatureError(f"feature {missing[0]!r} not in columns {list(columns)}")
+        cols = [col_index[name] for name in self.feature_names]
+        if np.isnan(X).any() and np.isnan(X[:, cols]).any():
+            row, f = np.argwhere(np.isnan(X[:, cols]))[0]
+            raise NonNumericValueError(f"row {row}: feature {self.feature_names[f]!r} is NaN")
+        idx, lo, hi = self.bounds
+        return _hits(X, np.asarray(cols, dtype=np.intp)[idx], lo, hi)
 
 
-def evaluate_premise(rule: Rule, sample: Mapping[str, float]) -> bool:
-    """True iff every condition of the rule holds on the sample.
+_BLOCK_VALUES = 1 << 16  # upper bound on the values gathered per kernel block
 
-    The consequence is ignored: hits are premise satisfaction only, so
-    unlabeled operational data evaluates identically to labeled data.
+
+def _hits(V: np.ndarray, gather: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(n, n_rules) hits: ``lo[k, j] <= V[i, gather[k, j]] <= hi[k, j]`` for every ``k``.
+
+    Row blocks gather at most ``_BLOCK_VALUES`` values, slot-major, so each
+    comparison runs along a block of rows.
     """
-    for cond in rule.premise:
-        try:
-            value = sample[cond.feature]
-        except KeyError:
-            raise MissingFeatureError(
-                f"rule {rule.id}: sample is missing feature {cond.feature!r}"
-            ) from None
-        if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)
-        ):
-            raise NonNumericValueError(
-                f"rule {rule.id}: feature {cond.feature!r} has non-numeric value {value!r}"
-            )
-        if not cond.holds(float(value)):
-            return False
-    return True
+    n, (k, n_rules) = V.shape[0], lo.shape
+    out = np.empty((n_rules, n), dtype=bool)
+    step = max(1, _BLOCK_VALUES // max(lo.size, 1))
+    slots, lo, hi = gather.ravel(), lo.reshape(-1, 1), hi.reshape(-1, 1)
+    for start in range(0, n, step):
+        G = V.T[slots, start : start + step]
+        hit = (G >= lo) & (G <= hi)
+        hit.reshape(k, n_rules, G.shape[1]).all(axis=0, out=out[:, start : start + step])
+    return out.T
 
 
 def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> list[bool]:
-    """Per-rule hit mask for one sample; a sample may hit many rules or none."""
-    return [evaluate_premise(rule, sample) for rule in ruleset.rules]
+    """Per-rule premise hits of one sample (consequences are ignored); any number may hit."""
+    row = []
+    for name in ruleset.feature_names:
+        try:
+            value = sample[name]
+        except KeyError:
+            raise MissingFeatureError(f"sample is missing feature {name!r}") from None
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise NonNumericValueError(f"feature {name!r} has non-numeric value {value!r}")
+        row.append(value)
+    V = np.array([row], dtype=np.float64)
+    nan = np.isnan(V[0])
+    if nan.any():
+        raise NonNumericValueError(f"feature {ruleset.feature_names[nan.argmax()]!r} is NaN")
+    return _hits(V, *ruleset.bounds)[0].tolist()
 
 
 # ---------------------------------------------------------------------------

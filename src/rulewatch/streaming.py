@@ -82,11 +82,11 @@ class SlidingHitWindow:
     def n_rules(self) -> int:
         return self._n_rules
 
-    def push(self, sample: Mapping[str, float]) -> HitHistogram:
+    def push(self, sample: Mapping[str, float]) -> None:
         """Admit one sample, evicting the oldest when full.
 
         Evaluation happens before any mutation, so an evaluation error
-        leaves the window unchanged.
+        leaves the window unchanged. ``histogram`` reads the counts.
         """
         mask = np.asarray(ruleset_hits(self._ruleset, sample), dtype=bool)
         ops = self._n_rules  # rule evaluations
@@ -102,14 +102,11 @@ class SlidingHitWindow:
         if self._samples is not None:
             self._samples.append(dict(sample))
         self.last_push_ops = ops
-        return self.histogram()
 
     def histogram(self) -> HitHistogram:
         if self._fill == 0:
             raise StreamStateError("window is empty; no histogram yet")
-        return HitHistogram(
-            tuple(int(c) for c in self._counts), self._fill, origin=OPERATIONAL
-        )
+        return HitHistogram(tuple(self._counts.tolist()), self._fill, origin=OPERATIONAL)
 
     def retained_samples(self) -> list[dict[str, float]]:
         """Oldest-first copies of the retained samples (audit aid)."""

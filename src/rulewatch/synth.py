@@ -13,8 +13,23 @@ def _feature_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
+class _Source:
+    """What both sources share; each dataclass defines ``sample``."""
+
+    def shifted(self, shift: dict[int, float]):
+        """Copy of this source with per-feature mean offsets applied."""
+        full = list(self.mean_shift) if self.mean_shift else [0.0] * self.n_features
+        for idx, delta in shift.items():
+            full[idx] += delta
+        return replace(self, mean_shift=tuple(full))
+
+    def stream(self, rng: np.random.Generator, chunk: int = 256) -> Iterator[dict[str, float]]:
+        while True:
+            yield from self.sample(chunk, rng).iter_records()
+
+
 @dataclass(frozen=True)
-class GaussianMixtureSource:
+class GaussianMixtureSource(_Source):
     """Two-component Gaussian mixture with a drift knob.
 
     Component 0 is centered at the origin; component 1 is offset by
@@ -36,13 +51,6 @@ class GaussianMixtureSource:
         if any(i >= self.n_features for i in self.informative):
             raise ValueError("informative feature index out of range")
 
-    def shifted(self, shift: dict[int, float]) -> "GaussianMixtureSource":
-        """Copy of this source with per-feature mean offsets applied."""
-        full = list(self.mean_shift) if self.mean_shift else [0.0] * self.n_features
-        for idx, delta in shift.items():
-            full[idx] += delta
-        return replace(self, mean_shift=tuple(full))
-
     def sample(self, n: int, rng: np.random.Generator) -> DataTable:
         comp = (rng.random(n) < self.weight).astype(np.int64)
         X = rng.normal(0.0, self.sigma, size=(n, self.n_features))
@@ -53,14 +61,9 @@ class GaussianMixtureSource:
         labels = tuple(map(str, comp.tolist()))
         return DataTable(_feature_names(self.n_features), X, labels)
 
-    def stream(self, rng: np.random.Generator, chunk: int = 256) -> Iterator[dict[str, float]]:
-        while True:
-            table = self.sample(chunk, rng)
-            yield from table.iter_records()
-
 
 @dataclass(frozen=True)
-class RuleAlignedSource:
+class RuleAlignedSource(_Source):
     """Uniform features on [0, 1]^d labeled by axis-aligned thresholds.
 
     The label is decided by whether x1 and x2 fall below ``cut``, so a
@@ -72,12 +75,6 @@ class RuleAlignedSource:
     cut: float = 0.5
     mean_shift: tuple[float, ...] = ()
 
-    def shifted(self, shift: dict[int, float]) -> "RuleAlignedSource":
-        full = list(self.mean_shift) if self.mean_shift else [0.0] * self.n_features
-        for idx, delta in shift.items():
-            full[idx] += delta
-        return replace(self, mean_shift=tuple(full))
-
     def sample(self, n: int, rng: np.random.Generator) -> DataTable:
         X = rng.random((n, self.n_features))
         below1 = X[:, 0] <= self.cut
@@ -86,11 +83,6 @@ class RuleAlignedSource:
         if self.mean_shift:
             X = X + np.asarray(self.mean_shift)
         return DataTable(_feature_names(self.n_features), X, labels)
-
-    def stream(self, rng: np.random.Generator, chunk: int = 256) -> Iterator[dict[str, float]]:
-        while True:
-            table = self.sample(chunk, rng)
-            yield from table.iter_records()
 
 
 SOURCES = {

@@ -269,3 +269,16 @@ def test_featurize_unknown_column(workdir):
         "--window", "10", "--columns", "zz",
     ])
     assert rc == 1
+
+
+def test_nan_input_exits_1(workdir, capsys):
+    main(_baseline_args(workdir))
+    nan_csv = workdir / "nan.csv"
+    nan_csv.write_text("x1,x2,x3\n" + "nan,nan,nan\n" * 300)
+    common = ["--rules", str(workdir / "rules.txt")]
+    with_base = [*common, "--baseline", str(workdir / "base.json")]
+    assert main(["detect", str(nan_csv), *with_base]) == 1
+    assert main(["stream", str(nan_csv), *with_base, "-o", str(workdir / "t.csv")]) == 1
+    assert main(["baseline", str(nan_csv), *common, "-o", str(workdir / "b.json"),
+                 "--ns", "10", "--ntr", "12"]) == 1
+    assert capsys.readouterr().err.count("is NaN") == 3

@@ -161,12 +161,12 @@ def test_verdict_monotone_under_extra_flag(rng):
 # -- group baseline and detection ---------------------------------------------
 
 def test_group_config_validation():
-    cfg = GroupConfig(n_tr=20, n_op=10, n_s=100, seed=0)
+    cfg = GroupConfig(n_tr=20, n_op=10)
     assert cfg.k == 9
     with pytest.raises(DetectionError):
-        GroupConfig(n_tr=5, n_op=10, n_s=100, seed=0)
+        GroupConfig(n_tr=5, n_op=10)
     with pytest.raises(DetectionError):
-        GroupConfig(n_tr=20, n_op=1, n_s=100, seed=0)
+        GroupConfig(n_tr=20, n_op=1)
 
 
 def test_group_baseline_identical_histograms_is_unit_interval():

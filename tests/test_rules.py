@@ -1,7 +1,12 @@
+import math
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rulewatch import rules as rules_module
 from rulewatch import (
     Condition,
     Interval,
@@ -11,7 +16,6 @@ from rulewatch import (
     RuleError,
     RuleSyntaxError,
     Ruleset,
-    evaluate_premise,
     format_ruleset,
     parse_ruleset,
     ruleset_hits,
@@ -71,27 +75,50 @@ def test_rule_requires_nonempty_premise():
         Rule(id=1, premise=(), consequence="1")
 
 
+def test_condition_rejects_nan_threshold():
+    with pytest.raises(RuleError):
+        Condition("x1", "<", math.nan)
+
+
 def test_ruleset_requires_contiguous_ids():
     c = Condition("x1", "<", 0.0)
     with pytest.raises(RuleError):
         Ruleset((Rule(1, (c,), "a"), Rule(3, (c,), "b")))
 
 
-def test_evaluate_premise_boundaries(two_rule_set):
-    rule = two_rule_set.rules[0]
-    assert evaluate_premise(rule, {"x1": 3.0, "x2": 0.7}) is True
-    assert evaluate_premise(rule, {"x1": 3.0, "x2": 0.5}) is False  # strict >
-    assert evaluate_premise(rule, {"x1": 3.2, "x2": 0.7}) is True   # <= includes boundary
+def test_ruleset_hits_boundaries(two_rule_set):
+    assert ruleset_hits(two_rule_set, {"x1": 3.0, "x2": 0.7})[0] is True
+    assert ruleset_hits(two_rule_set, {"x1": 3.0, "x2": 0.5})[0] is False  # strict >
+    assert ruleset_hits(two_rule_set, {"x1": 3.2, "x2": 0.7})[0] is True   # <= includes boundary
 
 
-def test_evaluate_premise_missing_feature(two_rule_set):
+def test_ruleset_hits_missing_feature(two_rule_set):
     with pytest.raises(MissingFeatureError):
-        evaluate_premise(two_rule_set.rules[0], {"x1": 3.0})
+        ruleset_hits(two_rule_set, {"x1": 3.0})
 
 
-def test_evaluate_premise_non_numeric(two_rule_set):
+def test_ruleset_hits_non_numeric(two_rule_set):
     with pytest.raises(NonNumericValueError):
-        evaluate_premise(two_rule_set.rules[0], {"x1": 3.0, "x2": "high"})
+        ruleset_hits(two_rule_set, {"x1": 3.0, "x2": "high"})
+
+
+def test_missing_feature_raises_even_when_an_earlier_condition_fails(two_rule_set):
+    # x1 <= 3.2 fails at 5.0, so rule 1 cannot hit whatever x2 is; the
+    # sample is still rejected, as a table without an x2 column is.
+    with pytest.raises(MissingFeatureError):
+        ruleset_hits(two_rule_set, {"x1": 5.0})
+    with pytest.raises(MissingFeatureError):
+        two_rule_set.hit_mask_table(np.array([[5.0]]), ("x1",))
+
+
+def test_nan_in_a_used_feature_is_rejected(two_rule_set):
+    with pytest.raises(NonNumericValueError, match="'x2' is NaN"):
+        ruleset_hits(two_rule_set, {"x1": 3.0, "x2": math.nan})
+    X = np.array([[1.0, 1.0, math.nan], [1.0, math.nan, 0.0]])
+    # a NaN in a column no rule uses is ignored
+    assert two_rule_set.hit_mask_table(X[:1], ("x1", "x2", "x3")).tolist() == [[True, False]]
+    with pytest.raises(NonNumericValueError, match="row 1: feature 'x2' is NaN"):
+        two_rule_set.hit_mask_table(X, ("x1", "x2", "x3"))
 
 
 def test_hits_ignore_consequence_and_extra_fields(two_rule_set):
@@ -135,30 +162,36 @@ _OPERATORS = ("<", "<=", ">", ">=", "==")
 
 
 @st.composite
-def rulesets(draw):
+def rulesets(draw, thresholds=st.integers(-4, 4).map(float), max_conds=3):
     n_rules = draw(st.integers(1, 6))
     features = [f"x{i}" for i in range(1, 5)]
     rules = []
     for rid in range(1, n_rules + 1):
-        n_conds = draw(st.integers(1, 3))
+        n_conds = draw(st.integers(1, max_conds))
         conds = []
         for _ in range(n_conds):
             feat = draw(st.sampled_from(features))
             if draw(st.booleans()):
-                lo = draw(st.integers(-4, 3))
-                hi = lo + draw(st.integers(0, 4))
+                lo, hi = sorted((draw(thresholds), draw(thresholds)))
                 conds.append(
                     Condition(feat, "in",
-                              interval=Interval(float(lo), float(hi),
-                                                draw(st.booleans()), draw(st.booleans())))
+                              interval=Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
                 )
             else:
-                conds.append(
-                    Condition(feat, draw(st.sampled_from(_OPERATORS)),
-                              float(draw(st.integers(-4, 4))))
-                )
+                conds.append(Condition(feat, draw(st.sampled_from(_OPERATORS)), draw(thresholds)))
         rules.append(Rule(rid, tuple(conds), draw(st.sampled_from(("0", "1", "ok")))))
     return Ruleset(tuple(rules))
+
+
+# Edge values of the closed-bound normalisation: non-integer thresholds, each
+# threshold's float neighbours, signed zeros, infinities and the smallest
+# subnormal.
+_EDGES = [-4.0, -1.5, -0.0, 0.0, 5e-324, 0.1, 1.0, 2.5, 3.0, 1e300, math.inf, -math.inf]
+_THRESHOLDS = sorted(
+    {e for t in _EDGES for e in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))}
+)
+_WIDE_THRESHOLDS = st.one_of(st.sampled_from(_THRESHOLDS), st.floats(allow_nan=False))
+_WIDE_VALUES = st.one_of(st.sampled_from(_THRESHOLDS + [math.nan]), st.floats())
 
 
 def _brute_force_condition(cond, value):
@@ -176,15 +209,37 @@ def _brute_force_condition(cond, value):
     }[cond.operator]
 
 
-@settings(max_examples=80, deadline=None)
-@given(rulesets(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
-def test_hits_match_per_condition_loop(rs, raw_values):
-    sample = {f"x{i + 1}": float(v) for i, v in enumerate(raw_values)}
-    expected = [
+def _brute_force_hits(rs, sample):
+    return [
         all(_brute_force_condition(c, sample[c.feature]) for c in rule.premise)
         for rule in rs.rules
     ]
-    assert ruleset_hits(rs, sample) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(rulesets(_WIDE_THRESHOLDS, max_conds=4),
+       st.lists(_WIDE_VALUES, min_size=4, max_size=4))
+@example(
+    parse_ruleset(
+        "if x1 > 3 and x1 < 1 then a\n"
+        "if x2 > 1e999 then b\n"
+        "if x2 < -1e999 then c\n"
+        "if x3 > 0 and x3 <= 5e-324 and x3 in [-0.0, 1) then d\n"
+        "if x4 in (2.5, 2.5] then e\n"
+    ),
+    [2.0, math.inf, 5e-324, 2.5],
+)
+@example(
+    parse_ruleset("if x1 < 0 then a\nif x1 >= -0.0 and x1 <= 0.0 then b\nif x2 == 0 then c\n"),
+    [-0.0, 0.0, 0.0, 0.0],
+)
+def test_hits_match_per_condition_loop(rs, raw_values):
+    sample = {f"x{i + 1}": float(v) for i, v in enumerate(raw_values)}
+    if any(math.isnan(sample[name]) for name in rs.feature_names):
+        with pytest.raises(NonNumericValueError):
+            ruleset_hits(rs, sample)
+        return
+    assert ruleset_hits(rs, sample) == _brute_force_hits(rs, sample)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,3 +268,46 @@ def test_mask_table_matches_per_sample_loop(rng, two_rule_set):
     for i in range(40):
         sample = {"x1": X[i, 0], "x2": X[i, 1]}
         assert list(table_mask[i]) == ruleset_hits(two_rule_set, sample)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rulesets(_WIDE_THRESHOLDS, max_conds=4), st.integers(1, 120), st.integers(1, 64),
+       st.integers(0, 2**32 - 1))
+def test_mask_table_across_kernel_blocks_matches_brute_force(rs, n_rows, block_values, seed):
+    # A small block cap makes a short table span many kernel blocks,
+    # including blocks of one row and a short last block.
+    rng = np.random.default_rng(seed)
+    pool = np.array(_THRESHOLDS)
+    X = np.where(rng.random((n_rows, 4)) < 0.5, rng.choice(pool, (n_rows, 4)),
+                 rng.normal(0.0, 3.0, (n_rows, 4)))
+    columns = ("x4", "x2", "x1", "x3")
+    with mock.patch.object(rules_module, "_BLOCK_VALUES", block_values):
+        table = rs.hit_mask_table(X, columns)
+    for i in range(n_rows):
+        sample = dict(zip(columns, X[i].tolist()))
+        assert table[i].tolist() == _brute_force_hits(rs, sample)
+
+
+def test_mask_table_with_default_blocks_matches_brute_force(rng, two_rule_set):
+    idx, lo, hi = two_rule_set.bounds
+    n = 2 * (rules_module._BLOCK_VALUES // lo.size) + 7  # three blocks, the last one short
+    X = rng.normal(2.5, 2.0, size=(n, 2))
+    table = two_rule_set.hit_mask_table(X, ("x1", "x2"))
+    for i in range(n):
+        assert table[i].tolist() == _brute_force_hits(
+            two_rule_set, {"x1": X[i, 0], "x2": X[i, 1]}
+        )
+
+
+def test_compiled_bounds_merge_and_pad():
+    rs = parse_ruleset(
+        "if x1 > 3 and x1 < 1 then a\n"
+        "if x2 > 1e999 and x1 <= 2 and x1 >= 0 then b\n"
+    )
+    idx, lo, hi = rs.bounds
+    assert idx.shape == lo.shape == hi.shape == (2, 2)  # x1 merged, rule 1 padded
+    assert idx.T.tolist() == [[0, 0], [1, 0]]
+    assert lo[:, 0].tolist() == [math.nextafter(3.0, math.inf)] * 2
+    assert hi[:, 0].tolist() == [math.nextafter(1.0, -math.inf)] * 2
+    assert (lo[0, 1], hi[0, 1]) == (math.inf, -math.inf)  # x2 > +inf never holds
+    assert (lo[1, 1], hi[1, 1]) == (0.0, 2.0)

@@ -44,7 +44,8 @@ def test_push_identical_samples_fills_with_mask():
     w = SlidingHitWindow(RULES, capacity=4)
     sample = {"x1": 0.2, "x2": 0.9}
     for _ in range(4):
-        h = w.push(sample)
+        w.push(sample)
+    h = w.histogram()
     assert h.counts == (4, 0, 4)
     assert h.split_size == 4
 
@@ -55,7 +56,8 @@ def test_window_matches_batch_recount_every_push(rng):
     for _ in range(200):
         s = _record(rng)
         history.append(s)
-        h = w.push(s)
+        w.push(s)
+        h = w.histogram()
         expected = _batch_histogram(history[-16:])
         assert h.counts == expected.counts
         assert h.split_size == expected.split_size
