@@ -41,15 +41,9 @@ from .inducer import (
     tree_to_rules,
 )
 from .metrics import (
-    GaussianBank,
-    GaussianParams,
     MetricError,
     alpha_weight,
-    conditional_hits_entropy,
     fit_bank,
-    gaussian_fit,
-    hits_entropy,
-    interval_mass,
     lp_norm,
     mutual_information,
     rule_based_information,

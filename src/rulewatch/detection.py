@@ -16,6 +16,8 @@ Two modes:
   over the leave-one-out folds of the calibration part and over seeded
   rotations of the whole training set (see ``group_baseline``), so that it
   covers fresh in-distribution groups rather than one calibration draw.
+  Folds, rotations and detection-time groups all go through one batched
+  rbi kernel.
 """
 from __future__ import annotations
 
@@ -61,14 +63,14 @@ ROTATION_SEED = 20230303
 # silently cross conventions.
 DECISIONS_TAG = (
     "closed-intervals.strict-majority.natural-log.value-frequency.closed-form-wmi."
-    f"rbi-loo+rotations{ROTATIONS}-seed{ROTATION_SEED}+scaled.v3"
+    f"rbi-loo+rotations{ROTATIONS}-seed{ROTATION_SEED}+scaled.v4"
 )
 
 # Run configuration keys a baseline fingerprint covers, besides the ruleset.
 FINGERPRINT_KEYS = ("n_s", "n_tr", "n_op", "seed", "sigma_floor", "mode")
 
-# Upper bound on the hit frequencies gathered per rotation-kernel call.
-_ROTATION_CHUNK_VALUES = 1 << 13
+# Upper bound on the hit frequencies gathered per calibration-kernel call.
+_PARTITION_CHUNK_VALUES = 1 << 13
 
 
 class DetectionError(ValueError):
@@ -334,29 +336,47 @@ class GroupConfig:
         return self.n_tr - self.n_op - 1
 
 
-def _rotation_scores(
-    columns: Sequence[HitHistogram], k: int, n_group: int, sigma_floor: float
-) -> np.ndarray:
-    """rbi of ``ROTATIONS`` seeded random (reference, group) partitions.
+def _value_stack(columns: Sequence[HitHistogram]) -> np.ndarray:
+    """(n_cols, n_rules) float64 matrix of the histograms' hit frequencies."""
+    return np.stack([c.values for c in columns])
 
-    Rotation r orders the columns by row r of
-    ``default_rng(ROTATION_SEED).random((ROTATIONS, len(columns)))``
-    (stable argsort); the first ``k`` become the reference, the next
-    ``n_group`` the scored group.
+
+def _calibration_scores(
+    columns: Sequence[HitHistogram], k: int, sigma_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """rbi of the leave-one-out folds and of the seeded rotations.
+
+    Every score is one partition of the columns into a reference of ``k``
+    and a group of ``len(columns) - k - 1``, so all of them are rows of one
+    index array, scored in chunks by ``rule_based_information_batch``:
+
+    * LOO row m: the first ``k`` columns (TR1), then the calibration
+      columns after them without member m, in order;
+    * rotation r: the columns ordered by row r of
+      ``default_rng(ROTATION_SEED).random((ROTATIONS, len(columns)))``
+      (stable argsort), the first ``k`` the reference, all but the last
+      column the group.
+
+    Returns the LOO scores and the rotation scores.
     """
-    values = np.stack([c.values for c in columns])
+    values = _value_stack(columns)
+    n_folds = len(columns) - k
+    member = np.arange(n_folds - 1)
+    loo = np.hstack([
+        np.broadcast_to(np.arange(k), (n_folds, k)),
+        k + member + (member >= np.arange(n_folds)[:, None]),
+    ])
     draws = np.random.default_rng(ROTATION_SEED).random((ROTATIONS, len(columns)))
-    order = np.argsort(draws, axis=1, kind="stable")
-    step = max(1, _ROTATION_CHUNK_VALUES // ((k + n_group) * values.shape[1]))
-    scores = [
+    rotations = np.argsort(draws, axis=1, kind="stable")[:, :-1]
+    parts = np.vstack([loo, rotations])
+    step = max(1, _PARTITION_CHUNK_VALUES // (parts.shape[1] * values.shape[1]))
+    scores = np.concatenate([
         rule_based_information_batch(
-            values[order[i : i + step, k : k + n_group]],
-            values[order[i : i + step, :k]],
-            sigma_floor,
+            values[parts[i : i + step, k:]], values[parts[i : i + step, :k]], sigma_floor
         )
-        for i in range(0, ROTATIONS, step)
-    ]
-    return np.concatenate(scores)
+        for i in range(0, len(parts), step)
+    ])
+    return scores[:n_folds], scores[n_folds:]
 
 
 def calibrated_rbi_interval(
@@ -406,8 +426,12 @@ def group_baseline(
     The folds share all but one member, so LOO alone brackets one
     calibration draw and misses fresh in-distribution groups; rotations
     re-draw reference and group, and the scaled set keeps the offset of
-    this ``tr1``, which detection scores against. Norm envelopes use all
-    training columns (``tr1 + tr2``).
+    this ``tr1``, which detection scores against. A LOO fold is one more
+    (reference, group) partition of the same shape as a rotation, so both
+    sets are rows of one batch through the rbi kernel
+    (``_calibration_scores``), and ``detect_group`` on a fold reproduces its
+    LOO score bit for bit. Norm envelopes use all training columns
+    (``tr1 + tr2``).
     """
     k = len(tr1)
     if k < 2:
@@ -416,15 +440,9 @@ def group_baseline(
         raise DetectionError(
             f"calibration part needs >= 3 splits (each fold keeps >= 2), got {len(tr2)}"
         )
-    ref_bank = fit_bank(tr1, sigma_floor, source="TR1")
-    fold_scores = []
-    for m in range(len(tr2)):
-        fold = list(tr2[:m]) + list(tr2[m + 1 :])
-        fold_bank = fit_bank(fold, sigma_floor, source=f"TR2_{m}")
-        fold_scores.append(rule_based_information(fold, fold_bank, ref_bank))
     all_columns = list(tr1) + list(tr2)
-    rotation_scores = _rotation_scores(all_columns, k, len(tr2) - 1, sigma_floor)
     training = HitMatrix(tuple(all_columns))
+    loo_scores, rotation_scores = _calibration_scores(all_columns, k, sigma_floor)
     counts, n_s = training.training_counts, training.split_size
     upper = np.triu_indices(len(all_columns), 1)
     norms = lp_norms(counts[:, None, :], n_s, counts[None, :, :], n_s)
@@ -436,7 +454,7 @@ def group_baseline(
     cfg.setdefault("sigma_floor", sigma_floor)
     return Baselines(
         l1=iv["l1"], l2=iv["l2"],
-        rbi=calibrated_rbi_interval(fold_scores, rotation_scores),
+        rbi=calibrated_rbi_interval(loo_scores, rotation_scores),
         config_fingerprint=fingerprint, config=cfg,
     )
 
@@ -450,7 +468,8 @@ def detect_group(
 ) -> DetectionReport:
     """Score an operational group against the reference part of training.
 
-    Rule-based information casts a single vote; the norms vote once per
+    Rule-based information casts a single vote, scored as a batch of one
+    through the kernel that calibrated the envelope; the norms vote once per
     (training column, group member) pair, in that order, computed in one
     broadcast. Norm votes run over ALL training columns, matching the
     envelopes built by ``group_baseline``. The group members must share a
@@ -472,9 +491,11 @@ def detect_group(
     values: dict[str, list[float]] = {}
     if "rbi" in metrics:
         sigma_floor = float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
-        ref_bank = fit_bank(tr1, sigma_floor, source="TR1")
-        op_bank = fit_bank(op_group, sigma_floor, source="OP")
-        values["rbi"] = [rule_based_information(op_group, op_bank, ref_bank)]
+        group = _value_stack(op_group)[None]
+        ref = _value_stack(tr1)[None]
+        values["rbi"] = rule_based_information(
+            group, fit_bank(group, sigma_floor), fit_bank(ref, sigma_floor)
+        ).tolist()
     if "l1" in metrics or "l2" in metrics:
         norms = lp_norms(
             training.training_counts[:, None, :], training.split_size,

@@ -68,9 +68,6 @@ class HitHistogram:
         arr.setflags(write=False)
         return arr
 
-    def value(self, i: int) -> float:
-        return self.counts[i] / self.split_size
-
     @classmethod
     def from_values(
         cls, values: Sequence[float], split_size: int, origin: str = TRAINING

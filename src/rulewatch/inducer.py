@@ -57,7 +57,8 @@ def induce_tree(
 ) -> TreeNode:
     """Grow a binary classification tree on a labeled table.
 
-    All tie-breaking is rule-based, so induction is deterministic.
+    All tie-breaking is rule-based, so induction is deterministic. A NaN
+    feature value is rejected with its 0-based row before anything grows.
     """
     if dataset.labels is None:
         raise InducerError("induction needs a labeled dataset")
@@ -67,6 +68,10 @@ def induce_tree(
         raise InducerError(f"max_depth must be >= 1, got {max_depth}")
     if min_leaf < 1:
         raise InducerError(f"min_leaf must be >= 1, got {min_leaf}")
+    nan = np.isnan(dataset.X)
+    if nan.any():
+        row, f = np.argwhere(nan)[0]
+        raise InducerError(f"row {row}: feature {dataset.columns[f]!r} is NaN")
     classes = tuple(sorted(set(dataset.labels)))
     if len(classes) < 2:
         raise InducerError(f"induction needs >= 2 classes, got {classes}")

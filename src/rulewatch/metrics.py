@@ -23,21 +23,21 @@ Two families:
 
 * Per-rule Gaussian surprise. Hit frequencies of each rule across a group
   of splits are modeled as independent Gaussians (one per rule, avoiding a
-  joint covariance estimate). Entropies of interval masses around observed
-  hits, and their ratio against a reference group, give the rule-based
-  information score: ~1 for groups resembling the reference, ~0 (or a
-  +inf sentinel) for strongly diverging ones. ``rule_based_information``
-  scores one group; ``rule_based_information_batch`` scores a stack of
-  (group, reference) pairs in one numpy pass with the same conventions.
+  joint covariance estimate); a bank is a ``(mu, sigma)`` pair of arrays.
+  Entropies of interval masses around observed hits, and their ratio
+  against a reference group, give the rule-based information score: ~1
+  for groups resembling the reference, ~0 (or a +inf sentinel) for
+  strongly diverging ones. Every score comes from one numpy kernel over a
+  (batch, members, rules) stack of hit frequencies, so a single group is
+  a batch of one.
 
 All logarithms are natural.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,159 +206,7 @@ def weighted_mutual_information(a: HitHistogram, b: HitHistogram) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-rule Gaussian machinery
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Mean and floored population standard deviation of one rule's hits."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise MetricError(f"sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class GaussianBank:
-    """One Gaussian per rule, fitted from a group of histograms."""
-
-    per_rule: tuple[GaussianParams, ...]
-    source: str = ""
-
-    def __len__(self) -> int:
-        return len(self.per_rule)
-
-    def __getitem__(self, i: int) -> GaussianParams:
-        return self.per_rule[i]
-
-
-def gaussian_fit(values: Sequence[float], sigma_floor: float = SIGMA_FLOOR_DEFAULT) -> GaussianParams:
-    """Maximum-likelihood normal fit: mean and population (divide-by-n) std.
-
-    The floor keeps zero-variance rules (e.g. never-fired ones) usable.
-    """
-    n = len(values)
-    if n < 2:
-        raise MetricError(f"gaussian fit needs at least 2 values, got {n}")
-    if not sigma_floor > 0.0:
-        raise MetricError("sigma_floor must be positive")
-    mu = math.fsum(values) / n
-    var = math.fsum((v - mu) ** 2 for v in values) / n
-    return GaussianParams(mu=mu, sigma=max(math.sqrt(var), sigma_floor))
-
-
-def fit_bank(
-    group: Sequence[HitHistogram],
-    sigma_floor: float = SIGMA_FLOOR_DEFAULT,
-    source: str = "",
-) -> GaussianBank:
-    """Fit one Gaussian per rule over the group's hit frequencies."""
-    if len(group) < 2:
-        raise MetricError(f"bank fit needs at least 2 histograms, got {len(group)}")
-    n_r = group[0].n_rules
-    for h in group:
-        if h.n_rules != n_r:
-            raise MetricError("histograms in a group must share the rule count")
-    params = tuple(
-        gaussian_fit([h.value(j) for h in group], sigma_floor) for j in range(n_r)
-    )
-    return GaussianBank(params, source=source)
-
-
-def interval_mass(g: GaussianParams, center: float, halfwidth: float) -> float:
-    """P(center - halfwidth <= X <= center + halfwidth) for X ~ N(mu, sigma).
-
-    Clamped into [PROB_CLAMP, 1 - PROB_CLAMP] so downstream entropies and
-    probability ratios stay finite.
-    """
-    if halfwidth < 0:
-        raise MetricError(f"halfwidth must be >= 0, got {halfwidth}")
-    z_lo = (center - halfwidth - g.mu) / g.sigma
-    z_hi = (center + halfwidth - g.mu) / g.sigma
-    # Upper-tail form keeps precision when the interval sits far from mu.
-    p = 0.5 * (math.erfc(z_lo / _SQRT2) - math.erfc(z_hi / _SQRT2))
-    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-
-
-def _binary_entropy(p: float) -> float:
-    q = 1.0 - p
-    h = 0.0
-    if p > 0.0:
-        h -= p * math.log(p)
-    if q > 0.0:
-        h -= q * math.log(q)
-    return h
-
-
-def hits_entropy(h: HitHistogram, bank: GaussianBank) -> float:
-    """Total binary entropy of own-sigma interval masses around each hit.
-
-    The bank must be the histogram's own group bank; each rule contributes
-    at most log(2), so the total is bounded by n_rules * log(2).
-    """
-    if len(bank) != h.n_rules:
-        raise MetricError(f"bank has {len(bank)} rules, histogram {h.n_rules}")
-    total = 0.0
-    for j in range(h.n_rules):
-        g = bank[j]
-        total += _binary_entropy(interval_mass(g, h.value(j), g.sigma))
-    return total
-
-
-def conditional_hits_entropy(
-    h: HitHistogram, ref_bank: GaussianBank, own_bank: GaussianBank
-) -> float:
-    """Reference-bank entropy of the histogram, reweighted per rule.
-
-    Each rule's term uses the reference Gaussian (with the reference sigma
-    as the interval halfwidth) and is scaled by the ratio of own-bank to
-    reference-bank interval mass, so hits that are likely under their own
-    group but unlikely under the reference are amplified. Reduces exactly
-    to hits_entropy when the two banks coincide.
-    """
-    if len(ref_bank) != h.n_rules or len(own_bank) != h.n_rules:
-        raise MetricError("bank lengths must equal the histogram rule count")
-    total = 0.0
-    for j in range(h.n_rules):
-        ref = ref_bank[j]
-        own = own_bank[j]
-        value = h.value(j)
-        p_ref = interval_mass(ref, value, ref.sigma)
-        p_own = interval_mass(own, value, own.sigma)
-        gamma = p_own / p_ref
-        total += gamma * _binary_entropy(p_ref)
-    return total
-
-
-def rule_based_information(
-    group: Sequence[HitHistogram],
-    own_bank: GaussianBank,
-    ref_bank: GaussianBank,
-) -> float:
-    """Ratio of a group's mean own entropy to its mean conditional entropy.
-
-    Close to 1 when the group is statistically indistinguishable from the
-    reference; toward 0 when the conditional entropy is inflated by
-    surprise under the reference. Degenerate conventions: 0/0 -> 1
-    (identical reads as in-distribution) and x/0 (x > 0) -> +inf, a
-    sentinel that always falls outside any finite baseline interval.
-    """
-    if not group:
-        raise MetricError("group must be nonempty")
-    num = math.fsum(hits_entropy(h, own_bank) for h in group) / len(group)
-    den = math.fsum(
-        conditional_hits_entropy(h, ref_bank, own_bank) for h in group
-    ) / len(group)
-    if den == 0.0:
-        return 1.0 if num == 0.0 else math.inf
-    return num / den
-
-
-# ---------------------------------------------------------------------------
-# Batched rule-based information
+# Rule-based information: per-rule Gaussian banks
 # ---------------------------------------------------------------------------
 
 def _erfcx_series(n_terms: int) -> tuple[float, np.ndarray]:
@@ -379,7 +227,8 @@ def _erfcx_series(n_terms: int) -> tuple[float, np.ndarray]:
     return big_l, a[::-1].copy()
 
 
-# 32 terms: within 4e-14 relative of math.erfc on [-6, 6] (tests check 1e-13).
+# 32 terms: within 4e-14 relative of the standard library's erfc on [-6, 6]
+# (tests check 1e-13).
 _ERFCX_L, _ERFCX_COEFFS = _erfcx_series(32)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -388,7 +237,7 @@ def erfc_array(x: np.ndarray) -> np.ndarray:
     """Elementwise complementary error function (numpy has none).
 
     Uses erfc(x) = exp(-x*x) erfcx(x) for x >= 0 and 2 - erfc(-x) below,
-    so upper tails keep their relative precision like ``math.erfc``.
+    so upper tails keep their relative precision like the standard library erfc.
     """
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
@@ -405,7 +254,12 @@ def erfc_array(x: np.ndarray) -> np.ndarray:
 def _interval_mass_array(
     mu: np.ndarray, sigma: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
-    """``interval_mass`` with halfwidth = sigma, elementwise."""
+    """P(center - sigma <= X <= center + sigma) for X ~ N(mu, sigma), elementwise.
+
+    Clamped into [PROB_CLAMP, 1 - PROB_CLAMP] so the entropies and the
+    mass ratios stay finite. The erfc difference keeps precision when the
+    interval sits far in the upper tail.
+    """
     z_lo = (center - sigma - mu) / sigma
     z_hi = (center + sigma - mu) / sigma
     p = 0.5 * (erfc_array(z_lo / _SQRT2) - erfc_array(z_hi / _SQRT2))
@@ -418,43 +272,47 @@ def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(p) + q * np.log(q))
 
 
-def _fit_bank_array(
-    stack: np.ndarray, sigma_floor: float
+def fit_bank(
+    stack: np.ndarray, sigma_floor: float = SIGMA_FLOOR_DEFAULT
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``fit_bank`` over axis 1 of a (batch, members, rules) stack."""
+    """One Gaussian per rule for each group of a (batch, members, rules) stack.
+
+    Returns the bank as a ``(mu, sigma)`` pair of (batch, 1, rules) arrays:
+    the maximum-likelihood mean and population (divide-by-n) standard
+    deviation over the members, the latter floored so zero-variance rules
+    (e.g. never-fired ones) stay usable.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise MetricError(
+            f"bank fit needs a (batch, members, rules) array, got {stack.shape}"
+        )
+    if stack.shape[1] < 2:
+        raise MetricError(f"bank fit needs at least 2 histograms, got {stack.shape[1]}")
+    if not sigma_floor > 0.0:
+        raise MetricError("sigma_floor must be positive")
     mu = stack.mean(axis=1, keepdims=True)
     sigma = np.sqrt(((stack - mu) ** 2).mean(axis=1, keepdims=True))
     return mu, np.maximum(sigma, sigma_floor)
 
 
-def rule_based_information_batch(
+def _entropy_ratio(
     groups: np.ndarray,
-    refs: np.ndarray,
-    sigma_floor: float = SIGMA_FLOOR_DEFAULT,
+    own_bank: tuple[np.ndarray, np.ndarray],
+    ref_bank: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """``rule_based_information`` for a stack of (group, reference) pairs.
+    """Mean own entropy over mean conditional entropy, per group of the stack.
 
-    ``groups[b]`` is an (n, n_rules) array of hit frequencies and
-    ``refs[b]`` a (k, n_rules) one; entry b of the result scores group b
-    against the bank fitted from ``refs[b]``, using the group's own bank,
-    exactly as ``rule_based_information(group, fit_bank(group),
-    fit_bank(ref))`` does, including the 0/0 -> 1 and x/0 -> +inf
-    conventions. Results agree with the scalar path to rounding.
+    Each member's own entropy sums, over the rules, the binary entropy of
+    the own-bank interval mass around its hit (halfwidth = own sigma). Its
+    conditional entropy sums the reference-bank entropies instead, each
+    scaled by own mass / reference mass, so hits likely under their own
+    group but unlikely under the reference are amplified; with equal banks
+    the two coincide. Degenerate conventions: 0/0 -> 1 and x/0 (x > 0) ->
+    +inf.
     """
-    groups = np.asarray(groups, dtype=np.float64)
-    refs = np.asarray(refs, dtype=np.float64)
-    if groups.ndim != 3 or refs.ndim != 3:
-        raise MetricError("groups and refs must be (batch, members, rules) arrays")
-    if groups.shape[0] != refs.shape[0] or groups.shape[2] != refs.shape[2]:
-        raise MetricError(f"groups {groups.shape} and refs {refs.shape} do not pair up")
-    if groups.shape[1] < 2 or refs.shape[1] < 2:
-        raise MetricError("bank fit needs at least 2 histograms per group and reference")
-    if not sigma_floor > 0.0:
-        raise MetricError("sigma_floor must be positive")
-    own_mu, own_sigma = _fit_bank_array(groups, sigma_floor)
-    ref_mu, ref_sigma = _fit_bank_array(refs, sigma_floor)
-    p_own = _interval_mass_array(own_mu, own_sigma, groups)
-    p_ref = _interval_mass_array(ref_mu, ref_sigma, groups)
+    p_own = _interval_mass_array(*own_bank, groups)
+    p_ref = _interval_mass_array(*ref_bank, groups)
     num = _binary_entropy_array(p_own).sum(axis=2).mean(axis=1)
     den = (p_own / p_ref * _binary_entropy_array(p_ref)).sum(axis=2).mean(axis=1)
     out = np.full(num.shape, math.inf)
@@ -462,3 +320,48 @@ def rule_based_information_batch(
     nonzero = den != 0.0
     out[nonzero] = num[nonzero] / den[nonzero]
     return out
+
+
+def rule_based_information(
+    group: np.ndarray,
+    own_bank: tuple[np.ndarray, np.ndarray],
+    ref_bank: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Rule-based information of each group of a (batch, members, rules) stack.
+
+    ``own_bank`` and ``ref_bank`` are ``(mu, sigma)`` pairs that broadcast
+    against the stack, as ``fit_bank`` returns them. Close to 1 when a
+    group is statistically indistinguishable from the reference; toward 0
+    when its conditional entropy is inflated by surprise under the
+    reference. +inf (x/0) always falls outside any finite baseline
+    interval.
+    """
+    group = np.asarray(group, dtype=np.float64)
+    if group.ndim != 3 or group.shape[1] == 0:
+        raise MetricError(
+            f"group must be a nonempty (batch, members, rules) array, got {group.shape}"
+        )
+    return _entropy_ratio(group, own_bank, ref_bank)
+
+
+def rule_based_information_batch(
+    groups: np.ndarray,
+    refs: np.ndarray,
+    sigma_floor: float = SIGMA_FLOOR_DEFAULT,
+) -> np.ndarray:
+    """Rule-based information of a stack of (group, reference) pairs.
+
+    ``groups[b]`` is an (n, n_rules) array of hit frequencies and
+    ``refs[b]`` a (k, n_rules) one; entry b of the result scores group b,
+    under its own bank, against the bank fitted from ``refs[b]``. Rows do
+    not depend on each other.
+    """
+    groups = np.asarray(groups, dtype=np.float64)
+    refs = np.asarray(refs, dtype=np.float64)
+    if groups.ndim != 3 or refs.ndim != 3:
+        raise MetricError("groups and refs must be (batch, members, rules) arrays")
+    if groups.shape[0] != refs.shape[0] or groups.shape[2] != refs.shape[2]:
+        raise MetricError(f"groups {groups.shape} and refs {refs.shape} do not pair up")
+    return _entropy_ratio(
+        groups, fit_bank(groups, sigma_floor), fit_bank(refs, sigma_floor)
+    )

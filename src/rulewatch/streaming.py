@@ -51,7 +51,7 @@ class WindowSizeMismatchWarning(UserWarning):
 class SlidingHitWindow:
     """Ring buffer of per-sample hit masks with exact running counts."""
 
-    def __init__(self, ruleset: Ruleset, capacity: int, retain_samples: bool = False):
+    def __init__(self, ruleset: Ruleset, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._ruleset = ruleset
@@ -61,7 +61,6 @@ class SlidingHitWindow:
         self._counts = np.zeros(self._n_rules, dtype=np.int64)
         self._head = 0
         self._fill = 0
-        self._samples: deque | None = deque(maxlen=capacity) if retain_samples else None
         # Instrumentation: per-rule elementary updates in the last push,
         # for asserting the O(n_rules) per-push contract without clocks.
         self.last_push_ops = 0
@@ -99,20 +98,12 @@ class SlidingHitWindow:
         self._counts += mask
         ops += self._n_rules
         self._head = (self._head + 1) % self._capacity
-        if self._samples is not None:
-            self._samples.append(dict(sample))
         self.last_push_ops = ops
 
     def histogram(self) -> HitHistogram:
         if self._fill == 0:
             raise StreamStateError("window is empty; no histogram yet")
         return HitHistogram(tuple(self._counts.tolist()), self._fill, origin=OPERATIONAL)
-
-    def retained_samples(self) -> list[dict[str, float]]:
-        """Oldest-first copies of the retained samples (audit aid)."""
-        if self._samples is None:
-            raise StreamStateError("window was created with retain_samples=False")
-        return list(self._samples)
 
 
 @dataclass(frozen=True)
@@ -203,7 +194,6 @@ class StreamMonitor:
         snapshot_stride: int | None = None,
         n_op: int | None = None,
         metrics: Sequence[str] | None = None,
-        retain_samples: bool = False,
     ):
         if detect_stride < 1:
             raise ValueError("detect_stride must be >= 1")
@@ -221,7 +211,7 @@ class StreamMonitor:
                 WindowSizeMismatchWarning,
                 stacklevel=2,
             )
-        self.window = SlidingHitWindow(ruleset, capacity, retain_samples=retain_samples)
+        self.window = SlidingHitWindow(ruleset, capacity)
         self.base = base
         self.training = training
         self.mode = mode

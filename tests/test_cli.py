@@ -281,4 +281,7 @@ def test_nan_input_exits_1(workdir, capsys):
     assert main(["stream", str(nan_csv), *with_base, "-o", str(workdir / "t.csv")]) == 1
     assert main(["baseline", str(nan_csv), *common, "-o", str(workdir / "b.json"),
                  "--ns", "10", "--ntr", "12"]) == 1
-    assert capsys.readouterr().err.count("is NaN") == 3
+    labelled = workdir / "nan_labelled.csv"
+    labelled.write_text("x1,x2,x3,label\n" + "nan,nan,nan,0\nnan,nan,nan,1\n" * 150)
+    assert main(["induce", str(labelled), "-o", str(workdir / "r.txt")]) == 1
+    assert capsys.readouterr().err.count("is NaN") == 4

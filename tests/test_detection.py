@@ -28,12 +28,14 @@ from rulewatch.detection import (
     OUT_OF_DISTRIBUTION,
     ROTATION_SEED,
     ROTATIONS,
+    _calibration_scores,
     calibrated_rbi_interval,
     interval_contains,
     normalized_distance,
 )
-from rulewatch.metrics import fit_bank, lp_norm, rule_based_information
+from rulewatch.metrics import lp_norm
 from tests.conftest import random_histogram
+from tests.test_metrics import oracle_fit, oracle_rbi
 
 
 def _matrix(rng, n_tr=6, n_rules=4, n_s=50):
@@ -182,29 +184,36 @@ def test_group_baseline_matches_hand_loo_oracle(rng):
     tr1 = [random_histogram(rng, 2, 30) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 30) for _ in range(3)]
     base = group_baseline(tr1, tr2, sigma_floor=1e-6)
-    ref_bank = fit_bank(tr1, 1e-6)
-    loo = []
-    for m in range(3):
-        fold = [tr2[i] for i in range(3) if i != m]
-        fold_bank = fit_bank(fold, 1e-6)
-        loo.append(rule_based_information(fold, fold_bank, ref_bank))
+
+    def rbi(group, ref):
+        rows = [h.values.tolist() for h in group]
+        return oracle_rbi(rows, oracle_fit(rows), oracle_fit([h.values.tolist() for h in ref]))
+
+    loo = [rbi([tr2[i] for i in range(3) if i != m], tr1) for m in range(3)]
     columns = tr1 + tr2
     draws = np.random.default_rng(ROTATION_SEED).random((ROTATIONS, 6))
     rotations = []
     for row in draws:
         order = sorted(range(6), key=lambda i: row[i])
-        ref = [columns[i] for i in order[:3]]
-        group = [columns[i] for i in order[3:5]]
-        rotations.append(
-            rule_based_information(group, fit_bank(group, 1e-6), fit_bank(ref, 1e-6))
-        )
+        rotations.append(rbi([columns[i] for i in order[3:5]], [columns[i] for i in order[:3]]))
     ratio = statistics.median(loo) / statistics.median(rotations)
     pool = loo + rotations + [r * ratio for r in rotations]
     lo, hi = base.rbi
-    assert lo <= min(loo) and max(loo) <= hi  # every LOO fold, exactly
-    # kernel vs scalar rotation scores: gap 6e-15 here, <= 3.2e-14 measured
+    # kernel vs oracle scores: within 3.2e-14 relative (measured)
     assert (lo, hi) == pytest.approx((min(pool), max(pool)), rel=1e-13)
     assert lo < min(loo)  # the rotation sets do widen this instance
+
+
+def test_detect_group_rbi_equals_loo_row_bit_for_bit(rng):
+    tr1 = [random_histogram(rng, 4, 40) for _ in range(5)]
+    tr2 = [random_histogram(rng, 4, 40) for _ in range(4)]
+    base = group_baseline(tr1, tr2)
+    training = HitMatrix(tuple(tr1 + tr2))
+    loo, _ = _calibration_scores(tr1 + tr2, len(tr1), 1e-6)
+    for m in range(len(tr2)):
+        fold = [tr2[i] for i in range(len(tr2)) if i != m]
+        report = detect_group(tr1, fold, base, training)
+        assert report.per_metric["rbi"].values[0] == loo[m]
 
 
 def test_calibrated_rbi_interval_pools_three_sets():

@@ -50,8 +50,7 @@ def test_hit_histogram_counts():
     split = Split(_table([[0.1, 0], [0.2, 0], [0.3, 0], [0.9, 0]]))
     h = hit_histogram(rs, split)
     assert h.counts == (3, 0)
-    assert h.value(0) == 0.75
-    assert h.value(1) == 0.0
+    assert h.values.tolist() == [0.75, 0.0]
     assert h.split_size == 4
 
 

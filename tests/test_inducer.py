@@ -60,6 +60,15 @@ def test_unlabeled_rejected():
         induce_tree(table, max_depth=2, min_leaf=1)
 
 
+def test_nan_rejected_before_growing():
+    X = [[-2.0, 0.1], [-1.0, 0.2], [-0.5, 0.3], [0.5, np.nan], [1.0, 0.5], [2.0, np.nan]]
+    table = _table(X, [0, 0, 0, 1, 1, 1])
+    with pytest.raises(InducerError, match=r"^row 3: feature 'x2' is NaN$"):
+        induce_tree(table, max_depth=3, min_leaf=1)
+    with pytest.raises(InducerError, match=r"^row 3: feature 'x2' is NaN$"):
+        induce_ruleset(table, max_depth=3, min_leaf=1, warn=False)
+
+
 def _exhaustive_best_split(X, y, min_leaf):
     """Independent oracle: try every midpoint with exact Fraction scores."""
     n, d = X.shape

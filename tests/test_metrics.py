@@ -6,16 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulewatch import (
-    GaussianBank,
-    GaussianParams,
     HitHistogram,
     MetricError,
     alpha_weight,
-    conditional_hits_entropy,
     fit_bank,
-    gaussian_fit,
-    hits_entropy,
-    interval_mass,
     lp_norm,
     mutual_information,
     rule_based_information,
@@ -23,6 +17,8 @@ from rulewatch import (
 )
 from rulewatch.metrics import (
     PROB_CLAMP,
+    _binary_entropy_array,
+    _interval_mass_array,
     erfc_array,
     lp_norms,
     rule_based_information_batch,
@@ -342,32 +338,74 @@ def test_split_metrics_validates_shapes():
         split_metrics(np.zeros(3), 4, np.zeros(3), 4)
 
 
-# -- gaussian machinery ------------------------------------------------------
+# -- reference oracle for the rbi kernel -------------------------------------
+# The scalar, per-rule path (math.erfc, math.fsum) that the numpy kernel is
+# checked against. Groups are lists of hit-frequency rows; a bank is a pair
+# of per-rule (mu, sigma) lists.
+
+def _mass(mu, sigma, center, halfwidth):
+    """P(center - halfwidth <= X <= center + halfwidth) for X ~ N(mu, sigma), clamped."""
+    z_lo = (center - halfwidth - mu) / sigma
+    z_hi = (center + halfwidth - mu) / sigma
+    p = 0.5 * (math.erfc(z_lo / math.sqrt(2)) - math.erfc(z_hi / math.sqrt(2)))
+    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+
+
+def _entropy(p):
+    return -(p * math.log(p) + (1 - p) * math.log(1 - p))
+
+
+def oracle_fit(rows, sigma_floor=1e-6):
+    n = len(rows)
+    mu = [math.fsum(col) / n for col in zip(*rows)]
+    var = [math.fsum((v - m) ** 2 for v in col) / n for col, m in zip(zip(*rows), mu)]
+    return mu, [max(math.sqrt(v), sigma_floor) for v in var]
+
+
+def oracle_rbi(group, own, ref):
+    nums, dens = [], []
+    for row in group:
+        terms = [(_mass(om, os, v, os), _mass(rm, rs, v, rs))
+                 for v, om, os, rm, rs in zip(row, *own, *ref)]
+        nums.append(math.fsum(_entropy(po) for po, _ in terms))
+        dens.append(math.fsum(po / pr * _entropy(pr) for po, pr in terms))
+    num, den = math.fsum(nums) / len(group), math.fsum(dens) / len(group)
+    if den == 0.0:
+        return 1.0 if num == 0.0 else math.inf
+    return num / den
+
+
+def _bank(mu, sigma):
+    return np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+
+
+# -- gaussian banks ----------------------------------------------------------
 
 def test_gaussian_fit_two_points():
-    g = gaussian_fit([0.2, 0.4])
-    assert g.mu == pytest.approx(0.3)
-    assert g.sigma == pytest.approx(0.1)
+    mu, sigma = fit_bank(np.array([[[0.2], [0.4]]]))
+    assert mu.shape == sigma.shape == (1, 1, 1)
+    assert mu[0, 0, 0] == pytest.approx(0.3)
+    assert sigma[0, 0, 0] == pytest.approx(0.1)
 
 
 def test_gaussian_fit_constant_hits_floor():
-    g = gaussian_fit([0.7] * 5, sigma_floor=1e-6)
-    assert g.mu == pytest.approx(0.7)
-    assert g.sigma == 1e-6
+    mu, sigma = fit_bank(np.full((1, 5, 2), 0.7), sigma_floor=1e-6)
+    assert mu.ravel().tolist() == pytest.approx([0.7, 0.7])
+    assert sigma.ravel().tolist() == [1e-6, 1e-6]
 
 
 def test_gaussian_fit_matches_two_pass(rng):
-    values = list(rng.random(37))
-    g = gaussian_fit(values)
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    assert g.mu == pytest.approx(mean, rel=1e-12)
-    assert g.sigma == pytest.approx(math.sqrt(var), rel=1e-12)
+    stack = rng.random((2, 37, 3))
+    mu, sigma = fit_bank(stack)
+    for b in range(2):
+        expected_mu, expected_sigma = oracle_fit(stack[b].tolist())
+        assert mu[b, 0].tolist() == pytest.approx(expected_mu, rel=1e-12)
+        assert sigma[b, 0].tolist() == pytest.approx(expected_sigma, rel=1e-12)
 
 
 def test_gaussian_fit_needs_two_values():
     with pytest.raises(MetricError):
-        gaussian_fit([0.5])
+        fit_bank(np.array([[[0.5]]]))
 
 
 def _simpson_normal_mass(mu, sigma, lo, hi, n=20001):
@@ -381,119 +419,92 @@ def _simpson_normal_mass(mu, sigma, lo, hi, n=20001):
 
 
 def test_interval_mass_one_sigma():
-    g = GaussianParams(0.3, 0.07)
+    p = float(_interval_mass_array(np.array(0.3), np.array(0.07), np.array(0.3)))
     expected = _simpson_normal_mass(0.3, 0.07, 0.3 - 0.07, 0.3 + 0.07)
-    assert interval_mass(g, 0.3, 0.07) == pytest.approx(expected, abs=1e-9)
-    assert interval_mass(g, 0.3, 0.07) == pytest.approx(0.682689, abs=1e-6)
-
-
-def test_interval_mass_zero_width_clamps():
-    g = GaussianParams(0.0, 1.0)
-    assert interval_mass(g, 0.0, 0.0) == PROB_CLAMP
+    assert p == pytest.approx(expected, abs=1e-9)
+    assert p == pytest.approx(0.682689, abs=1e-6)
 
 
 def test_interval_mass_far_tail():
-    g = GaussianParams(0.0, 1.0)
-    # raw mass of [9s, 11s] straight from the upper-tail formula
+    mu, sigma = np.array(0.0), np.array(1.0)
+    # raw mass of [9s, 11s] straight from the upper-tail formula: clamped
     raw = 0.5 * (math.erfc(9 / math.sqrt(2)) - math.erfc(11 / math.sqrt(2)))
-    assert 0 < raw < 1e-9
-    assert interval_mass(g, 10.0, 1.0) == max(raw, PROB_CLAMP)
-
-
-def test_interval_mass_rejects_negative_halfwidth():
-    with pytest.raises(MetricError):
-        interval_mass(GaussianParams(0, 1), 0.0, -0.1)
-
-
-def _entropy_oracle(p):
-    return -(p * math.log(p) + (1 - p) * math.log(1 - p))
+    assert 0 < raw < PROB_CLAMP
+    assert float(_interval_mass_array(mu, sigma, np.array(10.0))) == PROB_CLAMP
+    # [4s, 6s] is above the clamp and keeps its relative precision
+    raw = 0.5 * (math.erfc(4 / math.sqrt(2)) - math.erfc(6 / math.sqrt(2)))
+    got = float(_interval_mass_array(mu, sigma, np.array(5.0)))
+    assert got == pytest.approx(raw, rel=1e-12)
 
 
 def test_hits_entropy_symmetric_banks():
-    # both rules give mass ~0.5 when the interval covers half the mass:
-    # choose halfwidth so that P = 0.5 -> entropy = 2 ln 2
-    g = GaussianParams(0.5, 0.1)
-    hw = 0.1 * 0.6744897501960817  # z for central mass 0.5
-    p = interval_mass(g, 0.5, hw)
-    assert p == pytest.approx(0.5, abs=1e-12)
-    # hits_entropy uses sigma as halfwidth, so check the formula directly
-    h = HitHistogram((5, 5), 10)
-    bank = GaussianBank((g, g))
-    expected = 2 * _entropy_oracle(interval_mass(g, 0.5, 0.1))
-    assert hits_entropy(h, bank) == pytest.approx(expected, rel=1e-12)
+    # the oracle's mass of a 0.6745-sigma halfwidth is one half
+    assert _mass(0.5, 0.1, 0.5, 0.1 * 0.6744897501960817) == pytest.approx(0.5, abs=1e-12)
+    # the kernel's own entropy of a hit at both rules' means: 2 H(one-sigma mass)
+    p = _interval_mass_array(np.full(2, 0.5), np.full(2, 0.1), np.array([0.5, 0.5]))
+    expected = 2 * _entropy(_mass(0.5, 0.1, 0.5, 0.1))
+    assert _binary_entropy_array(p).sum() == pytest.approx(expected, rel=1e-12)
 
 
 def test_hits_entropy_random_oracle(rng):
     n_r = 5
     h = HitHistogram(tuple(int(c) for c in rng.integers(0, 11, n_r)), 10)
-    bank = GaussianBank(tuple(
-        GaussianParams(float(rng.random()), float(rng.random() * 0.2 + 0.01))
-        for _ in range(n_r)
-    ))
+    mu, sigma = rng.random(n_r), rng.random(n_r) * 0.2 + 0.01
     expected = 0.0
-    for j in range(n_r):
-        g = bank[j]
-        z1 = (h.value(j) - g.sigma - g.mu) / g.sigma
-        z2 = (h.value(j) + g.sigma - g.mu) / g.sigma
+    for v, m, s in zip(h.values.tolist(), mu.tolist(), sigma.tolist()):
+        z1 = (v - s - m) / s
+        z2 = (v + s - m) / s
         p = 0.5 * (math.erf(z2 / math.sqrt(2)) - math.erf(z1 / math.sqrt(2)))
-        p = min(max(p, PROB_CLAMP), 1 - PROB_CLAMP)
-        expected += _entropy_oracle(p)
-    assert hits_entropy(h, bank) == pytest.approx(expected, rel=1e-9)
-    assert 0.0 <= hits_entropy(h, bank) <= n_r * math.log(2)
+        expected += _entropy(min(max(p, PROB_CLAMP), 1 - PROB_CLAMP))
+    got = _binary_entropy_array(_interval_mass_array(mu, sigma, h.values)).sum()
+    assert got == pytest.approx(expected, rel=1e-9)
+    assert 0.0 <= got <= n_r * math.log(2)
 
 
 def test_conditional_entropy_reduces_to_plain():
-    h = HitHistogram((3, 7, 5), 10)
-    bank = fit_bank([HitHistogram((2, 7, 4), 10), HitHistogram((4, 6, 6), 10)])
-    assert conditional_hits_entropy(h, bank, bank) == hits_entropy(h, bank)
+    # equal banks make the conditional entropy the own entropy: exactly 1
+    bank = fit_bank(np.array([[[0.2, 0.7, 0.4], [0.4, 0.6, 0.6]]]))
+    group = np.array([[HitHistogram((3, 7, 5), 10).values]])
+    assert rule_based_information(group, bank, bank).tolist() == [1.0]
 
 
 def test_conditional_entropy_clamped_ratio_is_finite():
-    h = HitHistogram((10, 0), 10)
-    ref = GaussianBank((GaussianParams(0.0, 1e-6), GaussianParams(1.0, 1e-6)))
-    own = GaussianBank((GaussianParams(1.0, 0.05), GaussianParams(0.0, 0.05)))
-    value = conditional_hits_entropy(h, ref, own)
-    assert math.isfinite(value)
-    assert value >= 0.0
+    group = np.array([[HitHistogram((10, 0), 10).values]])
+    ref = _bank([0.0, 1.0], [1e-6, 1e-6])
+    own = _bank([1.0, 0.0], [0.05, 0.05])
+    value = rule_based_information(group, own, ref)[0]
+    assert 0.0 < value < math.inf
+    assert value == pytest.approx(oracle_rbi(group[0].tolist(), own, ref), rel=1e-12)
 
 
 def test_conditional_entropy_random_oracle(rng):
     n_r = 4
     h = HitHistogram(tuple(int(c) for c in rng.integers(0, 21, n_r)), 20)
-    mk = lambda: GaussianBank(tuple(
-        GaussianParams(float(rng.random()), float(rng.random() * 0.1 + 0.02))
-        for _ in range(n_r)
-    ))
-    ref, own = mk(), mk()
-    expected = 0.0
-    for j in range(n_r):
-        v = h.value(j)
-        pr = interval_mass(ref[j], v, ref[j].sigma)
-        po = interval_mass(own[j], v, own[j].sigma)
-        expected += (po / pr) * _entropy_oracle(pr)
-    assert conditional_hits_entropy(h, ref, own) == pytest.approx(expected, rel=1e-12)
+    ref = _bank(rng.random(n_r), rng.random(n_r) * 0.1 + 0.02)
+    own = _bank(rng.random(n_r), rng.random(n_r) * 0.1 + 0.02)
+    got = rule_based_information(np.array([[h.values]]), own, ref)[0]
+    assert got == pytest.approx(oracle_rbi([h.values.tolist()], own, ref), rel=1e-12)
 
 
 # -- rule-based information --------------------------------------------------
 
 def test_rbi_identical_banks_is_one():
-    group = [HitHistogram((3, 6), 10), HitHistogram((4, 5), 10), HitHistogram((3, 5), 10)]
+    group = np.array([[(0.3, 0.6), (0.4, 0.5), (0.3, 0.5)]])
     bank = fit_bank(group)
-    assert rule_based_information(group, bank, bank) == 1.0
+    assert rule_based_information(group, bank, bank).tolist() == [1.0]
 
 
 def test_rbi_far_reference_drops_toward_zero():
-    group = [HitHistogram((50, 60), 100), HitHistogram((52, 58), 100)]
-    own = fit_bank(group)
-    far = GaussianBank(tuple(GaussianParams(g.mu + 0.4, g.sigma) for g in own.per_rule))
-    value = rule_based_information(group, own, far)
+    group = np.array([[(0.50, 0.60), (0.52, 0.58)]])
+    mu, sigma = fit_bank(group)
+    value = rule_based_information(group, (mu, sigma), (mu + 0.4, sigma))[0]
     assert value < 0.1
 
 
 def test_rbi_two_rule_hand_instance():
-    own = GaussianBank((GaussianParams(0.5, 0.1), GaussianParams(0.3, 0.05)))
-    ref = GaussianBank((GaussianParams(0.45, 0.12), GaussianParams(0.35, 0.06)))
-    group = [HitHistogram((5, 3), 10), HitHistogram((6, 2), 10)]
+    own = _bank([0.5, 0.3], [0.1, 0.05])
+    ref = _bank([0.45, 0.35], [0.12, 0.06])
+    group = [(0.5, 0.3), (0.6, 0.2)]
 
     def mass(mu, sigma, center, hw):
         z1 = (center - hw - mu) / sigma
@@ -502,31 +513,35 @@ def test_rbi_two_rule_hand_instance():
         return min(max(p, PROB_CLAMP), 1 - PROB_CLAMP)
 
     nums, dens = [], []
-    for h in group:
+    for row in group:
         num = den = 0.0
-        for j, (og, rg) in enumerate(zip(own.per_rule, ref.per_rule)):
-            v = h.value(j)
-            po = mass(og.mu, og.sigma, v, og.sigma)
-            pr = mass(rg.mu, rg.sigma, v, rg.sigma)
-            num += _entropy_oracle(po)
-            den += (po / pr) * _entropy_oracle(pr)
+        for v, om, os, rm, rs in zip(row, *own, *ref):
+            po = mass(om, os, v, os)
+            pr = mass(rm, rs, v, rs)
+            num += _entropy(po)
+            den += (po / pr) * _entropy(pr)
         nums.append(num)
         dens.append(den)
     expected = (sum(nums) / 2) / (sum(dens) / 2)
-    assert rule_based_information(group, own, ref) == pytest.approx(expected, rel=1e-9)
+    got = rule_based_information(np.array([group]), own, ref)[0]
+    assert got == pytest.approx(expected, rel=1e-9)
 
 
 def test_rbi_rejects_empty_group():
-    bank = GaussianBank((GaussianParams(0, 1),))
+    bank = _bank([0.0], [1.0])
     with pytest.raises(MetricError):
-        rule_based_information([], bank, bank)
+        rule_based_information(np.zeros((1, 0, 1)), bank, bank)
+    with pytest.raises(MetricError):
+        rule_based_information(np.zeros((2, 1)), bank, bank)
 
 
 def test_fit_bank_checks_group():
     with pytest.raises(MetricError):
-        fit_bank([HitHistogram((1,), 4)])
+        fit_bank(np.zeros((1, 1, 3)))
     with pytest.raises(MetricError):
-        fit_bank([HitHistogram((1,), 4), HitHistogram((1, 2), 4)])
+        fit_bank(np.zeros((4, 3)))
+    with pytest.raises(MetricError):
+        fit_bank(np.zeros((1, 4, 3)), sigma_floor=0.0)
 
 
 # -- batched rule-based information -----------------------------------------
@@ -577,7 +592,8 @@ def rbi_groups(draw):
 @given(rbi_groups())
 def test_rbi_batch_matches_scalar(pair):
     group, ref = pair
-    expected = rule_based_information(group, fit_bank(group), fit_bank(ref))
+    rows = [h.values.tolist() for h in group]
+    expected = oracle_rbi(rows, oracle_fit(rows), oracle_fit([h.values.tolist() for h in ref]))
     got = rule_based_information_batch(
         np.array([[h.values for h in group]]), np.array([[h.values for h in ref]])
     )

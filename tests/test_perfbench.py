@@ -6,7 +6,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from rulewatch import SlidingHitWindow, parse_ruleset
+from rulewatch import (
+    HitHistogram,
+    HitMatrix,
+    SlidingHitWindow,
+    detect_group,
+    group_baseline,
+    parse_ruleset,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,6 +51,19 @@ def test_window_push_is_traced_as_rule_evaluation():
         tracer.uninstall()
     assert tracer.stats["rules.ruleset_hits"].calls == 1
     assert tracer.stats["streaming.window_push"].calls == 1
+
+
+def test_detect_group_is_traced_as_bank_fits_and_rbi():
+    tr = [HitHistogram((i, 10 - i, 3 + i % 2), 10) for i in range(1, 9)]
+    base = group_baseline(tr[:4], tr[4:])
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        detect_group(tr[:4], tr[5:], base, HitMatrix(tuple(tr)))
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["metrics.fit_bank"].calls >= 1
+    assert tracer.stats["metrics.rbi"].calls >= 1
 
 
 def test_workloads_module_imports(monkeypatch):

@@ -105,18 +105,6 @@ def test_empty_window_has_no_histogram():
         w.histogram()
 
 
-def test_retained_samples_audit(rng):
-    w = SlidingHitWindow(RULES, capacity=3, retain_samples=True)
-    samples = [_record(rng) for _ in range(5)]
-    for s in samples:
-        w.push(s)
-    assert w.retained_samples() == samples[-3:]
-    w2 = SlidingHitWindow(RULES, capacity=3)
-    w2.push(_record(rng))
-    with pytest.raises(StreamStateError):
-        w2.retained_samples()
-
-
 # -- stream detection ----------------------------------------------------------
 
 def _training_setup(rng, n_tr=5, n_s=32):
@@ -139,7 +127,7 @@ def test_stream_detect_requires_full_window(rng):
 
 def test_stream_detect_equals_batch_detection(rng):
     matrix, base = _training_setup(rng)
-    w = SlidingHitWindow(RULES, capacity=32, retain_samples=True)
+    w = SlidingHitWindow(RULES, capacity=32)
     history = []
     ticks = 0
     for i in range(120):
