@@ -13,7 +13,6 @@ from .detection import (
     DetectionError,
     DetectionReport,
     FingerprintMismatchError,
-    GroupConfig,
     MetricReport,
     compute_fingerprint,
     detect_group,

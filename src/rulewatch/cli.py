@@ -21,7 +21,6 @@ from .detection import (
     BaselineBundle,
     DetectionError,
     FingerprintMismatchError,
-    GroupConfig,
     compute_fingerprint,
     detect_group,
     detect_split,
@@ -138,15 +137,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     table = _load_features(args.data, cfg.label_column)
     splits = make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed)
     training = hit_matrix(ruleset, splits)
-    fp_cfg = _fingerprint_config(cfg)
-    fingerprint = compute_fingerprint(ruleset, fp_cfg)
-    echo = dict(fp_cfg)
+    echo = _fingerprint_config(cfg)
+    fingerprint = compute_fingerprint(ruleset, echo)
     if cfg.mode == "group":
-        gc = GroupConfig(n_tr=cfg.n_tr, n_op=cfg.resolved_n_op)
-        columns = training.training_columns
-        echo["k"] = gc.k
         base = group_baseline(
-            columns[: gc.k], columns[gc.k :],
+            training, cfg.resolved_n_op,
             sigma_floor=cfg.sigma_floor, config=echo, fingerprint=fingerprint,
         )
     else:
@@ -171,7 +166,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         op_splits = operational_splits(table, n_s, n_op)
         op_group = [hit_histogram(ruleset, s) for s in op_splits]
         report = detect_group(
-            list(bundle.tr1_columns), op_group, bundle.baselines, bundle.training,
+            bundle.training, op_group, bundle.baselines,
             metrics=cfg.metrics or ("rbi", "l1", "l2"),
         )
     else:

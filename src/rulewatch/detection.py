@@ -12,12 +12,15 @@ Two modes:
 * single-split: weighted mutual information + l1/l2 norms against one
   operational histogram;
 * group: rule-based information over a group of operational histograms
-  + l1/l2 norms over all column pairs. The ``rbi`` envelope is calibrated
-  over the leave-one-out folds of the calibration part and over seeded
-  rotations of the whole training set (see ``group_baseline``), so that it
-  covers fresh in-distribution groups rather than one calibration draw.
-  Folds, rotations and detection-time groups all go through one batched
-  rbi kernel.
+  + l1/l2 norms over all column pairs. Both ``group_baseline`` and
+  ``detect_group`` take the training ``HitMatrix``; ``group_baseline``
+  alone decides the reference part (the first ``k = n_tr - n_op - 1``
+  columns) and records ``k`` in the baseline config, which
+  ``detect_group`` reads back. The ``rbi`` envelope is calibrated over the
+  leave-one-out folds of the calibration part and over seeded rotations of
+  the whole training set, so that it covers fresh in-distribution groups
+  rather than one calibration draw. Folds, rotations and detection-time
+  groups all go through one batched rbi kernel.
 """
 from __future__ import annotations
 
@@ -273,9 +276,7 @@ def single_split_baseline(
         name: _envelope(np.concatenate([getattr(p, name) for p in parts]))
         for name in SINGLE_METRICS
     }
-    cfg = dict(config or {})
-    cfg.setdefault("n_rules", training.n_rules)
-    cfg.setdefault("n_tr", training.n_training)
+    cfg = {**(config or {}), "n_rules": training.n_rules, "n_tr": training.n_training}
     return Baselines(
         l1=iv["l1"], l2=iv["l2"], wmi=iv["wmi"],
         config_fingerprint=fingerprint, config=cfg,
@@ -316,57 +317,32 @@ def detect_split(
 # Group mode
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupConfig:
-    """Split bookkeeping for group mode: k = n_tr - n_op - 1."""
-
-    n_tr: int
-    n_op: int
-
-    def __post_init__(self) -> None:
-        if self.n_op < 2:
-            raise DetectionError(f"group mode needs n_op >= 2, got {self.n_op}")
-        if self.k < 2:
-            raise DetectionError(
-                f"group mode needs k = n_tr - n_op - 1 >= 2, got {self.k}"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.n_tr - self.n_op - 1
-
-
-def _value_stack(columns: Sequence[HitHistogram]) -> np.ndarray:
-    """(n_cols, n_rules) float64 matrix of the histograms' hit frequencies."""
-    return np.stack([c.values for c in columns])
-
-
 def _calibration_scores(
-    columns: Sequence[HitHistogram], k: int, sigma_floor: float
+    values: np.ndarray, k: int, sigma_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """rbi of the leave-one-out folds and of the seeded rotations.
 
-    Every score is one partition of the columns into a reference of ``k``
-    and a group of ``len(columns) - k - 1``, so all of them are rows of one
-    index array, scored in chunks by ``rule_based_information_batch``:
+    ``values`` is the (n_tr, n_rules) matrix of training hit frequencies.
+    Every score is one partition of its rows into a reference of ``k`` and
+    a group of ``n_tr - k - 1``, so all of them are rows of one index
+    array, scored in chunks by ``rule_based_information_batch``:
 
-    * LOO row m: the first ``k`` columns (TR1), then the calibration
-      columns after them without member m, in order;
-    * rotation r: the columns ordered by row r of
-      ``default_rng(ROTATION_SEED).random((ROTATIONS, len(columns)))``
-      (stable argsort), the first ``k`` the reference, all but the last
-      column the group.
+    * LOO row m: the first ``k`` rows (TR1), then the calibration rows
+      after them without member m, in order;
+    * rotation r: the rows ordered by row r of
+      ``default_rng(ROTATION_SEED).random((ROTATIONS, n_tr))`` (stable
+      argsort), the first ``k`` the reference, all but the last row the
+      group.
 
     Returns the LOO scores and the rotation scores.
     """
-    values = _value_stack(columns)
-    n_folds = len(columns) - k
+    n_folds = len(values) - k
     member = np.arange(n_folds - 1)
     loo = np.hstack([
         np.broadcast_to(np.arange(k), (n_folds, k)),
         k + member + (member >= np.arange(n_folds)[:, None]),
     ])
-    draws = np.random.default_rng(ROTATION_SEED).random((ROTATIONS, len(columns)))
+    draws = np.random.default_rng(ROTATION_SEED).random((ROTATIONS, len(values)))
     rotations = np.argsort(draws, axis=1, kind="stable")[:, :-1]
     parts = np.vstack([loo, rotations])
     step = max(1, _PARTITION_CHUNK_VALUES // (parts.shape[1] * values.shape[1]))
@@ -405,53 +381,57 @@ def calibrated_rbi_interval(
 
 
 def group_baseline(
-    tr1: Sequence[HitHistogram],
-    tr2: Sequence[HitHistogram],
+    training: HitMatrix,
+    n_op: int,
     sigma_floor: float = SIGMA_FLOOR_DEFAULT,
     config: Mapping[str, object] | None = None,
     fingerprint: str = "",
 ) -> Baselines:
     """Rotation-calibrated rule-based-information envelope plus norm envelopes.
 
+    The training columns are partitioned here and nowhere else: the first
+    ``k = n_tr - n_op - 1`` form the reference part (TR1), the last
+    ``n_op + 1`` the calibration part (TR2). ``k``, ``n_rules``, ``n_tr``
+    and ``sigma_floor`` are written into the config over any value the
+    caller passed, so a baseline always records the partition its envelope
+    was built on; ``detect_group`` reads ``k`` back from it.
+
     The ``rbi`` envelope is the [min, max] over three score sets
     (``calibrated_rbi_interval``):
 
-    * leave-one-out: for every held-out member of ``tr2``, the remaining
-      fold scored against the ``tr1`` reference, so each fold lies inside;
-    * rotations: ``ROTATIONS`` seeded random partitions of all
-      ``len(tr1) + len(tr2)`` columns into a reference of ``len(tr1)`` and a
-      group of ``len(tr2) - 1``, each group scored against its reference;
+    * leave-one-out: for every held-out member of TR2, the remaining fold
+      of ``n_op`` scored against TR1, so each fold lies inside;
+    * rotations: ``ROTATIONS`` seeded random partitions of all ``n_tr``
+      columns into a reference of ``k`` and a group of ``n_op``, each
+      group scored against its reference;
     * scaled: the rotation scores times median(LOO) / median(rotations).
 
     The folds share all but one member, so LOO alone brackets one
     calibration draw and misses fresh in-distribution groups; rotations
     re-draw reference and group, and the scaled set keeps the offset of
-    this ``tr1``, which detection scores against. A LOO fold is one more
+    this TR1, which detection scores against. A LOO fold is one more
     (reference, group) partition of the same shape as a rotation, so both
     sets are rows of one batch through the rbi kernel
     (``_calibration_scores``), and ``detect_group`` on a fold reproduces its
-    LOO score bit for bit. Norm envelopes use all training columns
-    (``tr1 + tr2``).
+    LOO score bit for bit. Norm envelopes use all training columns.
     """
-    k = len(tr1)
+    k = training.n_training - n_op - 1
+    if n_op < 2:
+        raise DetectionError(f"group mode needs n_op >= 2, got {n_op}")
     if k < 2:
-        raise DetectionError(f"reference part needs >= 2 splits, got {k}")
-    if len(tr2) < 3:
-        raise DetectionError(
-            f"calibration part needs >= 3 splits (each fold keeps >= 2), got {len(tr2)}"
-        )
-    all_columns = list(tr1) + list(tr2)
-    training = HitMatrix(tuple(all_columns))
-    loo_scores, rotation_scores = _calibration_scores(all_columns, k, sigma_floor)
+        raise DetectionError(f"group mode needs k = n_tr - n_op - 1 >= 2, got {k}")
     counts, n_s = training.training_counts, training.split_size
-    upper = np.triu_indices(len(all_columns), 1)
+    loo_scores, rotation_scores = _calibration_scores(counts / n_s, k, sigma_floor)
+    upper = np.triu_indices(training.n_training, 1)
     norms = lp_norms(counts[:, None, :], n_s, counts[None, :, :], n_s)
     iv = {name: _envelope(v[upper]) for name, v in zip(("l1", "l2"), norms)}
-    cfg = dict(config or {})
-    cfg.setdefault("n_rules", tr1[0].n_rules)
-    cfg.setdefault("n_tr", len(all_columns))
-    cfg.setdefault("k", k)
-    cfg.setdefault("sigma_floor", sigma_floor)
+    cfg = {
+        **(config or {}),
+        "n_rules": training.n_rules,
+        "n_tr": training.n_training,
+        "k": k,
+        "sigma_floor": sigma_floor,
+    }
     return Baselines(
         l1=iv["l1"], l2=iv["l2"],
         rbi=calibrated_rbi_interval(loo_scores, rotation_scores),
@@ -460,22 +440,26 @@ def group_baseline(
 
 
 def detect_group(
-    tr1: Sequence[HitHistogram],
+    training: HitMatrix,
     op_group: Sequence[HitHistogram],
     base: Baselines,
-    training: HitMatrix,
     metrics: Sequence[str] = GROUP_METRICS,
 ) -> DetectionReport:
     """Score an operational group against the reference part of training.
 
-    Rule-based information casts a single vote, scored as a batch of one
-    through the kernel that calibrated the envelope; the norms vote once per
-    (training column, group member) pair, in that order, computed in one
-    broadcast. Norm votes run over ALL training columns, matching the
-    envelopes built by ``group_baseline``. The group members must share a
-    split size.
+    The reference part is the first ``k`` training columns, with ``k`` as
+    ``group_baseline`` recorded it in ``base.config``; a baseline without
+    ``k`` (single-split) is rejected. Rule-based information casts a single
+    vote, scored as a batch of one through the kernel that calibrated the
+    envelope; the norms vote once per (training column, group member) pair,
+    in that order, computed in one broadcast. Norm votes run over ALL
+    training columns, matching the envelopes built by ``group_baseline``.
+    The group members must share a split size.
     """
     check_compatible(base, training)
+    k = base.config.get("k")
+    if k is None:
+        raise DetectionError("baseline has no reference partition (single-split mode?)")
     if len(op_group) < 2:
         raise DetectionError(
             f"group detection needs at least 2 operational histograms, got {len(op_group)}"
@@ -488,18 +472,19 @@ def detect_group(
         raise DetectionError(f"operational group has split sizes {sorted(sizes)}; need one")
     if any(h.n_rules != training.n_rules for h in op_group):
         raise MetricError(f"operational histograms must have {training.n_rules} rules")
+    op_counts, op_size = count_matrix(op_group), op_group[0].split_size
     values: dict[str, list[float]] = {}
     if "rbi" in metrics:
         sigma_floor = float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
-        group = _value_stack(op_group)[None]
-        ref = _value_stack(tr1)[None]
+        group = (op_counts / op_size)[None]
+        ref = (training.training_counts[: int(k)] / training.split_size)[None]
         values["rbi"] = rule_based_information(
             group, fit_bank(group, sigma_floor), fit_bank(ref, sigma_floor)
         ).tolist()
     if "l1" in metrics or "l2" in metrics:
         norms = lp_norms(
             training.training_counts[:, None, :], training.split_size,
-            count_matrix(op_group)[None, :, :], op_group[0].split_size,
+            op_counts[None, :, :], op_size,
         )
         values["l1"], values["l2"] = (v.ravel().tolist() for v in norms)
     reports = {
@@ -576,10 +561,3 @@ class BaselineBundle:
                 "baseline fingerprint does not match the supplied ruleset/configuration; "
                 "rebuild the baseline or supply the original rules"
             )
-
-    @property
-    def tr1_columns(self) -> tuple[HitHistogram, ...]:
-        k = self.baselines.config.get("k")
-        if k is None:
-            raise DetectionError("baseline bundle has no reference partition (single-split mode?)")
-        return self.training.training_columns[: int(k)]

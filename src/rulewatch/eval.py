@@ -3,9 +3,11 @@
 Each repetition draws fresh training data, induces a ruleset, builds the
 baseline, then scores one held-out in-distribution unit (false positive if
 flagged) and one out-of-distribution unit (false negative if not flagged).
-Held-out units never enter baseline construction. All randomness descends
-from the single master seed; repetitions are independent and aggregation
-is deterministic.
+Held-out units never enter baseline construction. Both modes share one
+repetition runner; in group mode it hands the whole training matrix to
+``group_baseline`` and ``detect_group``, which own the reference
+partition. All randomness descends from the single master seed;
+repetitions are independent and aggregation is deterministic.
 """
 from __future__ import annotations
 
@@ -62,47 +64,40 @@ def _induce(in_source, cfg: RunConfig, rng: np.random.Generator) -> Ruleset:
     )
 
 
-def _run_repetition_single(
+def _run_repetition(
     in_source, ood_source, cfg: RunConfig, rng: np.random.Generator
 ) -> tuple[DetectionReport, DetectionReport]:
+    """One repetition: the in-distribution report, then the OoD one.
+
+    Draws, in order: the inducer sample, the training rows, the split seed,
+    the in-distribution unit and the OoD unit. A unit is one split of
+    ``n_s`` rows in single-split mode (whatever ``n_op`` says) and a group
+    of ``n_op`` splits in group mode.
+    """
+    single = cfg.mode == "single"
+    n_op = 1 if single else cfg.resolved_n_op
     ruleset = _induce(in_source, cfg, rng)
     train_table = in_source.sample(cfg.n_tr * cfg.n_s, rng)
     splits = make_splits(train_table, cfg.n_s, cfg.n_tr, seed=int(rng.integers(2**31)))
     training = hit_matrix(ruleset, splits)
-    base = single_split_baseline(training, config={"n_s": cfg.n_s})
-    fresh = operational_splits(in_source.sample(cfg.n_s, rng), cfg.n_s, 1)[0]
-    ood = operational_splits(ood_source.sample(cfg.n_s, rng), cfg.n_s, 1)[0]
-    fp_report = detect_split(training, hit_histogram(ruleset, fresh), base)
-    fn_report = detect_split(training, hit_histogram(ruleset, ood), base)
-    return fp_report, fn_report
-
-
-def _run_repetition_group(
-    in_source, ood_source, cfg: RunConfig, rng: np.random.Generator
-) -> tuple[DetectionReport, DetectionReport]:
-    n_op = cfg.resolved_n_op
-    k = cfg.n_tr - n_op - 1
-    ruleset = _induce(in_source, cfg, rng)
-    train_table = in_source.sample(cfg.n_tr * cfg.n_s, rng)
-    splits = make_splits(train_table, cfg.n_s, cfg.n_tr, seed=int(rng.integers(2**31)))
-    training = hit_matrix(ruleset, splits)
-    columns = training.training_columns
-    tr1, tr2 = columns[:k], columns[k:]
-    base = group_baseline(
-        tr1, tr2, sigma_floor=cfg.sigma_floor,
-        config={"n_s": cfg.n_s, "n_op": n_op},
-    )
-    fresh_group = [
-        hit_histogram(ruleset, s)
-        for s in operational_splits(in_source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
-    ]
-    ood_group = [
-        hit_histogram(ruleset, s)
-        for s in operational_splits(ood_source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
-    ]
-    fp_report = detect_group(tr1, fresh_group, base, training)
-    fn_report = detect_group(tr1, ood_group, base, training)
-    return fp_report, fn_report
+    if single:
+        base = single_split_baseline(training, config={"n_s": cfg.n_s})
+    else:
+        base = group_baseline(
+            training, n_op, sigma_floor=cfg.sigma_floor,
+            config={"n_s": cfg.n_s, "n_op": n_op},
+        )
+    reports = []
+    for source in (in_source, ood_source):
+        unit = [
+            hit_histogram(ruleset, s)
+            for s in operational_splits(source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
+        ]
+        reports.append(
+            detect_split(training, unit[0], base) if single
+            else detect_group(training, unit, base)
+        )
+    return reports[0], reports[1]
 
 
 def run_eval(
@@ -112,14 +107,13 @@ def run_eval(
     scenario: str = "synthetic",
 ) -> EvalSummary:
     """Measure FPR/FNR over ``cfg.repetitions`` independent repetitions."""
-    runner = _run_repetition_single if cfg.mode == "single" else _run_repetition_group
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)
     fp = fn = 0
     metric_fp: dict[str, int] = {}
     metric_detect: dict[str, int] = {}
     for child in seeds:
         rng = np.random.default_rng(child)
-        fp_report, fn_report = runner(in_source, ood_source, cfg, rng)
+        fp_report, fn_report = _run_repetition(in_source, ood_source, cfg, rng)
         fp += int(fp_report.is_ood)
         fn += int(not fn_report.is_ood)
         for name, m in fp_report.per_metric.items():

@@ -86,16 +86,15 @@ class HitHistogram:
 
 @dataclass(frozen=True)
 class HitMatrix:
-    """Histogram columns for training splits followed by operational splits."""
+    """Histogram columns of the training splits, sharing one split size."""
 
     training_columns: tuple[HitHistogram, ...]
-    operational_columns: tuple[HitHistogram, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.training_columns:
             raise ValueError("hit matrix requires at least one training column")
         n_r = self.training_columns[0].n_rules
-        for col in (*self.training_columns, *self.operational_columns):
+        for col in self.training_columns:
             if col.n_rules != n_r:
                 raise ValueError(
                     f"histogram with {col.n_rules} rules in a matrix of {n_r}"
@@ -113,17 +112,9 @@ class HitMatrix:
         return len(self.training_columns)
 
     @property
-    def n_operational(self) -> int:
-        return len(self.operational_columns)
-
-    @property
     def split_size(self) -> int:
         """The split size shared by every training column."""
         return self.training_columns[0].split_size
-
-    @property
-    def columns(self) -> tuple[HitHistogram, ...]:
-        return self.training_columns + self.operational_columns
 
     @cached_property
     def training_counts(self) -> np.ndarray:
@@ -186,13 +177,6 @@ def hit_histogram(ruleset: Ruleset, split: Split) -> HitHistogram:
     return HitHistogram(counts, split.size, origin=split.origin)
 
 
-def hit_matrix(
-    ruleset: Ruleset,
-    training: Sequence[Split],
-    operational: Sequence[Split] = (),
-) -> HitMatrix:
-    """Histogram every split; training columns precede operational columns."""
-    return HitMatrix(
-        tuple(hit_histogram(ruleset, s) for s in training),
-        tuple(hit_histogram(ruleset, s) for s in operational),
-    )
+def hit_matrix(ruleset: Ruleset, training: Sequence[Split]) -> HitMatrix:
+    """Histogram every training split, in order."""
+    return HitMatrix(tuple(hit_histogram(ruleset, s) for s in training))

@@ -26,10 +26,9 @@ Two families:
   joint covariance estimate); a bank is a ``(mu, sigma)`` pair of arrays.
   Entropies of interval masses around observed hits, and their ratio
   against a reference group, give the rule-based information score: ~1
-  for groups resembling the reference, ~0 (or a +inf sentinel) for
-  strongly diverging ones. Every score comes from one numpy kernel over a
-  (batch, members, rules) stack of hit frequencies, so a single group is
-  a batch of one.
+  for groups resembling the reference, toward 0 for strongly diverging
+  ones. Every score comes from one numpy kernel over a (batch, members,
+  rules) stack of hit frequencies, so a single group is a batch of one.
 
 All logarithms are natural.
 """
@@ -289,6 +288,8 @@ def fit_bank(
         )
     if stack.shape[1] < 2:
         raise MetricError(f"bank fit needs at least 2 histograms, got {stack.shape[1]}")
+    if stack.shape[2] == 0:
+        raise MetricError("bank fit needs at least 1 rule")
     if not sigma_floor > 0.0:
         raise MetricError("sigma_floor must be positive")
     mu = stack.mean(axis=1, keepdims=True)
@@ -308,18 +309,15 @@ def _entropy_ratio(
     conditional entropy sums the reference-bank entropies instead, each
     scaled by own mass / reference mass, so hits likely under their own
     group but unlikely under the reference are amplified; with equal banks
-    the two coincide. Degenerate conventions: 0/0 -> 1 and x/0 (x > 0) ->
-    +inf.
+    the two coincide. Both masses are clamped into
+    [PROB_CLAMP, 1 - PROB_CLAMP], so every conditional term is positive and,
+    with at least one rule, the ratio is finite.
     """
     p_own = _interval_mass_array(*own_bank, groups)
     p_ref = _interval_mass_array(*ref_bank, groups)
     num = _binary_entropy_array(p_own).sum(axis=2).mean(axis=1)
     den = (p_own / p_ref * _binary_entropy_array(p_ref)).sum(axis=2).mean(axis=1)
-    out = np.full(num.shape, math.inf)
-    out[(den == 0.0) & (num == 0.0)] = 1.0
-    nonzero = den != 0.0
-    out[nonzero] = num[nonzero] / den[nonzero]
-    return out
+    return num / den
 
 
 def rule_based_information(
@@ -333,11 +331,10 @@ def rule_based_information(
     against the stack, as ``fit_bank`` returns them. Close to 1 when a
     group is statistically indistinguishable from the reference; toward 0
     when its conditional entropy is inflated by surprise under the
-    reference. +inf (x/0) always falls outside any finite baseline
-    interval.
+    reference. A stack without members or without rules is rejected.
     """
     group = np.asarray(group, dtype=np.float64)
-    if group.ndim != 3 or group.shape[1] == 0:
+    if group.ndim != 3 or 0 in group.shape[1:]:
         raise MetricError(
             f"group must be a nonempty (batch, members, rules) array, got {group.shape}"
         )

@@ -135,11 +135,13 @@ class Rule:
 
 @dataclass(frozen=True)
 class Ruleset:
-    """Ordered, immutable collection of rules; ids must run 1..N."""
+    """Ordered, immutable, nonempty collection of rules; ids must run 1..N."""
 
     rules: tuple[Rule, ...]
 
     def __post_init__(self) -> None:
+        if not self.rules:
+            raise RuleError("ruleset has no rules")
         ids = [r.id for r in self.rules]
         if ids != list(range(1, len(ids) + 1)):
             raise RuleError(f"rule ids must be contiguous 1..{len(ids)}, got {ids}")
@@ -370,7 +372,7 @@ def parse_ruleset(text: str) -> Ruleset:
 
 def format_ruleset(ruleset: Ruleset) -> str:
     """Canonical one-line-per-rule text; parse(format(r)) equals r."""
-    return "\n".join(rule.to_text() for rule in ruleset.rules) + ("\n" if ruleset.rules else "")
+    return "\n".join(rule.to_text() for rule in ruleset.rules) + "\n"
 
 
 def _format_number(x: float) -> str:

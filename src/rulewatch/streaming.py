@@ -162,12 +162,8 @@ def stream_detect(
     elif mode == GROUP:
         if not op_snapshots or len(op_snapshots) < 2:
             raise StreamStateError("group mode needs at least 2 window snapshots")
-        k = base.config.get("k")
-        if k is None:
-            raise DetectionError("baseline carries no reference partition for group mode")
-        tr1 = training.training_columns[: int(k)]
         report = detect_group(
-            tr1, list(op_snapshots), base, training, metrics=metrics or GROUP_METRICS
+            training, list(op_snapshots), base, metrics=metrics or GROUP_METRICS
         )
     else:
         raise DetectionError(f"unknown stream mode {mode!r}")

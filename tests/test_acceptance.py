@@ -159,18 +159,18 @@ def test_criterion_4_rbi_identity_limits():
         draw = lambda: HitHistogram(tuple(int(c) for c in rng.integers(10, 31, 3)), n_s)
         tr1 = [draw() for _ in range(5)]
         tr2 = [draw() for _ in range(4)]
-        base = group_baseline(tr1, tr2)
         training = HitMatrix(tuple(tr1 + tr2))
+        base = group_baseline(training, 3)
         for m in range(len(tr2)):
             fold = [tr2[i] for i in range(len(tr2)) if i != m]
-            report = detect_group(tr1, fold, base, training)
+            report = detect_group(training, fold, base)
             value = report.per_metric["rbi"].values[0]
             assert interval_contains(base.rbi, value)  # exact fold membership
 
         h = HitHistogram((12, 20, 5), n_s)
-        degenerate = group_baseline([h, h, h], [h, h, h])
+        degenerate = group_baseline(HitMatrix((h,) * 6), 2)
         assert degenerate.rbi == (1.0, 1.0)
-        report = detect_group([h, h, h], [h, h], degenerate, HitMatrix((h,) * 6))
+        report = detect_group(HitMatrix((h,) * 6), [h, h], degenerate)
         assert report.per_metric["rbi"].values[0] == 1.0
         assert not report.per_metric["rbi"].flag
 

@@ -90,6 +90,17 @@ def test_baseline_group_mode_rejects_nop_1(workdir):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mode", ["single", "group"])
+def test_baseline_empty_ruleset_exits_1(workdir, capsys, mode):
+    (workdir / "rules.txt").write_text("# no rules\n")
+    rc = main(_baseline_args(workdir, out="empty.json", extra=("--mode", mode, "--nop", "4")))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: ruleset has no rules" in err
+    assert "Traceback" not in err
+    assert not (workdir / "empty.json").exists()
+
+
 def test_baseline_insufficient_data(workdir):
     rc = main([
         "baseline", str(workdir / "op_in.csv"),

@@ -11,7 +11,6 @@ from rulewatch import (
     Baselines,
     DetectionError,
     FingerprintMismatchError,
-    GroupConfig,
     HitHistogram,
     HitMatrix,
     compute_fingerprint,
@@ -162,18 +161,29 @@ def test_verdict_monotone_under_extra_flag(rng):
 
 # -- group baseline and detection ---------------------------------------------
 
-def test_group_config_validation():
-    cfg = GroupConfig(n_tr=20, n_op=10)
-    assert cfg.k == 9
-    with pytest.raises(DetectionError):
-        GroupConfig(n_tr=5, n_op=10)
-    with pytest.raises(DetectionError):
-        GroupConfig(n_tr=20, n_op=1)
+def test_group_config_validation(rng):
+    cols = tuple(random_histogram(rng, 2, 20) for _ in range(20))
+    assert group_baseline(HitMatrix(cols), 10).config["k"] == 9
+    with pytest.raises(DetectionError, match=r"k = n_tr - n_op - 1 >= 2, got -6"):
+        group_baseline(HitMatrix(cols[:5]), 10)
+    with pytest.raises(DetectionError, match="n_op >= 2, got 1"):
+        group_baseline(HitMatrix(cols), 1)
+
+
+def test_builders_overwrite_a_conflicting_partition_in_config(rng):
+    m9 = HitMatrix(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
+    single = single_split_baseline(m9, config={"n_s": 40, "n_tr": 3, "n_rules": 7})
+    assert single.config == {"n_s": 40, "n_tr": 9, "n_rules": 4}
+    detect_split(m9, m9.training_columns[0], single)  # its own matrix is compatible
+    group = group_baseline(m9, 3, config={"n_s": 40, "k": 2, "n_tr": 5, "sigma_floor": 0.5})
+    assert (group.config["k"], group.config["n_tr"], group.config["n_rules"]) == (5, 9, 4)
+    assert group.config["sigma_floor"] == 1e-6  # the floor the envelope was fitted with
+    detect_group(m9, list(m9.training_columns[6:]), group)
 
 
 def test_group_baseline_identical_histograms_is_unit_interval():
     h = HitHistogram((3, 6), 10)
-    base = group_baseline([h, h, h], [h, h, h])
+    base = group_baseline(HitMatrix((h,) * 6), 2)
     assert base.rbi == (1.0, 1.0)
     assert base.l1 == (0.0, 0.0)
 
@@ -183,7 +193,7 @@ def test_group_baseline_matches_hand_loo_oracle(rng):
     # ROTATIONS seeded partitions of all 6 columns into 3 reference + 2 group
     tr1 = [random_histogram(rng, 2, 30) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 30) for _ in range(3)]
-    base = group_baseline(tr1, tr2, sigma_floor=1e-6)
+    base = group_baseline(HitMatrix(tuple(tr1 + tr2)), 2, sigma_floor=1e-6)
 
     def rbi(group, ref):
         rows = [h.values.tolist() for h in group]
@@ -207,13 +217,35 @@ def test_group_baseline_matches_hand_loo_oracle(rng):
 def test_detect_group_rbi_equals_loo_row_bit_for_bit(rng):
     tr1 = [random_histogram(rng, 4, 40) for _ in range(5)]
     tr2 = [random_histogram(rng, 4, 40) for _ in range(4)]
-    base = group_baseline(tr1, tr2)
     training = HitMatrix(tuple(tr1 + tr2))
-    loo, _ = _calibration_scores(tr1 + tr2, len(tr1), 1e-6)
+    base = group_baseline(training, 3)
+    loo, _ = _calibration_scores(training.training_counts / 40, len(tr1), 1e-6)
     for m in range(len(tr2)):
         fold = [tr2[i] for i in range(len(tr2)) if i != m]
-        report = detect_group(tr1, fold, base, training)
+        report = detect_group(training, fold, base)
         assert report.per_metric["rbi"].values[0] == loo[m]
+
+
+def test_reloaded_bundle_scores_every_loo_fold_bit_for_bit(rng):
+    training = HitMatrix(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
+    built = BaselineBundle(group_baseline(training, 3, config={"n_op": 3}), training)
+    bundle = BaselineBundle.from_document(built.to_document())
+    k = bundle.baselines.config["k"]
+    assert k == 5
+    loo, _ = _calibration_scores(training.training_counts / 40, k, 1e-6)
+    tr2 = bundle.training.training_columns[k:]
+    for m in range(len(tr2)):
+        fold = [h for i, h in enumerate(tr2) if i != m]
+        report = detect_group(bundle.training, fold, bundle.baselines)
+        assert report.per_metric["rbi"].values[0] == loo[m]
+        assert not report.per_metric["rbi"].flag
+
+
+def test_detect_group_rejects_single_split_baseline(rng):
+    training = HitMatrix(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    base = single_split_baseline(training)
+    with pytest.raises(DetectionError, match="reference partition"):
+        detect_group(training, list(training.training_columns[:3]), base)
 
 
 def test_calibrated_rbi_interval_pools_three_sets():
@@ -229,7 +261,7 @@ def test_calibrated_rbi_interval_pools_three_sets():
     ids=["median-zero", "median-inf", "median-inf-with-zero"],
 )
 def test_calibrated_rbi_interval_skips_scaled_set_on_degenerate_median(rotations):
-    # a rotation median of 0 or +inf (the x/0 sentinel) gives no usable
+    # a rotation median of 0 or +inf gives no usable
     # ratio: the scaled set is skipped, the other two sets still count
     loo = [0.6, 0.7]
     expected = (min(loo + rotations), max(loo + rotations))
@@ -245,28 +277,28 @@ def test_calibrated_rbi_interval_skips_scaled_set_on_degenerate_loo_median():
 def test_group_baseline_size_guards(rng):
     h = [random_histogram(rng, 2, 20) for _ in range(6)]
     with pytest.raises(DetectionError):
-        group_baseline(h[:1], h[1:4])
+        group_baseline(HitMatrix(tuple(h[:4])), 2)  # k = 1
     with pytest.raises(DetectionError):
-        group_baseline(h[:2], h[2:4])
+        group_baseline(HitMatrix(tuple(h[:4])), 1)
 
 
 def test_detect_group_identical_to_reference(rng):
     tr1 = [random_histogram(rng, 3, 40) for _ in range(4)]
     tr2 = [random_histogram(rng, 3, 40) for _ in range(4)]
-    base = group_baseline(tr1, tr2)
     training = HitMatrix(tuple(tr1 + tr2))
-    report = detect_group(tr1, list(tr1), base, training)
+    base = group_baseline(training, 3)
+    report = detect_group(training, list(tr1), base)
     assert report.per_metric["rbi"].values[0] == 1.0
 
 
 def test_detect_group_fold_membership_exact(rng):
     tr1 = [random_histogram(rng, 3, 40) for _ in range(5)]
     tr2 = [random_histogram(rng, 3, 40) for _ in range(4)]
-    base = group_baseline(tr1, tr2)
     training = HitMatrix(tuple(tr1 + tr2))
+    base = group_baseline(training, 3)
     # op group identical to the fold TR2 minus member 1
     fold = [tr2[i] for i in range(4) if i != 1]
-    report = detect_group(tr1, fold, base, training)
+    report = detect_group(training, fold, base)
     value = report.per_metric["rbi"].values[0]
     assert interval_contains(base.rbi, value)
     assert report.per_metric["rbi"].flag is False
@@ -278,14 +310,14 @@ def test_detect_group_far_shift_is_ood(rng):
         HitHistogram(tuple(int(c) for c in rng.integers(45, 56, 3)), n_s)
         for _ in range(9)
     ]
-    base = group_baseline(tr[:5], tr[5:])
     training = HitMatrix(tuple(tr))
+    base = group_baseline(training, 3)
     op = [HitHistogram((0, 99, 1), n_s), HitHistogram((1, 100, 0), n_s),
           HitHistogram((0, 100, 2), n_s)]
-    report = detect_group(tr[:5], op, base, training)
+    report = detect_group(training, op, base)
     assert report.verdict == OUT_OF_DISTRIBUTION
     rbi_value = report.per_metric["rbi"].values[0]
-    assert rbi_value < base.rbi[0] or math.isinf(rbi_value)
+    assert rbi_value < base.rbi[0]
     assert report.per_metric["l1"].flag
 
 
@@ -293,9 +325,9 @@ def test_group_norms_match_explicit_pair_loops(rng):
     tr1 = [random_histogram(rng, 4, 30) for _ in range(4)]
     tr2 = [random_histogram(rng, 4, 30) for _ in range(4)]
     cols = tr1 + tr2
-    base = group_baseline(tr1, tr2)
+    base = group_baseline(HitMatrix(tuple(cols)), 3)
     op = [random_histogram(rng, 4, 30) for _ in range(3)]
-    report = detect_group(tr1, op, base, HitMatrix(tuple(cols)))
+    report = detect_group(HitMatrix(tuple(cols)), op, base)
     for name, p in (("l1", 1), ("l2", 2)):
         pairs = [lp_norm(a, b, p) for a, b in itertools.combinations(cols, 2)]
         assert base.interval(name) == (min(pairs), max(pairs))
@@ -307,19 +339,19 @@ def test_group_norms_match_explicit_pair_loops(rng):
 def test_detect_group_rejects_mixed_member_split_sizes(rng):
     tr1 = [random_histogram(rng, 2, 20) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 20) for _ in range(3)]
-    base = group_baseline(tr1, tr2)
     training = HitMatrix(tuple(tr1 + tr2))
+    base = group_baseline(training, 2)
     with pytest.raises(DetectionError, match="split sizes"):
-        detect_group(tr1, [tr2[0], HitHistogram((1, 2), 40)], base, training)
+        detect_group(training, [tr2[0], HitHistogram((1, 2), 40)], base)
 
 
 def test_detect_group_requires_two_members(rng):
     tr1 = [random_histogram(rng, 2, 20) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 20) for _ in range(3)]
-    base = group_baseline(tr1, tr2)
     training = HitMatrix(tuple(tr1 + tr2))
+    base = group_baseline(training, 2)
     with pytest.raises(DetectionError):
-        detect_group(tr1, [tr2[0]], base, training)
+        detect_group(training, [tr2[0]], base)
 
 
 # -- reports and persistence ---------------------------------------------------

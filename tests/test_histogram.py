@@ -12,7 +12,6 @@ from rulewatch import (
     make_splits,
     parse_ruleset,
 )
-from rulewatch.histogram import OPERATIONAL
 
 
 def _table(rows, columns=("x1", "x2")):
@@ -113,13 +112,9 @@ def test_hit_matrix_shapes(rng):
     rs = parse_ruleset("if x1 <= 0 then a\nif x2 > 0 then b\n")
     table = _table(rng.normal(0, 1, size=(60, 2)))
     tr = make_splits(table, n_s=10, n_splits=4, seed=1)
-    op = [Split(_table(rng.normal(0, 1, size=(10, 2))), origin=OPERATIONAL, index=0)]
-    m = hit_matrix(rs, tr, op)
+    m = hit_matrix(rs, tr)
     assert m.n_training == 4
-    assert m.n_operational == 1
     assert m.n_rules == 2
-    training_only = hit_matrix(rs, tr)
-    assert training_only.n_operational == 0
 
 
 def test_hit_matrix_requires_training():
@@ -137,9 +132,6 @@ def test_hit_matrix_rejects_mixed_rule_counts():
 def test_hit_matrix_rejects_mixed_training_split_sizes():
     with pytest.raises(ValueError, match="split sizes"):
         HitMatrix((HitHistogram((1, 2), 4), HitHistogram((1, 2), 5)))
-    # operational columns may differ (a stream window of another length)
-    m = HitMatrix((HitHistogram((1, 2), 4),), (HitHistogram((1, 2), 5),))
-    assert m.split_size == 4
 
 
 def test_hit_matrix_training_counts():

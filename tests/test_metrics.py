@@ -533,6 +533,8 @@ def test_rbi_rejects_empty_group():
         rule_based_information(np.zeros((1, 0, 1)), bank, bank)
     with pytest.raises(MetricError):
         rule_based_information(np.zeros((2, 1)), bank, bank)
+    with pytest.raises(MetricError):  # no rules: the entropy ratio would be 0/0
+        rule_based_information(np.zeros((1, 3, 0)), bank, bank)
 
 
 def test_fit_bank_checks_group():
@@ -542,6 +544,8 @@ def test_fit_bank_checks_group():
         fit_bank(np.zeros((4, 3)))
     with pytest.raises(MetricError):
         fit_bank(np.zeros((1, 4, 3)), sigma_floor=0.0)
+    with pytest.raises(MetricError):
+        fit_bank(np.zeros((1, 4, 0)))
 
 
 # -- batched rule-based information -----------------------------------------

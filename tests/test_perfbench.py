@@ -55,11 +55,12 @@ def test_window_push_is_traced_as_rule_evaluation():
 
 def test_detect_group_is_traced_as_bank_fits_and_rbi():
     tr = [HitHistogram((i, 10 - i, 3 + i % 2), 10) for i in range(1, 9)]
-    base = group_baseline(tr[:4], tr[4:])
+    training = HitMatrix(tuple(tr))
+    base = group_baseline(training, 3)
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
-        detect_group(tr[:4], tr[5:], base, HitMatrix(tuple(tr)))
+        detect_group(training, tr[5:], base)
     finally:
         tracer.uninstall()
     assert tracer.stats["metrics.fit_bank"].calls >= 1

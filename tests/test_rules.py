@@ -86,6 +86,14 @@ def test_ruleset_requires_contiguous_ids():
         Ruleset((Rule(1, (c,), "a"), Rule(3, (c,), "b")))
 
 
+def test_ruleset_requires_a_rule():
+    with pytest.raises(RuleError, match="ruleset has no rules"):
+        Ruleset(())
+    for text in ("", "# comments only\n\n   \n"):
+        with pytest.raises(RuleError, match="ruleset has no rules"):
+            parse_ruleset(text)
+
+
 def test_ruleset_hits_boundaries(two_rule_set):
     assert ruleset_hits(two_rule_set, {"x1": 3.0, "x2": 0.7})[0] is True
     assert ruleset_hits(two_rule_set, {"x1": 3.0, "x2": 0.5})[0] is False  # strict >

@@ -169,8 +169,8 @@ def test_monitor_group_mode_snapshots(rng):
     cols = tuple(random_histogram(rng, RULES.n_rules, n_s) for _ in range(8))
     from rulewatch import group_baseline
 
-    base = group_baseline(cols[:4], cols[4:], config={"n_s": n_s, "n_op": 3, "k": 4})
     matrix = HitMatrix(cols)
+    base = group_baseline(matrix, 3, config={"n_s": n_s, "n_op": 3})
     monitor = StreamMonitor(
         RULES, base, matrix, mode="group", capacity=n_s, n_op=3, snapshot_stride=4
     )
