@@ -6,11 +6,17 @@ computed between training columns and operational data; a metric flags when
 a strict majority of its values falls outside its interval, and the final
 verdict is OoD as soon as ANY metric flags (minority voting: one alarming
 metric is enough, minimizing missed detections at some false-positive cost).
+Each metric's report comes from one sort of its values: votes are counted
+by bisection against the interval, only the values outside it get a
+normalised distance, and the median is stored once as a Python float.
 
 Two modes:
 
 * single-split: weighted mutual information + l1/l2 norms against one
-  operational histogram;
+  operational histogram. Scoring (``split_metrics``, or a stream's
+  ``SplitScorer`` with bit-identical values) and the report builder
+  (``split_report``) are separate, so batch and stream detection share
+  every step after the scores;
 * group: rule-based information over a group of operational histograms
   + l1/l2 norms over all column pairs. Both ``group_baseline`` and
   ``detect_group`` take the training ``HitMatrix``; ``group_baseline``
@@ -29,6 +35,7 @@ import json
 import math
 import statistics
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -38,6 +45,7 @@ from .histogram import HitHistogram, HitMatrix, count_matrix
 from .metrics import (
     SIGMA_FLOOR_DEFAULT,
     MetricError,
+    SplitMetrics,
     fit_bank,
     lp_norms,
     rule_based_information,
@@ -86,30 +94,13 @@ class FingerprintMismatchError(DetectionError):
 
 def strict_majority(flags: Sequence[bool]) -> bool:
     """True iff strictly more than half the flags are set; ties read false."""
-    if len(flags) == 0:
+    return _majority(sum(bool(f) for f in flags), len(flags))
+
+
+def _majority(votes_out: int, votes_total: int) -> bool:
+    if votes_total == 0:
         raise DetectionError("majority of an empty flag list is undefined")
-    return 2 * sum(bool(f) for f in flags) > len(flags)
-
-
-def interval_contains(interval: tuple[float, float], value: float) -> bool:
-    """Closed-interval membership; boundary values are in-distribution."""
-    lo, hi = interval
-    return lo <= value <= hi
-
-
-def normalized_distance(interval: tuple[float, float], value: float) -> float:
-    """0 inside the interval, else gap over interval width (width floored).
-
-    Non-normative severity commentary: larger means further outside the
-    training envelope, in units of envelope width.
-    """
-    lo, hi = interval
-    if lo <= value <= hi:
-        return 0.0
-    if math.isinf(value):
-        return math.inf
-    gap = lo - value if value < lo else value - hi
-    return gap / max(hi - lo, sys.float_info.epsilon)
+    return 2 * votes_out > votes_total
 
 
 @dataclass(frozen=True)
@@ -153,11 +144,8 @@ class MetricReport:
     votes_total: int
     normalized_distance: float
     baseline: tuple[float, float]
-
-    @property
-    def representative(self) -> float:
-        """Median value; the plottable per-tick summary of this metric."""
-        return statistics.median(self.values)
+    # Median value; the plottable per-tick summary of this metric.
+    representative: float
 
 
 @dataclass(frozen=True)
@@ -201,19 +189,40 @@ def _json_float(v: float) -> float | str:
     return "inf" if math.isinf(v) else v
 
 
+def _sorted_median(ordered: Sequence[float]) -> float:
+    """Median of an ascending sequence, by the arithmetic of ``statistics.median``."""
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _metric_report(
-    name: str, values: Sequence[float], interval: tuple[float, float]
+    name: str, values: list[float], interval: tuple[float, float]
 ) -> MetricReport:
-    out = [not interval_contains(interval, v) for v in values]
-    distances = sorted(normalized_distance(interval, v) for v in values)
+    """Votes and envelope position of one metric's values, from one sort.
+
+    A value votes out unless it lies in the closed interval. Its normalised
+    distance is 0 inside, +inf for an infinite value, else its gap to the
+    interval over the interval width (floored at machine epsilon); only the
+    values outside are divided, as every inside one reads 0.
+    """
+    lo, hi = interval
+    ordered = sorted(values)
+    below, above = bisect_left(ordered, lo), bisect_right(ordered, hi)
+    width = max(hi - lo, sys.float_info.epsilon)
+    distances = sorted(
+        [math.inf if math.isinf(v) else (lo - v) / width for v in ordered[:below]]
+        + [math.inf if math.isinf(v) else (v - hi) / width for v in ordered[above:]]
+    )
+    votes_out, votes_total = len(distances), len(ordered)
     return MetricReport(
         name=name,
         values=tuple(values),
-        flag=strict_majority(out),
-        votes_out=sum(out),
-        votes_total=len(values),
-        normalized_distance=statistics.median(distances),
+        flag=_majority(votes_out, votes_total),
+        votes_out=votes_out,
+        votes_total=votes_total,
+        normalized_distance=_sorted_median([0.0] * (votes_total - votes_out) + distances),
         baseline=interval,
+        representative=_sorted_median(ordered),
     )
 
 
@@ -293,21 +302,39 @@ def detect_split(
 
     Each metric votes once per training column; a strict majority of
     out-of-envelope votes raises that metric's flag. One ``split_metrics``
-    call scores the histogram against all training columns.
+    call scores the histogram against all training columns, and
+    ``split_report`` turns the scores into votes.
+    """
+    check_split_request(training, op.n_rules, base, metrics)
+    scores = split_metrics(
+        training.training_counts, training.split_size, op.counts, op.split_size
+    )
+    return split_report(scores, base, metrics)
+
+
+def check_split_request(
+    training: HitMatrix, n_rules: int, base: Baselines, metrics: Sequence[str]
+) -> None:
+    """Reject a mismatched baseline, rule count or metric name before scoring.
+
+    ``n_rules`` is the rule count of the operational counts to be scored.
     """
     check_compatible(base, training)
-    if op.n_rules != training.n_rules:
+    if n_rules != training.n_rules:
         raise MetricError(
-            f"operational histogram has {op.n_rules} rules, training {training.n_rules}"
+            f"operational histogram has {n_rules} rules, training {training.n_rules}"
         )
     for name in metrics:
         if name not in SINGLE_METRICS:
             raise DetectionError(f"unknown single-split metric {name!r}")
-    scores = split_metrics(
-        training.training_counts, training.split_size, op.counts, op.split_size
-    )._asdict()
+
+
+def split_report(
+    scores: SplitMetrics, base: Baselines, metrics: Sequence[str]
+) -> DetectionReport:
+    """The single-split report of ``scores``; batch and stream detection share it."""
     reports = {
-        name: _metric_report(name, scores[name].tolist(), base.interval(name))
+        name: _metric_report(name, getattr(scores, name).tolist(), base.interval(name))
         for name in metrics
     }
     return DetectionReport(mode=SINGLE_SPLIT, per_metric=reports)
@@ -394,7 +421,9 @@ def group_baseline(
     ``n_op + 1`` the calibration part (TR2). ``k``, ``n_rules``, ``n_tr``
     and ``sigma_floor`` are written into the config over any value the
     caller passed, so a baseline always records the partition its envelope
-    was built on; ``detect_group`` reads ``k`` back from it.
+    was built on; ``detect_group`` reads ``k`` back from it. A config
+    ``n_op`` other than ``n_op`` is rejected: group detection and streaming
+    size the operational group from it.
 
     The ``rbi`` envelope is the [min, max] over three score sets
     (``calibrated_rbi_interval``):
@@ -416,6 +445,10 @@ def group_baseline(
     LOO score bit for bit. Norm envelopes use all training columns.
     """
     k = training.n_training - n_op - 1
+    if config is not None and config.get("n_op", n_op) != n_op:
+        raise DetectionError(
+            f"config records n_op {config['n_op']}, but the envelope is built for n_op {n_op}"
+        )
     if n_op < 2:
         raise DetectionError(f"group mode needs n_op >= 2, got {n_op}")
     if k < 2:

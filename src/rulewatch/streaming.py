@@ -3,8 +3,11 @@
 The window stores one hit mask per retained sample, not the sample itself,
 so evicting the oldest sample and admitting a new one both cost O(n_rules)
 regardless of window length; the running counts are integer-exact equal to
-a batch recount of the retained samples at every tick. On top of that sits
-a monitor that reruns detection every push (or every ``detect_stride``
+a batch recount of the retained samples at every tick. Single-split ticks
+score the window through a ``SplitScorer`` kept beside it, which moves its
+integer state only for the rules whose counts changed since the last tick
+and equals batch ``detect_split`` bit for bit. On top of that sits a
+monitor that reruns detection every push (or every ``detect_stride``
 pushes) and, in group mode, keeps the last ``n_op`` stride-spaced window
 snapshots as the operational group.
 
@@ -29,10 +32,12 @@ from .detection import (
     Baselines,
     DetectionError,
     DetectionReport,
+    check_split_request,
     detect_group,
-    detect_split,
+    split_report,
 )
 from .histogram import HitHistogram, HitMatrix, OPERATIONAL
+from .metrics import SplitMetrics, SplitScorer
 from .rules import Ruleset, ruleset_hits
 
 
@@ -61,6 +66,7 @@ class SlidingHitWindow:
         self._counts = np.zeros(self._n_rules, dtype=np.int64)
         self._head = 0
         self._fill = 0
+        self._scorer: SplitScorer | None = None
         # Instrumentation: per-rule elementary updates in the last push,
         # for asserting the O(n_rules) per-push contract without clocks.
         self.last_push_ops = 0
@@ -104,6 +110,25 @@ class SlidingHitWindow:
         if self._fill == 0:
             raise StreamStateError("window is empty; no histogram yet")
         return HitHistogram(tuple(self._counts.tolist()), self._fill, origin=OPERATIONAL)
+
+    def scorer(self, training: HitMatrix) -> SplitScorer:
+        """The single-split scorer of this window's counts against ``training``.
+
+        Built on the first call for a training matrix and kept with the
+        window, so consecutive ticks move only the rules whose counts
+        changed between them. The scorer is stream state beside the window;
+        ``training`` is only read.
+        """
+        counts = training.training_counts
+        if self._scorer is None or self._scorer.train is not counts:
+            self._scorer = SplitScorer(counts, training.split_size)
+        return self._scorer
+
+    def scores(self, training: HitMatrix) -> SplitMetrics:
+        """``split_metrics`` of the window histogram against ``training``."""
+        if self._fill == 0:
+            raise StreamStateError("window is empty; no histogram yet")
+        return self.scorer(training).score(self._counts, self._fill)
 
 
 @dataclass(frozen=True)
@@ -156,9 +181,9 @@ def stream_detect(
             f"window holds {window.fill} of {window.capacity} samples; detection needs a full window"
         )
     if mode == SINGLE_SPLIT:
-        report = detect_split(
-            training, window.histogram(), base, metrics=metrics or SINGLE_METRICS
-        )
+        metrics = metrics or SINGLE_METRICS
+        check_split_request(training, window.n_rules, base, metrics)
+        report = split_report(window.scores(training), base, metrics)
     elif mode == GROUP:
         if not op_snapshots or len(op_snapshots) < 2:
             raise StreamStateError("group mode needs at least 2 window snapshots")

@@ -33,7 +33,7 @@ from rulewatch import (
 )
 from rulewatch.cli import main
 from rulewatch.config import RunConfig
-from rulewatch.detection import detect_group, interval_contains
+from rulewatch.detection import detect_group
 from rulewatch.eval import run_eval
 from rulewatch.histogram import Split
 from rulewatch.streaming import StreamMonitor, stream_detect
@@ -165,7 +165,7 @@ def test_criterion_4_rbi_identity_limits():
             fold = [tr2[i] for i in range(len(tr2)) if i != m]
             report = detect_group(training, fold, base)
             value = report.per_metric["rbi"].values[0]
-            assert interval_contains(base.rbi, value)  # exact fold membership
+            assert base.rbi[0] <= value <= base.rbi[1]  # exact fold membership
 
         h = HitHistogram((12, 20, 5), n_s)
         degenerate = group_baseline(HitMatrix((h,) * 6), 2)

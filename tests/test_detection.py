@@ -2,9 +2,12 @@ import itertools
 import json
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulewatch import (
     BaselineBundle,
@@ -28,9 +31,8 @@ from rulewatch.detection import (
     ROTATION_SEED,
     ROTATIONS,
     _calibration_scores,
+    _metric_report,
     calibrated_rbi_interval,
-    interval_contains,
-    normalized_distance,
 )
 from rulewatch.metrics import lp_norm
 from tests.conftest import random_histogram
@@ -52,13 +54,68 @@ def test_strict_majority():
         strict_majority([])
 
 
+# Scalar oracle of the report builder: one membership test and one
+# distance per value, then ``statistics.median``.
+
+def interval_contains(interval, value):
+    lo, hi = interval
+    return lo <= value <= hi
+
+
+def normalized_distance(interval, value):
+    lo, hi = interval
+    if lo <= value <= hi:
+        return 0.0
+    if math.isinf(value):
+        return math.inf
+    gap = lo - value if value < lo else value - hi
+    return gap / max(hi - lo, sys.float_info.epsilon)
+
+
+def oracle_report(values, interval):
+    out = [not interval_contains(interval, v) for v in values]
+    return (
+        strict_majority(out),
+        sum(out),
+        statistics.median(sorted(normalized_distance(interval, v) for v in values)),
+        statistics.median(values),
+    )
+
+
+def _distance(interval, value):
+    return _metric_report("m", [value], interval).normalized_distance
+
+
 def test_normalized_distance():
-    assert normalized_distance((1.0, 3.0), 2.0) == 0.0
-    assert normalized_distance((1.0, 3.0), 1.0) == 0.0  # closed boundary
-    assert normalized_distance((1.0, 3.0), 4.0) == pytest.approx(0.5)
-    assert normalized_distance((1.0, 3.0), 0.0) == pytest.approx(0.5)
-    assert math.isinf(normalized_distance((1.0, 3.0), math.inf))
-    assert normalized_distance((2.0, 2.0), 3.0) > 0  # zero-width floored
+    assert _distance((1.0, 3.0), 2.0) == 0.0
+    assert _distance((1.0, 3.0), 1.0) == 0.0  # closed boundary
+    assert _distance((1.0, 3.0), 4.0) == pytest.approx(0.5)
+    assert _distance((1.0, 3.0), 0.0) == pytest.approx(0.5)
+    assert math.isinf(_distance((1.0, 3.0), math.inf))
+    assert _distance((2.0, 2.0), 3.0) > 0  # zero-width floored
+
+
+_BOUNDS = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0])
+_VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([-math.inf, math.inf, -1.5, 0.0, 0.25, 1.0, 3.0, 5e-324, 1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.tuples(_BOUNDS, _BOUNDS), values=st.lists(_VALUES, min_size=1, max_size=12))
+def test_metric_report_matches_scalar_oracle(bounds, values):
+    interval = (min(bounds), max(bounds))  # includes zero-width intervals
+    report = _metric_report("m", values, interval)
+    flag, votes_out, distance, representative = oracle_report(values, interval)
+    assert report.flag is flag
+    assert (report.votes_out, report.votes_total) == (votes_out, len(values))
+    assert type(report.normalized_distance) is float and type(report.representative) is float
+    assert report.normalized_distance == distance
+    assert report.representative == representative or (
+        math.isnan(report.representative) and math.isnan(representative)  # (-inf + inf) / 2
+    )
+    assert report.values == tuple(values) and report.baseline == interval
 
 
 # -- single-split baseline ----------------------------------------------------
@@ -181,6 +238,13 @@ def test_builders_overwrite_a_conflicting_partition_in_config(rng):
     detect_group(m9, list(m9.training_columns[6:]), group)
 
 
+def test_group_baseline_rejects_a_conflicting_n_op_in_config(rng):
+    m9 = HitMatrix(tuple(random_histogram(rng, 4, 20) for _ in range(9)))
+    with pytest.raises(DetectionError, match="n_op 5.*n_op 3"):
+        group_baseline(m9, 3, config={"n_s": 20, "n_op": 5})
+    assert group_baseline(m9, 3, config={"n_s": 20, "n_op": 3}).config["n_op"] == 3
+
+
 def test_group_baseline_identical_histograms_is_unit_interval():
     h = HitHistogram((3, 6), 10)
     base = group_baseline(HitMatrix((h,) * 6), 2)
@@ -300,7 +364,7 @@ def test_detect_group_fold_membership_exact(rng):
     fold = [tr2[i] for i in range(4) if i != 1]
     report = detect_group(training, fold, base)
     value = report.per_metric["rbi"].values[0]
-    assert interval_contains(base.rbi, value)
+    assert base.rbi[0] <= value <= base.rbi[1]
     assert report.per_metric["rbi"].flag is False
 
 

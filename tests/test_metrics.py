@@ -17,6 +17,7 @@ from rulewatch import (
 )
 from rulewatch.metrics import (
     PROB_CLAMP,
+    SplitScorer,
     _binary_entropy_array,
     _interval_mass_array,
     erfc_array,
@@ -336,6 +337,74 @@ def test_split_metrics_validates_shapes():
         split_metrics(np.zeros((2, 3)), 4, np.zeros(4), 4)
     with pytest.raises(MetricError):
         split_metrics(np.zeros(3), 4, np.zeros(3), 4)
+
+
+@st.composite
+def scorer_walks(draw):
+    """(training counts, split sizes, a walk of operational count vectors).
+
+    Counts come from a small pool plus values outside it, so values and
+    value pairs repeat and op values no training row holds occur. Steps
+    change one rule, a few rules or all of them. The first training row may
+    be 0 or the full split at every rule, and the walk may end on its
+    complement, an alpha == 1 row. Sizes are equal, unequal, or large and
+    coprime, where the norms' integer sums could overflow int64.
+    """
+    n_r = draw(st.integers(1, 20))
+    n_tr = draw(st.integers(1, 5))
+    sizes = draw(st.sampled_from(["equal", "unequal", "coprime"]))
+    train_size = draw(st.integers(1, 9))
+    op_size = {"equal": train_size, "unequal": draw(st.integers(1, 9)),
+               "coprime": 2**31 - 2}[sizes]
+    if sizes == "coprime":
+        train_size = 2**31 - 1
+    top = min(train_size, op_size, 6)
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    cell = st.one_of(st.sampled_from(pool), st.integers(0, top))
+    train = np.array([[draw(cell) for _ in range(n_r)] for _ in range(n_tr)], dtype=np.int64)
+    full = draw(st.lists(st.booleans(), min_size=n_r, max_size=n_r))
+    if draw(st.booleans()):
+        train[0] = np.where(full, train_size, 0)
+    op = np.array([draw(cell) for _ in range(n_r)], dtype=np.int64)
+    walk = [op]
+    for _ in range(draw(st.integers(1, 12))):
+        op = op.copy()
+        rules = draw(st.lists(st.integers(0, n_r - 1), min_size=1, max_size=n_r))
+        for r in rules:
+            op[r] = draw(cell)
+        walk.append(op)
+    if draw(st.booleans()):
+        walk.append(np.where(full, 0, op_size))
+    return train, train_size, op_size, walk
+
+
+@settings(max_examples=150, deadline=None)
+@given(scorer_walks())
+def test_split_scorer_equals_split_metrics_bit_for_bit(case):
+    train, train_size, op_size, walk = case
+    scorer = SplitScorer(train, train_size)
+    previous = None
+    for op in walk:
+        got = scorer.score(op, op_size)
+        expected = split_metrics(train, train_size, op, op_size)
+        for name in ("wmi", "l1", "l2"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        moved = len(op) if previous is None else np.count_nonzero(op != previous)
+        assert scorer.last_updated_rules == (
+            moved if moved <= SplitScorer.MAX_UPDATES else len(op)
+        )
+        previous = op
+
+
+def test_split_scorer_rebuilds_on_a_new_op_size():
+    train = np.array([[1, 2, 0], [2, 1, 2]])
+    scorer = SplitScorer(train, 2)
+    for op, op_size in (([2, 4, 1], 4), ([2, 4, 1], 5), ([2, 3, 1], 5), ([1, 2, 0], 2)):
+        got, expected = scorer.score(op, op_size), split_metrics(train, 2, op, op_size)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    assert scorer.last_updated_rules == 3
+    with pytest.raises(MetricError):
+        scorer.score([1, 2], 2)
 
 
 # -- reference oracle for the rbi kernel -------------------------------------

@@ -3,8 +3,12 @@ tests fail when a name it wraps or imports is gone, instead of the traced
 benchmark run dying in ``Tracer.install``."""
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from rulewatch import (
     HitHistogram,
@@ -74,3 +78,18 @@ def test_workloads_module_imports(monkeypatch):
     finally:
         sys.modules.pop("gen", None)
     assert callable(workloads.peak_rss_mb)
+
+
+@pytest.mark.parametrize("workload", ["stream-single", "batch-single", "eval-group"])
+def test_tiny_benchmark_run_passes_its_gates(workload):
+    # Runs the workload's correctness gates, among them stream-equals-batch
+    # on every sampled tick, at the benchmark's self-check size.
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.5", "--size", "tiny"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, run.stdout[-2000:]
+    assert result["attempted"] > 0

@@ -147,6 +147,34 @@ def test_stream_detect_equals_batch_detection(rng):
     assert ticks == 120 - 31
 
 
+ONE_HIT_RULES = parse_ruleset(
+    "if x1 <= 0.5 and x2 <= 0.5 then a\n"
+    "if x1 <= 0.5 and x2 > 0.5 then b\n"
+    "if x1 > 0.5 then c\n"
+)
+
+
+def test_tick_updates_only_the_rules_that_changed(rng):
+    # Every sample hits one rule, so a push moves at most 2 counts: the
+    # evicted sample's rule down, the admitted one's up.
+    splits = [Split(DataTable(("x1", "x2"), rng.random((32, 2))), index=i) for i in range(5)]
+    matrix = HitMatrix(tuple(hit_histogram(ONE_HIT_RULES, s) for s in splits))
+    base = single_split_baseline(matrix, config={"n_s": 32})
+    most = set()
+    for capacity in (8, 64, 1024):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WindowSizeMismatchWarning)
+            monitor = StreamMonitor(ONE_HIT_RULES, base, matrix, capacity=capacity)
+        for _ in range(capacity):
+            monitor.push(_record(rng))  # the first tick builds the scorer's state
+        updated = []
+        for _ in range(64):
+            assert monitor.push(_record(rng)) is not None
+            updated.append(monitor.window.scorer(matrix).last_updated_rules)
+        most.add(max(updated))
+    assert most == {2}  # same work at every capacity
+
+
 def test_monitor_warns_on_window_size_mismatch(rng):
     matrix, base = _training_setup(rng, n_s=32)
     with pytest.warns(WindowSizeMismatchWarning):
