@@ -116,8 +116,9 @@ class SlidingHitWindow:
 
         Built on the first call for a training matrix and kept with the
         window, so consecutive ticks move only the rules whose counts
-        changed between them. The scorer is stream state beside the window;
-        ``training`` is only read.
+        changed between them. The scorer is stream state beside the window,
+        so scoring belongs to the window's single writer; ``training`` is
+        only read.
         """
         counts = training.training_counts
         if self._scorer is None or self._scorer.train is not counts:
