@@ -163,10 +163,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     table = _load_features(args.op_data, cfg.label_column)
     if mode == "group":
         n_op = int(bcfg.get("n_op", cfg.resolved_n_op))
-        op_splits = operational_splits(table, n_s, n_op)
-        op_group = [hit_histogram(ruleset, s) for s in op_splits]
         report = detect_group(
-            bundle.training, op_group, bundle.baselines,
+            bundle.training, hit_matrix(ruleset, operational_splits(table, n_s, n_op)),
+            bundle.baselines,
             metrics=cfg.metrics or ("rbi", "l1", "l2"),
         )
     else:

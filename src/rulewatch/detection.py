@@ -19,7 +19,8 @@ Two modes:
   every step after the scores;
 * group: rule-based information over a group of operational histograms
   + l1/l2 norms over all column pairs. Both ``group_baseline`` and
-  ``detect_group`` take the training ``HitMatrix``; ``group_baseline``
+  ``detect_group`` take the training ``HitMatrix``, and the group is a
+  ``HitMatrix`` too, one row per member; ``group_baseline``
   alone decides the reference part (the first ``k = n_tr - n_op - 1``
   columns) and records ``k`` in the baseline config, which
   ``detect_group`` reads back. The ``rbi`` envelope is calibrated over the
@@ -41,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .histogram import HitHistogram, HitMatrix, count_matrix
+from .histogram import HitHistogram, HitMatrix
 from .metrics import (
     SIGMA_FLOOR_DEFAULT,
     MetricError,
@@ -248,9 +249,9 @@ def check_compatible(base: Baselines, training: HitMatrix) -> None:
         raise FingerprintMismatchError(
             f"baseline built for {cfg['n_rules']} rules, matrix has {training.n_rules}"
         )
-    if "n_tr" in cfg and cfg["n_tr"] != training.n_training:
+    if "n_tr" in cfg and cfg["n_tr"] != training.n_splits:
         raise FingerprintMismatchError(
-            f"baseline built from {cfg['n_tr']} training splits, matrix has {training.n_training}"
+            f"baseline built from {cfg['n_tr']} training splits, matrix has {training.n_splits}"
         )
 
 
@@ -272,20 +273,20 @@ def single_split_baseline(
     All three metrics are symmetric, so row i scored against rows i+1...
     covers every pair once and gives the same min/max as ordered pairs.
     """
-    if training.n_training < 2:
+    if training.n_splits < 2:
         raise DetectionError(
-            f"baseline needs at least 2 training splits, got {training.n_training}"
+            f"baseline needs at least 2 training splits, got {training.n_splits}"
         )
-    counts, n_s = training.training_counts, training.split_size
+    counts, n_s = training.counts, training.split_size
     parts = [
         split_metrics(counts[i + 1 :], n_s, counts[i], n_s)
-        for i in range(training.n_training - 1)
+        for i in range(training.n_splits - 1)
     ]
     iv = {
         name: _envelope(np.concatenate([getattr(p, name) for p in parts]))
         for name in SINGLE_METRICS
     }
-    cfg = {**(config or {}), "n_rules": training.n_rules, "n_tr": training.n_training}
+    cfg = {**(config or {}), "n_rules": training.n_rules, "n_tr": training.n_splits}
     return Baselines(
         l1=iv["l1"], l2=iv["l2"], wmi=iv["wmi"],
         config_fingerprint=fingerprint, config=cfg,
@@ -306,9 +307,7 @@ def detect_split(
     ``split_report`` turns the scores into votes.
     """
     check_split_request(training, op.n_rules, base, metrics)
-    scores = split_metrics(
-        training.training_counts, training.split_size, op.counts, op.split_size
-    )
+    scores = split_metrics(training.counts, training.split_size, op.counts, op.split_size)
     return split_report(scores, base, metrics)
 
 
@@ -444,7 +443,7 @@ def group_baseline(
     (``_calibration_scores``), and ``detect_group`` on a fold reproduces its
     LOO score bit for bit. Norm envelopes use all training columns.
     """
-    k = training.n_training - n_op - 1
+    k = training.n_splits - n_op - 1
     if config is not None and config.get("n_op", n_op) != n_op:
         raise DetectionError(
             f"config records n_op {config['n_op']}, but the envelope is built for n_op {n_op}"
@@ -453,15 +452,15 @@ def group_baseline(
         raise DetectionError(f"group mode needs n_op >= 2, got {n_op}")
     if k < 2:
         raise DetectionError(f"group mode needs k = n_tr - n_op - 1 >= 2, got {k}")
-    counts, n_s = training.training_counts, training.split_size
+    counts, n_s = training.counts, training.split_size
     loo_scores, rotation_scores = _calibration_scores(counts / n_s, k, sigma_floor)
-    upper = np.triu_indices(training.n_training, 1)
+    upper = np.triu_indices(training.n_splits, 1)
     norms = lp_norms(counts[:, None, :], n_s, counts[None, :, :], n_s)
     iv = {name: _envelope(v[upper]) for name, v in zip(("l1", "l2"), norms)}
     cfg = {
         **(config or {}),
         "n_rules": training.n_rules,
-        "n_tr": training.n_training,
+        "n_tr": training.n_splits,
         "k": k,
         "sigma_floor": sigma_floor,
     }
@@ -474,49 +473,46 @@ def group_baseline(
 
 def detect_group(
     training: HitMatrix,
-    op_group: Sequence[HitHistogram],
+    op_group: HitMatrix,
     base: Baselines,
     metrics: Sequence[str] = GROUP_METRICS,
 ) -> DetectionReport:
     """Score an operational group against the reference part of training.
 
-    The reference part is the first ``k`` training columns, with ``k`` as
-    ``group_baseline`` recorded it in ``base.config``; a baseline without
-    ``k`` (single-split) is rejected. Rule-based information casts a single
-    vote, scored as a batch of one through the kernel that calibrated the
-    envelope; the norms vote once per (training column, group member) pair,
-    in that order, computed in one broadcast. Norm votes run over ALL
-    training columns, matching the envelopes built by ``group_baseline``.
-    The group members must share a split size.
+    ``op_group`` holds one row per group member. The reference part is the
+    first ``k`` training rows, with ``k`` as ``group_baseline`` recorded it
+    in ``base.config``; a baseline without ``k`` (single-split) is
+    rejected. Rule-based information casts a single vote, scored as a batch
+    of one through the kernel that calibrated the envelope; the norms vote
+    once per (training row, group member) pair, in that order, computed in
+    one broadcast. Norm votes run over ALL training rows, matching the
+    envelopes built by ``group_baseline``.
     """
     check_compatible(base, training)
     k = base.config.get("k")
     if k is None:
         raise DetectionError("baseline has no reference partition (single-split mode?)")
-    if len(op_group) < 2:
+    if op_group.n_splits < 2:
         raise DetectionError(
-            f"group detection needs at least 2 operational histograms, got {len(op_group)}"
+            f"group detection needs at least 2 operational histograms, got {op_group.n_splits}"
         )
     for name in metrics:
         if name not in GROUP_METRICS:
             raise DetectionError(f"unknown group metric {name!r}")
-    sizes = {h.split_size for h in op_group}
-    if len(sizes) > 1:
-        raise DetectionError(f"operational group has split sizes {sorted(sizes)}; need one")
-    if any(h.n_rules != training.n_rules for h in op_group):
+    if op_group.n_rules != training.n_rules:
         raise MetricError(f"operational histograms must have {training.n_rules} rules")
-    op_counts, op_size = count_matrix(op_group), op_group[0].split_size
+    op_counts, op_size = op_group.counts, op_group.split_size
     values: dict[str, list[float]] = {}
     if "rbi" in metrics:
         sigma_floor = float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
         group = (op_counts / op_size)[None]
-        ref = (training.training_counts[: int(k)] / training.split_size)[None]
+        ref = (training.counts[: int(k)] / training.split_size)[None]
         values["rbi"] = rule_based_information(
             group, fit_bank(group, sigma_floor), fit_bank(ref, sigma_floor)
         ).tolist()
     if "l1" in metrics or "l2" in metrics:
         norms = lp_norms(
-            training.training_counts[:, None, :], training.split_size,
+            training.counts[:, None, :], training.split_size,
             op_counts[None, :, :], op_size,
         )
         values["l1"], values["l2"] = (v.ravel().tolist() for v in norms)
@@ -551,8 +547,8 @@ class BaselineBundle:
                 for name in ("wmi", "rbi", "l1", "l2")
             },
             "training_hits": {
-                "split_size": self.training.training_columns[0].split_size,
-                "columns": [list(c.counts) for c in self.training.training_columns],
+                "split_size": self.training.split_size,
+                "columns": self.training.counts.tolist(),
             },
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -563,10 +559,11 @@ class BaselineBundle:
             doc = json.loads(text)
             intervals = doc["intervals"]
             hits = doc["training_hits"]
-            columns = tuple(
-                HitHistogram(tuple(int(c) for c in counts), int(hits["split_size"]))
-                for counts in hits["columns"]
-            )
+            columns = hits["columns"]
+            # np.array reads [true, 1] as int64, so JSON booleans are refused here.
+            if any(type(c) is bool for row in columns for c in row):
+                raise ValueError("training hit counts must be integers, got a boolean")
+            training = HitMatrix(columns, hits["split_size"])
             base = Baselines(
                 l1=tuple(intervals["l1"]),
                 l2=tuple(intervals["l2"]),
@@ -577,7 +574,7 @@ class BaselineBundle:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DetectionError(f"malformed baseline document: {exc}") from exc
-        return cls(baselines=base, training=HitMatrix(columns))
+        return cls(baselines=base, training=training)
 
     def verify(self, ruleset: Ruleset) -> None:
         """Raise ``FingerprintMismatchError`` unless built for ``ruleset``.

@@ -89,13 +89,10 @@ def _run_repetition(
         )
     reports = []
     for source in (in_source, ood_source):
-        unit = [
-            hit_histogram(ruleset, s)
-            for s in operational_splits(source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
-        ]
+        unit = operational_splits(source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
         reports.append(
-            detect_split(training, unit[0], base) if single
-            else detect_group(training, unit, base)
+            detect_split(training, hit_histogram(ruleset, unit[0]), base) if single
+            else detect_group(training, hit_matrix(ruleset, unit), base)
         )
     return reports[0], reports[1]
 

@@ -4,14 +4,15 @@ A split is a bunch of ``n_s`` samples treated as one observation unit. Its
 hit histogram is the per-rule count of samples satisfying each premise,
 scaled by ``n_s``. Counts are stored exactly as integers so that histogram
 values compare exactly (they are integer multiples of ``1/n_s``), which the
-value-frequency metrics rely on. ``HitMatrix.training_counts`` stacks the
-training columns into the (n_tr, n_rules) int64 matrix the metric kernels
-take.
+value-frequency metrics rely on. A ``HitHistogram`` is one (n_rules,) int64
+count vector and a ``HitMatrix`` one (n, n_rules) int64 count matrix, row i
+holding split i; the matrix serves training splits and operational groups
+alike and is the array the metric kernels take. Both hold a read-only copy
+of their counts, checked once on construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,49 +30,60 @@ class Split:
 
     table: DataTable
     origin: str = TRAINING
-    index: int = 0
 
     @property
     def size(self) -> int:
         return self.table.n_rows
 
 
-@dataclass(frozen=True)
-class HitHistogram:
-    """Per-rule hit frequencies of one split, stored as exact counts.
+def _checked_counts(counts, split_size, ndim: int) -> np.ndarray:
+    """A read-only int64 copy of ``counts``: ``ndim`` axes, rows, values in [0, split_size].
 
-    ``values`` are ``counts[i] / split_size``, each in [0, 1]. Multi-hit is
+    ``split_size`` must be an integer (not a bool) of at least 1, and the
+    counts an integer array; float, bool, string and object dtypes are
+    rejected rather than rounded.
+    """
+    if isinstance(split_size, bool) or not isinstance(split_size, (int, np.integer)):
+        raise ValueError(f"split_size must be an integer, got {split_size!r}")
+    if split_size < 1:
+        raise ValueError(f"split_size must be >= 1, got {split_size}")
+    arr = np.array(counts)
+    if arr.ndim != ndim:
+        raise ValueError(f"counts must have {ndim} dimension(s), got shape {arr.shape}")
+    if len(arr) == 0:
+        raise ValueError("counts must have at least one row")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
+    outside = arr[(arr < 0) | (arr > split_size)]
+    if outside.size:
+        raise ValueError(f"count {outside[0]} outside [0, {split_size}]")
+    arr = arr.astype(np.int64, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class HitHistogram:
+    """Per-rule hit counts of one split: a read-only (n_rules,) int64 vector.
+
+    Its values are ``counts / split_size``, each in [0, 1]. Multi-hit is
     allowed: one sample may satisfy several premises, or none, so the values
     need not sum to 1.
     """
 
-    counts: tuple[int, ...]
+    counts: np.ndarray
     split_size: int
-    origin: str = TRAINING
 
     def __post_init__(self) -> None:
-        if self.split_size < 1:
-            raise ValueError(f"split_size must be >= 1, got {self.split_size}")
-        for i, c in enumerate(self.counts):
-            if not (0 <= c <= self.split_size):
-                raise ValueError(
-                    f"count {c} for rule {i + 1} outside [0, {self.split_size}]"
-                )
+        object.__setattr__(self, "counts", _checked_counts(self.counts, self.split_size, 1))
+        object.__setattr__(self, "split_size", int(self.split_size))
 
     @property
     def n_rules(self) -> int:
         return len(self.counts)
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        arr = np.asarray(self.counts, dtype=np.float64) / self.split_size
-        arr.setflags(write=False)
-        return arr
-
     @classmethod
-    def from_values(
-        cls, values: Sequence[float], split_size: int, origin: str = TRAINING
-    ) -> "HitHistogram":
+    def from_values(cls, values: Sequence[float], split_size: int) -> "HitHistogram":
         """Build from real-valued frequencies that must be exact multiples of 1/split_size."""
         counts = []
         for v in values:
@@ -81,61 +93,34 @@ class HitHistogram:
                     f"value {v} is not an integer multiple of 1/{split_size}"
                 )
             counts.append(int(c))
-        return cls(tuple(counts), split_size, origin)
+        return cls(counts, split_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HitMatrix:
-    """Histogram columns of the training splits, sharing one split size."""
+    """Hit counts of splits sharing one split size: a read-only (n, n_rules) int64 matrix.
 
-    training_columns: tuple[HitHistogram, ...]
+    Row i holds split i's counts. It holds the training splits of a
+    baseline and the members of an operational group alike.
+    """
+
+    counts: np.ndarray
+    split_size: int
 
     def __post_init__(self) -> None:
-        if not self.training_columns:
-            raise ValueError("hit matrix requires at least one training column")
-        n_r = self.training_columns[0].n_rules
-        for col in self.training_columns:
-            if col.n_rules != n_r:
-                raise ValueError(
-                    f"histogram with {col.n_rules} rules in a matrix of {n_r}"
-                )
-        sizes = {col.split_size for col in self.training_columns}
-        if len(sizes) > 1:
-            raise ValueError(f"training columns have split sizes {sorted(sizes)}; need one")
+        object.__setattr__(self, "counts", _checked_counts(self.counts, self.split_size, 2))
+        object.__setattr__(self, "split_size", int(self.split_size))
 
     @property
     def n_rules(self) -> int:
-        return self.training_columns[0].n_rules
+        return self.counts.shape[1]
 
     @property
-    def n_training(self) -> int:
-        return len(self.training_columns)
-
-    @property
-    def split_size(self) -> int:
-        """The split size shared by every training column."""
-        return self.training_columns[0].split_size
-
-    @cached_property
-    def training_counts(self) -> np.ndarray:
-        """Read-only (n_tr, n_rules) int64 matrix of the training counts."""
-        return count_matrix(self.training_columns)
+    def n_splits(self) -> int:
+        return self.counts.shape[0]
 
 
-def count_matrix(columns: Sequence[HitHistogram]) -> np.ndarray:
-    """Read-only (n_cols, n_rules) int64 matrix of the histograms' counts."""
-    counts = np.array([col.counts for col in columns], dtype=np.int64)
-    counts.setflags(write=False)
-    return counts
-
-
-def make_splits(
-    dataset: DataTable,
-    n_s: int,
-    n_splits: int,
-    seed: int,
-    origin: str = TRAINING,
-) -> list[Split]:
+def make_splits(dataset: DataTable, n_s: int, n_splits: int, seed: int) -> list[Split]:
     """Draw ``n_splits`` pairwise-disjoint splits of exactly ``n_s`` rows.
 
     Rows are assigned by a seeded shuffle followed by partition, so splits
@@ -150,11 +135,7 @@ def make_splits(
         )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n_rows)
-    splits = []
-    for i in range(n_splits):
-        idx = perm[i * n_s : (i + 1) * n_s]
-        splits.append(Split(dataset.take(idx), origin=origin, index=i))
-    return splits
+    return [Split(dataset.take(perm[i * n_s : (i + 1) * n_s])) for i in range(n_splits)]
 
 
 def operational_splits(table: DataTable, n_s: int, count: int) -> list[Split]:
@@ -165,18 +146,24 @@ def operational_splits(table: DataTable, n_s: int, count: int) -> list[Split]:
             f"need {n_s * count} ({count} splits of {n_s})"
         )
     return [
-        Split(table.take(np.arange(i * n_s, (i + 1) * n_s)), origin=OPERATIONAL, index=i)
+        Split(table.take(np.arange(i * n_s, (i + 1) * n_s)), origin=OPERATIONAL)
         for i in range(count)
     ]
 
 
+def _split_counts(ruleset: Ruleset, split: Split) -> np.ndarray:
+    """Per rule, how many of the split's samples satisfy the premise."""
+    return ruleset.hit_mask_table(split.table.X, split.table.columns).sum(axis=0)
+
+
 def hit_histogram(ruleset: Ruleset, split: Split) -> HitHistogram:
-    """Count, per rule, how many split samples satisfy the premise."""
-    mask = ruleset.hit_mask_table(split.table.X, split.table.columns)
-    counts = tuple(int(c) for c in mask.sum(axis=0))
-    return HitHistogram(counts, split.size, origin=split.origin)
+    """The hit histogram of one split."""
+    return HitHistogram(_split_counts(ruleset, split), split.size)
 
 
-def hit_matrix(ruleset: Ruleset, training: Sequence[Split]) -> HitMatrix:
-    """Histogram every training split, in order."""
-    return HitMatrix(tuple(hit_histogram(ruleset, s) for s in training))
+def hit_matrix(ruleset: Ruleset, splits: Sequence[Split]) -> HitMatrix:
+    """The hit counts of splits of one size, one row per split, in order."""
+    sizes = {s.size for s in splits}
+    if len(sizes) != 1:
+        raise ValueError(f"hit matrix needs one split size, got split sizes {sorted(sizes)}")
+    return HitMatrix(np.array([_split_counts(ruleset, s) for s in splits]), splits[0].size)

@@ -310,7 +310,7 @@ def lp_norm(a: HitHistogram, b: HitHistogram, p: int) -> float:
     _check_same_rules(a, b)
     if p not in (1, 2):
         raise MetricError(f"p must be 1 or 2, got {p}")
-    l1, l2 = lp_norms(np.asarray(a.counts), a.split_size, np.asarray(b.counts), b.split_size)
+    l1, l2 = lp_norms(a.counts, a.split_size, b.counts, b.split_size)
     return float(l1 if p == 1 else l2)
 
 
@@ -327,8 +327,7 @@ def mutual_information(a: HitHistogram, b: HitHistogram) -> float:
     the same values in shuffled positions.
     """
     _check_same_rules(a, b)
-    train = np.asarray([a.counts], dtype=np.int64)
-    return float(_information(train, np.asarray(b.counts, dtype=np.int64), np.ones(1))[0])
+    return float(_information(a.counts[None], b.counts, np.ones(1))[0])
 
 
 def weighted_mutual_information(a: HitHistogram, b: HitHistogram) -> float:
@@ -339,7 +338,7 @@ def weighted_mutual_information(a: HitHistogram, b: HitHistogram) -> float:
     value-preserving position shuffles raise the score.
     """
     _check_same_rules(a, b)
-    return float(split_metrics([a.counts], a.split_size, b.counts, b.split_size).wmi[0])
+    return float(split_metrics(a.counts[None], a.split_size, b.counts, b.split_size).wmi[0])
 
 
 # ---------------------------------------------------------------------------

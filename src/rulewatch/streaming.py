@@ -9,7 +9,7 @@ integer state only for the rules whose counts changed since the last tick
 and equals batch ``detect_split`` bit for bit. On top of that sits a
 monitor that reruns detection every push (or every ``detect_stride``
 pushes) and, in group mode, keeps the last ``n_op`` stride-spaced window
-snapshots as the operational group.
+snapshots as the rows of the operational group's ``HitMatrix``.
 
 A separate accumulator provides rolling mean/variance/skewness/kurtosis for
 time-series feature extraction.
@@ -36,7 +36,7 @@ from .detection import (
     detect_group,
     split_report,
 )
-from .histogram import HitHistogram, HitMatrix, OPERATIONAL
+from .histogram import HitHistogram, HitMatrix
 from .metrics import SplitMetrics, SplitScorer
 from .rules import Ruleset, ruleset_hits
 
@@ -107,9 +107,10 @@ class SlidingHitWindow:
         self.last_push_ops = ops
 
     def histogram(self) -> HitHistogram:
+        """The window's counts over its fill; a copy, so later pushes leave it as it is."""
         if self._fill == 0:
             raise StreamStateError("window is empty; no histogram yet")
-        return HitHistogram(tuple(self._counts.tolist()), self._fill, origin=OPERATIONAL)
+        return HitHistogram(self._counts, self._fill)
 
     def scorer(self, training: HitMatrix) -> SplitScorer:
         """The single-split scorer of this window's counts against ``training``.
@@ -120,7 +121,7 @@ class SlidingHitWindow:
         so scoring belongs to the window's single writer; ``training`` is
         only read.
         """
-        counts = training.training_counts
+        counts = training.counts
         if self._scorer is None or self._scorer.train is not counts:
             self._scorer = SplitScorer(counts, training.split_size)
         return self._scorer
@@ -172,11 +173,14 @@ def stream_detect(
     base: Baselines,
     training: HitMatrix,
     mode: str = SINGLE_SPLIT,
-    op_snapshots: Sequence[HitHistogram] | None = None,
+    op_group: HitMatrix | None = None,
     metrics: Sequence[str] | None = None,
     sample_index: int = 0,
 ) -> TickRecord:
-    """Run one detection tick on the current window state."""
+    """Run one detection tick on the current window state.
+
+    Group mode scores ``op_group``, one row per window snapshot.
+    """
     if not window.is_full:
         raise StreamStateError(
             f"window holds {window.fill} of {window.capacity} samples; detection needs a full window"
@@ -186,11 +190,9 @@ def stream_detect(
         check_split_request(training, window.n_rules, base, metrics)
         report = split_report(window.scores(training), base, metrics)
     elif mode == GROUP:
-        if not op_snapshots or len(op_snapshots) < 2:
+        if op_group is None or op_group.n_splits < 2:
             raise StreamStateError("group mode needs at least 2 window snapshots")
-        report = detect_group(
-            training, list(op_snapshots), base, metrics=metrics or GROUP_METRICS
-        )
+        report = detect_group(training, op_group, base, metrics=metrics or GROUP_METRICS)
     else:
         raise DetectionError(f"unknown stream mode {mode!r}")
     return _tick_from_report(report, sample_index)
@@ -200,9 +202,9 @@ class StreamMonitor:
     """Feed samples, get a TickRecord per detection tick.
 
     Single-writer object: one stream pushes; reads happen between pushes.
-    In group mode the operational group is the window state captured every
-    ``snapshot_stride`` pushes (default capacity // n_op), and ticks start
-    once ``n_op`` snapshots exist.
+    In group mode the operational group is the window counts captured every
+    ``snapshot_stride`` pushes (default capacity // n_op), one row each,
+    and ticks start once ``n_op`` snapshots exist.
     """
 
     def __init__(
@@ -245,7 +247,7 @@ class StreamMonitor:
             if self.n_op < 2:
                 raise DetectionError("group streaming needs n_op >= 2")
             self.snapshot_stride = snapshot_stride or max(capacity // self.n_op, 1)
-            self._snapshots: deque[HitHistogram] = deque(maxlen=self.n_op)
+            self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
         else:
             self.n_op = 1
             self.snapshot_stride = 0
@@ -263,17 +265,20 @@ class StreamMonitor:
         if not self.window.is_full:
             return None
         if self.mode == GROUP and self._pushes % self.snapshot_stride == 0:
-            self._snapshots.append(self.window.histogram())
+            self._snapshots.append(self.window.histogram().counts)
         if (self._pushes - self.window.capacity) % self.detect_stride != 0:
             return None
         if self.mode == GROUP and len(self._snapshots) < self.n_op:
             return None
+        op_group = (
+            HitMatrix(list(self._snapshots), self.window.capacity) if self.mode == GROUP else None
+        )
         return stream_detect(
             self.window,
             self.base,
             self.training,
             mode=self.mode,
-            op_snapshots=list(self._snapshots) if self.mode == GROUP else None,
+            op_group=op_group,
             metrics=self.metrics,
             sample_index=index,
         )

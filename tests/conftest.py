@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rulewatch import HitHistogram, parse_ruleset
+from rulewatch import HitHistogram, HitMatrix, parse_ruleset
 
 
 @pytest.fixture
@@ -20,3 +20,15 @@ def rng():
 def random_histogram(rng, n_rules, split_size):
     counts = tuple(int(c) for c in rng.integers(0, split_size + 1, n_rules))
     return HitHistogram(counts, split_size)
+
+
+def stack(histograms):
+    """The ``HitMatrix`` whose rows are the counts of ``histograms``, in order."""
+    sizes = {h.split_size for h in histograms}
+    assert len(sizes) == 1, sizes
+    return HitMatrix(np.array([h.counts for h in histograms]), sizes.pop())
+
+
+def histograms(matrix):
+    """The rows of ``matrix`` as histograms, in order."""
+    return [HitHistogram(row, matrix.split_size) for row in matrix.counts]

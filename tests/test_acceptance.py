@@ -16,7 +16,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from rulewatch import (
     DataTable,
     HitHistogram,
-    HitMatrix,
     MomentAccumulator,
     SlidingHitWindow,
     alpha_weight,
@@ -38,6 +37,7 @@ from rulewatch.eval import run_eval
 from rulewatch.histogram import Split
 from rulewatch.streaming import StreamMonitor, stream_detect
 from rulewatch.synth import GaussianMixtureSource, RuleAlignedSource
+from tests.conftest import stack
 
 
 @contextmanager
@@ -100,7 +100,7 @@ def test_criterion_2_metric_axioms_randomized():
                 dab = lp_norm(a, b, p)
                 assert dab == lp_norm(b, a, p)
                 assert dab >= 0.0
-                assert (dab == 0.0) == (a.counts == b.counts)
+                assert (dab == 0.0) == (a.counts.tolist() == b.counts.tolist())
                 assert lp_norm(a, a, p) == 0.0
                 assert lp_norm(a, c, p) <= dab + lp_norm(b, c, p) + 1e-12
 
@@ -145,7 +145,7 @@ def test_criterion_3_streaming_oracle_equivalence():
                 batch_hist = hit_histogram(
                     STREAM_RULES, Split(DataTable(STREAM_COLUMNS, ring.copy()))
                 )
-                assert window.histogram().counts == batch_hist.counts  # integer-exact
+                assert np.array_equal(window.histogram().counts, batch_hist.counts)  # integer-exact
                 tick = stream_detect(window, base, matrix, sample_index=i)
                 batch = detect_split(matrix, batch_hist, base)
                 assert tick.verdict == batch.verdict
@@ -159,18 +159,18 @@ def test_criterion_4_rbi_identity_limits():
         draw = lambda: HitHistogram(tuple(int(c) for c in rng.integers(10, 31, 3)), n_s)
         tr1 = [draw() for _ in range(5)]
         tr2 = [draw() for _ in range(4)]
-        training = HitMatrix(tuple(tr1 + tr2))
+        training = stack(tuple(tr1 + tr2))
         base = group_baseline(training, 3)
         for m in range(len(tr2)):
             fold = [tr2[i] for i in range(len(tr2)) if i != m]
-            report = detect_group(training, fold, base)
+            report = detect_group(training, stack(fold), base)
             value = report.per_metric["rbi"].values[0]
             assert base.rbi[0] <= value <= base.rbi[1]  # exact fold membership
 
         h = HitHistogram((12, 20, 5), n_s)
-        degenerate = group_baseline(HitMatrix((h,) * 6), 2)
+        degenerate = group_baseline(stack((h,) * 6), 2)
         assert degenerate.rbi == (1.0, 1.0)
-        report = detect_group(HitMatrix((h,) * 6), [h, h], degenerate)
+        report = detect_group(stack((h,) * 6), stack([h, h]), degenerate)
         assert report.per_metric["rbi"].values[0] == 1.0
         assert not report.per_metric["rbi"].flag
 

@@ -149,6 +149,22 @@ def test_detect_fingerprint_mismatch_exit_2(workdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["detect", "stream"])
+def test_baseline_with_a_fractional_count_exits_1(workdir, capsys, command):
+    main(_baseline_args(workdir))
+    doc = json.loads((workdir / "base.json").read_text())
+    doc["training_hits"]["columns"][0][0] += 0.9  # used to load truncated
+    (workdir / "base.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main([
+        command, str(workdir / "op_in.csv"),
+        "--rules", str(workdir / "rules.txt"),
+        "--baseline", str(workdir / "base.json"),
+    ])
+    assert rc == 1
+    assert "malformed baseline document" in capsys.readouterr().err
+
+
 def test_detect_csv_format(workdir, capsys):
     main(_baseline_args(workdir))
     capsys.readouterr()

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from rulewatch import (
     BaselineBundle,
     Baselines,
+    DataTable,
     DetectionError,
     FingerprintMismatchError,
     HitHistogram,
-    HitMatrix,
+    Split,
     compute_fingerprint,
     detect_group,
     detect_split,
     group_baseline,
+    hit_matrix,
     parse_ruleset,
     single_split_baseline,
     strict_majority,
@@ -35,13 +37,13 @@ from rulewatch.detection import (
     calibrated_rbi_interval,
 )
 from rulewatch.metrics import lp_norm
-from tests.conftest import random_histogram
+from tests.conftest import histograms, random_histogram, stack
 from tests.test_metrics import oracle_fit, oracle_rbi
 
 
 def _matrix(rng, n_tr=6, n_rules=4, n_s=50):
     cols = tuple(random_histogram(rng, n_rules, n_s) for _ in range(n_tr))
-    return HitMatrix(cols)
+    return stack(cols)
 
 
 # -- majority ----------------------------------------------------------------
@@ -122,7 +124,7 @@ def test_metric_report_matches_scalar_oracle(bounds, values):
 
 def test_baseline_identical_histograms_zero_intervals():
     h = HitHistogram((3, 5, 7), 10)
-    base = single_split_baseline(HitMatrix((h, h, h)))
+    base = single_split_baseline(stack((h, h, h)))
     assert base.wmi == (0.0, 0.0)
     assert base.l1 == (0.0, 0.0)
     assert base.l2 == (0.0, 0.0)
@@ -131,7 +133,7 @@ def test_baseline_identical_histograms_zero_intervals():
 def test_baseline_matches_explicit_pair_loop(rng):
     m = _matrix(rng, n_tr=3)
     base = single_split_baseline(m)
-    cols = m.training_columns
+    cols = histograms(m)
     for name, fn in (
         ("wmi", weighted_mutual_information),
         ("l1", lambda a, b: lp_norm(a, b, 1)),
@@ -154,7 +156,7 @@ def test_detect_split_reports_python_floats(rng):
 def test_baseline_needs_two_columns():
     h = HitHistogram((1,), 4)
     with pytest.raises(DetectionError):
-        single_split_baseline(HitMatrix((h,)))
+        single_split_baseline(stack((h,)))
 
 
 # -- single-split detection ----------------------------------------------------
@@ -162,7 +164,7 @@ def test_baseline_needs_two_columns():
 def test_detect_training_column_is_in_distribution(rng):
     m = _matrix(rng, n_tr=6)
     base = single_split_baseline(m)
-    for col in m.training_columns:
+    for col in histograms(m):
         report = detect_split(m, col, base)
         assert report.verdict == IN_DISTRIBUTION
 
@@ -173,7 +175,7 @@ def test_detect_far_shift_flags_everything(rng):
         HitHistogram(tuple(int(c) for c in rng.integers(20, 26, 4)), n_s)
         for _ in range(6)
     )
-    m = HitMatrix(cols)
+    m = stack(cols)
     base = single_split_baseline(m)
     far = HitHistogram((0, 0, 50, 50), n_s)
     report = detect_split(m, far, base)
@@ -187,7 +189,7 @@ def test_detect_exact_tie_keeps_flag_off():
     # outside for the other: 1 of 2 votes = no strict majority.
     t1 = HitHistogram((10, 10), 20)
     t2 = HitHistogram((12, 12), 20)
-    m = HitMatrix((t1, t2))
+    m = stack((t1, t2))
     base = single_split_baseline(m)
     assert base.l1 == (0.2, 0.2)
     op = HitHistogram((14, 14), 20)  # l1: 0.4 from t1 (out), 0.2 from t2 (in)
@@ -200,7 +202,7 @@ def test_detect_exact_tie_keeps_flag_off():
 
 def test_detect_checks_structure(rng):
     m = _matrix(rng)
-    base = single_split_baseline(m, config={"n_rules": m.n_rules, "n_tr": m.n_training})
+    base = single_split_baseline(m, config={"n_rules": m.n_rules, "n_tr": m.n_splits})
     other = _matrix(rng, n_rules=5)
     with pytest.raises(FingerprintMismatchError):
         detect_split(other, random_histogram(rng, 5, 50), base)
@@ -220,26 +222,26 @@ def test_verdict_monotone_under_extra_flag(rng):
 
 def test_group_config_validation(rng):
     cols = tuple(random_histogram(rng, 2, 20) for _ in range(20))
-    assert group_baseline(HitMatrix(cols), 10).config["k"] == 9
+    assert group_baseline(stack(cols), 10).config["k"] == 9
     with pytest.raises(DetectionError, match=r"k = n_tr - n_op - 1 >= 2, got -6"):
-        group_baseline(HitMatrix(cols[:5]), 10)
+        group_baseline(stack(cols[:5]), 10)
     with pytest.raises(DetectionError, match="n_op >= 2, got 1"):
-        group_baseline(HitMatrix(cols), 1)
+        group_baseline(stack(cols), 1)
 
 
 def test_builders_overwrite_a_conflicting_partition_in_config(rng):
-    m9 = HitMatrix(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
+    m9 = stack(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
     single = single_split_baseline(m9, config={"n_s": 40, "n_tr": 3, "n_rules": 7})
     assert single.config == {"n_s": 40, "n_tr": 9, "n_rules": 4}
-    detect_split(m9, m9.training_columns[0], single)  # its own matrix is compatible
+    detect_split(m9, histograms(m9)[0], single)  # its own matrix is compatible
     group = group_baseline(m9, 3, config={"n_s": 40, "k": 2, "n_tr": 5, "sigma_floor": 0.5})
     assert (group.config["k"], group.config["n_tr"], group.config["n_rules"]) == (5, 9, 4)
     assert group.config["sigma_floor"] == 1e-6  # the floor the envelope was fitted with
-    detect_group(m9, list(m9.training_columns[6:]), group)
+    detect_group(m9, stack(histograms(m9)[6:]), group)
 
 
 def test_group_baseline_rejects_a_conflicting_n_op_in_config(rng):
-    m9 = HitMatrix(tuple(random_histogram(rng, 4, 20) for _ in range(9)))
+    m9 = stack(tuple(random_histogram(rng, 4, 20) for _ in range(9)))
     with pytest.raises(DetectionError, match="n_op 5.*n_op 3"):
         group_baseline(m9, 3, config={"n_s": 20, "n_op": 5})
     assert group_baseline(m9, 3, config={"n_s": 20, "n_op": 3}).config["n_op"] == 3
@@ -247,7 +249,7 @@ def test_group_baseline_rejects_a_conflicting_n_op_in_config(rng):
 
 def test_group_baseline_identical_histograms_is_unit_interval():
     h = HitHistogram((3, 6), 10)
-    base = group_baseline(HitMatrix((h,) * 6), 2)
+    base = group_baseline(stack((h,) * 6), 2)
     assert base.rbi == (1.0, 1.0)
     assert base.l1 == (0.0, 0.0)
 
@@ -257,11 +259,13 @@ def test_group_baseline_matches_hand_loo_oracle(rng):
     # ROTATIONS seeded partitions of all 6 columns into 3 reference + 2 group
     tr1 = [random_histogram(rng, 2, 30) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 30) for _ in range(3)]
-    base = group_baseline(HitMatrix(tuple(tr1 + tr2)), 2, sigma_floor=1e-6)
+    base = group_baseline(stack(tuple(tr1 + tr2)), 2, sigma_floor=1e-6)
 
     def rbi(group, ref):
-        rows = [h.values.tolist() for h in group]
-        return oracle_rbi(rows, oracle_fit(rows), oracle_fit([h.values.tolist() for h in ref]))
+        rows = [(h.counts / h.split_size).tolist() for h in group]
+        return oracle_rbi(
+            rows, oracle_fit(rows), oracle_fit([(h.counts / h.split_size).tolist() for h in ref])
+        )
 
     loo = [rbi([tr2[i] for i in range(3) if i != m], tr1) for m in range(3)]
     columns = tr1 + tr2
@@ -281,35 +285,35 @@ def test_group_baseline_matches_hand_loo_oracle(rng):
 def test_detect_group_rbi_equals_loo_row_bit_for_bit(rng):
     tr1 = [random_histogram(rng, 4, 40) for _ in range(5)]
     tr2 = [random_histogram(rng, 4, 40) for _ in range(4)]
-    training = HitMatrix(tuple(tr1 + tr2))
+    training = stack(tuple(tr1 + tr2))
     base = group_baseline(training, 3)
-    loo, _ = _calibration_scores(training.training_counts / 40, len(tr1), 1e-6)
+    loo, _ = _calibration_scores(training.counts / 40, len(tr1), 1e-6)
     for m in range(len(tr2)):
         fold = [tr2[i] for i in range(len(tr2)) if i != m]
-        report = detect_group(training, fold, base)
+        report = detect_group(training, stack(fold), base)
         assert report.per_metric["rbi"].values[0] == loo[m]
 
 
 def test_reloaded_bundle_scores_every_loo_fold_bit_for_bit(rng):
-    training = HitMatrix(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
+    training = stack(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
     built = BaselineBundle(group_baseline(training, 3, config={"n_op": 3}), training)
     bundle = BaselineBundle.from_document(built.to_document())
     k = bundle.baselines.config["k"]
     assert k == 5
-    loo, _ = _calibration_scores(training.training_counts / 40, k, 1e-6)
-    tr2 = bundle.training.training_columns[k:]
+    loo, _ = _calibration_scores(training.counts / 40, k, 1e-6)
+    tr2 = histograms(bundle.training)[k:]
     for m in range(len(tr2)):
         fold = [h for i, h in enumerate(tr2) if i != m]
-        report = detect_group(bundle.training, fold, bundle.baselines)
+        report = detect_group(bundle.training, stack(fold), bundle.baselines)
         assert report.per_metric["rbi"].values[0] == loo[m]
         assert not report.per_metric["rbi"].flag
 
 
 def test_detect_group_rejects_single_split_baseline(rng):
-    training = HitMatrix(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
     base = single_split_baseline(training)
     with pytest.raises(DetectionError, match="reference partition"):
-        detect_group(training, list(training.training_columns[:3]), base)
+        detect_group(training, stack(histograms(training)[:3]), base)
 
 
 def test_calibrated_rbi_interval_pools_three_sets():
@@ -341,28 +345,28 @@ def test_calibrated_rbi_interval_skips_scaled_set_on_degenerate_loo_median():
 def test_group_baseline_size_guards(rng):
     h = [random_histogram(rng, 2, 20) for _ in range(6)]
     with pytest.raises(DetectionError):
-        group_baseline(HitMatrix(tuple(h[:4])), 2)  # k = 1
+        group_baseline(stack(tuple(h[:4])), 2)  # k = 1
     with pytest.raises(DetectionError):
-        group_baseline(HitMatrix(tuple(h[:4])), 1)
+        group_baseline(stack(tuple(h[:4])), 1)
 
 
 def test_detect_group_identical_to_reference(rng):
     tr1 = [random_histogram(rng, 3, 40) for _ in range(4)]
     tr2 = [random_histogram(rng, 3, 40) for _ in range(4)]
-    training = HitMatrix(tuple(tr1 + tr2))
+    training = stack(tuple(tr1 + tr2))
     base = group_baseline(training, 3)
-    report = detect_group(training, list(tr1), base)
+    report = detect_group(training, stack(tr1), base)
     assert report.per_metric["rbi"].values[0] == 1.0
 
 
 def test_detect_group_fold_membership_exact(rng):
     tr1 = [random_histogram(rng, 3, 40) for _ in range(5)]
     tr2 = [random_histogram(rng, 3, 40) for _ in range(4)]
-    training = HitMatrix(tuple(tr1 + tr2))
+    training = stack(tuple(tr1 + tr2))
     base = group_baseline(training, 3)
     # op group identical to the fold TR2 minus member 1
     fold = [tr2[i] for i in range(4) if i != 1]
-    report = detect_group(training, fold, base)
+    report = detect_group(training, stack(fold), base)
     value = report.per_metric["rbi"].values[0]
     assert base.rbi[0] <= value <= base.rbi[1]
     assert report.per_metric["rbi"].flag is False
@@ -374,11 +378,11 @@ def test_detect_group_far_shift_is_ood(rng):
         HitHistogram(tuple(int(c) for c in rng.integers(45, 56, 3)), n_s)
         for _ in range(9)
     ]
-    training = HitMatrix(tuple(tr))
+    training = stack(tuple(tr))
     base = group_baseline(training, 3)
     op = [HitHistogram((0, 99, 1), n_s), HitHistogram((1, 100, 0), n_s),
           HitHistogram((0, 100, 2), n_s)]
-    report = detect_group(training, op, base)
+    report = detect_group(training, stack(op), base)
     assert report.verdict == OUT_OF_DISTRIBUTION
     rbi_value = report.per_metric["rbi"].values[0]
     assert rbi_value < base.rbi[0]
@@ -389,9 +393,9 @@ def test_group_norms_match_explicit_pair_loops(rng):
     tr1 = [random_histogram(rng, 4, 30) for _ in range(4)]
     tr2 = [random_histogram(rng, 4, 30) for _ in range(4)]
     cols = tr1 + tr2
-    base = group_baseline(HitMatrix(tuple(cols)), 3)
+    base = group_baseline(stack(tuple(cols)), 3)
     op = [random_histogram(rng, 4, 30) for _ in range(3)]
-    report = detect_group(HitMatrix(tuple(cols)), op, base)
+    report = detect_group(stack(tuple(cols)), stack(op), base)
     for name, p in (("l1", 1), ("l2", 2)):
         pairs = [lp_norm(a, b, p) for a, b in itertools.combinations(cols, 2)]
         assert base.interval(name) == (min(pairs), max(pairs))
@@ -403,19 +407,21 @@ def test_group_norms_match_explicit_pair_loops(rng):
 def test_detect_group_rejects_mixed_member_split_sizes(rng):
     tr1 = [random_histogram(rng, 2, 20) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 20) for _ in range(3)]
-    training = HitMatrix(tuple(tr1 + tr2))
+    training = stack(tuple(tr1 + tr2))
     base = group_baseline(training, 2)
-    with pytest.raises(DetectionError, match="split sizes"):
-        detect_group(training, [tr2[0], HitHistogram((1, 2), 40)], base)
+    rs = parse_ruleset("if x1 <= 0.5 then a\nif x1 > 0.5 then b\n")
+    splits = [Split(DataTable(("x1",), rng.random((n, 1)))) for n in (20, 40)]
+    with pytest.raises(ValueError, match="split sizes"):
+        detect_group(training, hit_matrix(rs, splits), base)
 
 
 def test_detect_group_requires_two_members(rng):
     tr1 = [random_histogram(rng, 2, 20) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 20) for _ in range(3)]
-    training = HitMatrix(tuple(tr1 + tr2))
+    training = stack(tuple(tr1 + tr2))
     base = group_baseline(training, 2)
     with pytest.raises(DetectionError):
-        detect_group(training, [tr2[0]], base)
+        detect_group(training, stack([tr2[0]]), base)
 
 
 # -- reports and persistence ---------------------------------------------------
@@ -423,7 +429,7 @@ def test_detect_group_requires_two_members(rng):
 def test_report_document_shape(rng):
     m = _matrix(rng)
     base = single_split_baseline(m)
-    report = detect_split(m, m.training_columns[0], base)
+    report = detect_split(m, histograms(m)[0], base)
     doc = json.loads(report.to_document())
     assert doc["mode"] == "single-split"
     assert doc["verdict"] in (IN_DISTRIBUTION, OUT_OF_DISTRIBUTION)
@@ -433,7 +439,7 @@ def test_report_document_shape(rng):
             "values", "flag", "votes_out", "votes_total",
             "normalized_distance", "baseline",
         }
-        assert len(entry["values"]) == m.n_training
+        assert len(entry["values"]) == m.n_splits
 
 
 def test_bundle_round_trip(rng):
@@ -445,7 +451,8 @@ def test_bundle_round_trip(rng):
     text = bundle.to_document()
     loaded = BaselineBundle.from_document(text)
     assert loaded.baselines == bundle.baselines
-    assert loaded.training.training_columns == m.training_columns
+    assert loaded.training.counts.tolist() == m.counts.tolist()
+    assert loaded.training.split_size == m.split_size
     assert loaded.to_document() == text  # byte-stable round trip
 
 
@@ -466,6 +473,32 @@ def test_bundle_rejects_garbage():
         BaselineBundle.from_document("{}")
     with pytest.raises(DetectionError):
         BaselineBundle.from_document("not json")
+
+
+def _set_count(value):
+    def edit(hits):
+        hits["columns"][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_count(1.9),
+        _set_count(True),
+        _set_count("2"),
+        lambda hits: hits.update(split_size=4.7),
+        lambda hits: hits.update(columns=[[True, 1]]),
+    ],
+    ids=["float-count", "bool-count", "string-count", "float-split-size", "bool-in-int-row"],
+)
+def test_bundle_rejects_non_integer_counts(rng, edit):
+    # Each of these used to load truncated (1.9 -> 1, true -> 1, "2" -> 2, 4.7 -> 4).
+    m = _matrix(rng)
+    doc = json.loads(BaselineBundle(single_split_baseline(m), m).to_document())
+    edit(doc["training_hits"])
+    with pytest.raises(DetectionError, match="malformed baseline document"):
+        BaselineBundle.from_document(json.dumps(doc))
 
 
 def test_fingerprint_binds_ruleset_and_config():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rulewatch import (
     DataTable,
@@ -48,8 +51,8 @@ def test_hit_histogram_counts():
     rs = parse_ruleset("if x1 <= 0.5 then a\nif x1 > 10 then b\n")
     split = Split(_table([[0.1, 0], [0.2, 0], [0.3, 0], [0.9, 0]]))
     h = hit_histogram(rs, split)
-    assert h.counts == (3, 0)
-    assert h.values.tolist() == [0.75, 0.0]
+    assert h.counts.tolist() == [3, 0]
+    assert (h.counts / h.split_size).tolist() == [0.75, 0.0]
     assert h.split_size == 4
 
 
@@ -74,7 +77,7 @@ def test_hit_histogram_matches_double_loop(rng):
 
 def test_histogram_values_are_scaled_counts(rng):
     h = HitHistogram((0, 3, 7), split_size=7)
-    assert np.allclose(h.values, [0, 3 / 7, 1.0])
+    assert np.allclose(h.counts / h.split_size, [0, 3 / 7, 1.0])
     total = sum(h.counts)
     assert 0 <= total <= h.n_rules * h.split_size
 
@@ -95,7 +98,7 @@ def test_sample_order_invariance(rng):
     X = rng.normal(0, 1, size=(30, 2))
     h1 = hit_histogram(rs, Split(_table(X)))
     h2 = hit_histogram(rs, Split(_table(X[rng.permutation(30)])))
-    assert h1.counts == h2.counts
+    assert h1.counts.tolist() == h2.counts.tolist()
 
 
 def test_concatenation_averages_histograms(rng):
@@ -105,7 +108,8 @@ def test_concatenation_averages_histograms(rng):
     ha = hit_histogram(rs, Split(_table(Xa)))
     hb = hit_histogram(rs, Split(_table(Xb)))
     hcat = hit_histogram(rs, Split(_table(np.vstack([Xa, Xb]))))
-    assert np.allclose(hcat.values, (ha.values + hb.values) / 2)
+    values = [h.counts / h.split_size for h in (hcat, ha, hb)]
+    assert np.allclose(values[0], (values[1] + values[2]) / 2)
 
 
 def test_hit_matrix_shapes(rng):
@@ -113,31 +117,94 @@ def test_hit_matrix_shapes(rng):
     table = _table(rng.normal(0, 1, size=(60, 2)))
     tr = make_splits(table, n_s=10, n_splits=4, seed=1)
     m = hit_matrix(rs, tr)
-    assert m.n_training == 4
+    assert m.n_splits == 4
     assert m.n_rules == 2
 
 
 def test_hit_matrix_requires_training():
     with pytest.raises(ValueError):
-        HitMatrix(())
+        HitMatrix(np.zeros((0, 2), dtype=np.int64), 4)
 
 
 def test_hit_matrix_rejects_mixed_rule_counts():
-    a = HitHistogram((1, 2), 4)
-    b = HitHistogram((1,), 4)
     with pytest.raises(ValueError):
-        HitMatrix((a, b))
+        HitMatrix([[1, 2], [1]], 4)
 
 
 def test_hit_matrix_rejects_mixed_training_split_sizes():
+    rs = parse_ruleset("if x1 <= 0 then a\nif x2 > 0 then b\n")
+    splits = [Split(_table([[0, 0]] * 4)), Split(_table([[0, 0]] * 5))]
     with pytest.raises(ValueError, match="split sizes"):
-        HitMatrix((HitHistogram((1, 2), 4), HitHistogram((1, 2), 5)))
+        hit_matrix(rs, splits)
 
 
 def test_hit_matrix_training_counts():
-    m = HitMatrix((HitHistogram((1, 2), 4), HitHistogram((3, 0), 4)))
-    counts = m.training_counts
+    m = HitMatrix(np.array([[1, 2], [3, 0]]), 4)
+    counts = m.counts
     assert counts.dtype == np.int64
     assert counts.tolist() == [[1, 2], [3, 0]]
     assert not counts.flags.writeable
-    assert m.training_counts is counts
+    assert m.counts is counts
+
+
+# -- the count checker shared by HitHistogram and HitMatrix -------------------
+
+@st.composite
+def count_arrays(draw):
+    """(counts, split_size): a 1-d or 2-d integer array of any integer dtype in range."""
+    split_size = draw(st.integers(1, 60))
+    ndim = draw(st.sampled_from([1, 2]))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=6))
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint64]))
+    counts = draw(hnp.arrays(dtype, shape, elements=st.integers(0, split_size)))
+    return counts, split_size
+
+
+def _count_type(counts):
+    return HitHistogram if np.ndim(counts) == 1 else HitMatrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_arrays(), st.booleans())
+def test_count_types_hold_a_read_only_int64_copy(case, as_list):
+    counts, split_size = case
+    source = counts.tolist() if as_list else counts.copy()
+    held = _count_type(counts)(source, split_size)
+    assert held.counts.dtype == np.int64
+    assert held.counts.tolist() == counts.tolist()
+    assert held.split_size == split_size and type(held.split_size) is int
+    assert not held.counts.flags.writeable
+    if not as_list:
+        assert not np.shares_memory(held.counts, source)
+        source += 1  # writing to the source afterwards leaves the copy as it was
+    assert held.counts.tolist() == counts.tolist()
+
+
+_BAD_COUNTS = ("above", "below", "float", "bool", "ndim", "no rows", "split size")
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_arrays(), st.sampled_from(_BAD_COUNTS), st.data())
+def test_count_types_reject_bad_counts(case, kind, data):
+    counts, split_size = case
+    cls = _count_type(counts)
+    counts = counts.astype(np.int64)
+    where = tuple(data.draw(st.integers(0, n - 1)) for n in counts.shape)
+    if kind == "above":
+        counts[where] = split_size + data.draw(st.integers(1, 10))
+    elif kind == "below":
+        counts[where] = -data.draw(st.integers(1, 10))
+    elif kind == "float":
+        counts = counts.astype(np.float64)
+    elif kind == "bool":
+        counts = counts > 0
+    elif kind == "ndim":
+        counts = data.draw(st.sampled_from([counts[None], counts[(0,) * counts.ndim]]))
+    elif kind == "no rows":
+        counts = counts[:0]
+    else:
+        split_size = data.draw(
+            st.sampled_from([0, -3, 4.7, np.float64(4.0), True, "4", None])
+        )
+    with pytest.raises(ValueError):
+        cls(counts, split_size)

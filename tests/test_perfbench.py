@@ -12,12 +12,12 @@ import pytest
 
 from rulewatch import (
     HitHistogram,
-    HitMatrix,
     SlidingHitWindow,
     detect_group,
     group_baseline,
     parse_ruleset,
 )
+from tests.conftest import stack
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,12 +59,12 @@ def test_window_push_is_traced_as_rule_evaluation():
 
 def test_detect_group_is_traced_as_bank_fits_and_rbi():
     tr = [HitHistogram((i, 10 - i, 3 + i % 2), 10) for i in range(1, 9)]
-    training = HitMatrix(tuple(tr))
+    training = stack(tr)
     base = group_baseline(training, 3)
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
-        detect_group(training, tr[5:], base)
+        detect_group(training, stack(tr[5:]), base)
     finally:
         tracer.uninstall()
     assert tracer.stats["metrics.fit_bank"].calls >= 1

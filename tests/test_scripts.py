@@ -6,6 +6,7 @@ change to the library API the scripts import fails here.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,17 @@ def test_run_drift_onset(tmp_path):
         assert r[2] == "wmi"
         assert float(r[4]) <= float(r[5])
         assert r[6] in ("0", "1")
+
+
+def test_readme_library_snippets_run(tmp_path):
+    # The python blocks under "## Library" run as written, in order, in one process.
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 2
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(blocks)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

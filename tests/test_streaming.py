@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rulewatch import (
-    HitMatrix,
     InsufficientSamplesError,
     MissingFeatureError,
     MomentAccumulator,
@@ -13,14 +12,16 @@ from rulewatch import (
     StreamMonitor,
     StreamStateError,
     WindowSizeMismatchWarning,
+    detect_group,
     detect_split,
+    group_baseline,
     parse_ruleset,
     single_split_baseline,
     stream_detect,
 )
 from rulewatch.data import DataTable
-from rulewatch.histogram import Split, hit_histogram
-from tests.conftest import random_histogram
+from rulewatch.histogram import Split, hit_histogram, hit_matrix
+from tests.conftest import random_histogram, stack
 
 RULES = parse_ruleset(
     "if x1 <= 0.5 then a\n"
@@ -33,9 +34,12 @@ def _record(rng):
     return {"x1": float(rng.random()), "x2": float(rng.random())}
 
 
+def _split(samples):
+    return Split(DataTable(("x1", "x2"), np.array([[s["x1"], s["x2"]] for s in samples])))
+
+
 def _batch_histogram(samples):
-    X = np.array([[s["x1"], s["x2"]] for s in samples])
-    return hit_histogram(RULES, Split(DataTable(("x1", "x2"), X)))
+    return hit_histogram(RULES, _split(samples))
 
 
 # -- sliding window -----------------------------------------------------------
@@ -46,7 +50,7 @@ def test_push_identical_samples_fills_with_mask():
     for _ in range(4):
         w.push(sample)
     h = w.histogram()
-    assert h.counts == (4, 0, 4)
+    assert h.counts.tolist() == [4, 0, 4]
     assert h.split_size == 4
 
 
@@ -59,7 +63,7 @@ def test_window_matches_batch_recount_every_push(rng):
         w.push(s)
         h = w.histogram()
         expected = _batch_histogram(history[-16:])
-        assert h.counts == expected.counts
+        assert h.counts.tolist() == expected.counts.tolist()
         assert h.split_size == expected.split_size
 
 
@@ -68,23 +72,23 @@ def test_eviction_removes_exactly_oldest(rng):
     samples = [_record(rng) for _ in range(9)]
     for s in samples[:8]:
         w.push(s)
-    before = w.histogram().counts
+    before = w.histogram().counts.tolist()
     w.push(samples[8])
-    after = w.histogram().counts
+    after = w.histogram().counts.tolist()
     from rulewatch import ruleset_hits
 
     oldest = np.array(ruleset_hits(RULES, samples[0]), dtype=int)
     newest = np.array(ruleset_hits(RULES, samples[8]), dtype=int)
-    assert tuple(np.array(before) - oldest + newest) == after
+    assert (np.array(before) - oldest + newest).tolist() == after
 
 
 def test_push_error_leaves_window_unchanged(rng):
     w = SlidingHitWindow(RULES, capacity=4)
     w.push(_record(rng))
-    snapshot = (w.fill, w.histogram().counts)
+    snapshot = (w.fill, w.histogram().counts.tolist())
     with pytest.raises(MissingFeatureError):
         w.push({"x1": 0.5})
-    assert (w.fill, w.histogram().counts) == snapshot
+    assert (w.fill, w.histogram().counts.tolist()) == snapshot
 
 
 def test_push_cost_independent_of_capacity(rng):
@@ -111,8 +115,8 @@ def _training_setup(rng, n_tr=5, n_s=32):
     splits = []
     for i in range(n_tr):
         X = rng.random((n_s, 2))
-        splits.append(Split(DataTable(("x1", "x2"), X), index=i))
-    matrix = HitMatrix(tuple(hit_histogram(RULES, s) for s in splits))
+        splits.append(Split(DataTable(("x1", "x2"), X)))
+    matrix = hit_matrix(RULES, splits)
     base = single_split_baseline(matrix, config={"n_s": n_s})
     return matrix, base
 
@@ -157,8 +161,8 @@ ONE_HIT_RULES = parse_ruleset(
 def test_tick_updates_only_the_rules_that_changed(rng):
     # Every sample hits one rule, so a push moves at most 2 counts: the
     # evicted sample's rule down, the admitted one's up.
-    splits = [Split(DataTable(("x1", "x2"), rng.random((32, 2))), index=i) for i in range(5)]
-    matrix = HitMatrix(tuple(hit_histogram(ONE_HIT_RULES, s) for s in splits))
+    splits = [Split(DataTable(("x1", "x2"), rng.random((32, 2)))) for _ in range(5)]
+    matrix = hit_matrix(ONE_HIT_RULES, splits)
     base = single_split_baseline(matrix, config={"n_s": 32})
     most = set()
     for capacity in (8, 64, 1024):
@@ -197,7 +201,7 @@ def test_monitor_group_mode_snapshots(rng):
     cols = tuple(random_histogram(rng, RULES.n_rules, n_s) for _ in range(8))
     from rulewatch import group_baseline
 
-    matrix = HitMatrix(cols)
+    matrix = stack(cols)
     base = group_baseline(matrix, 3, config={"n_s": n_s, "n_op": 3})
     monitor = StreamMonitor(
         RULES, base, matrix, mode="group", capacity=n_s, n_op=3, snapshot_stride=4
@@ -212,6 +216,36 @@ def test_monitor_group_mode_snapshots(rng):
     # snapshots at pushes 12 (first full), 16, 20 -> 3rd snapshot on push 20
     assert first_tick.sample_index == 19
     assert "rbi" in first_tick.metric_values
+
+
+def test_group_stream_equals_batch_at_every_tick(rng):
+    # Each tick's group is the last n_op snapshots, taken at every 4th push
+    # once the window is full; recounting those windows in batch must give
+    # the tick's values, flags and verdict exactly, before and after drift.
+    n_s, n_op, stride = 12, 3, 4
+    splits = [Split(DataTable(("x1", "x2"), rng.random((n_s, 2)))) for _ in range(8)]
+    training = hit_matrix(RULES, splits)
+    base = group_baseline(training, n_op, config={"n_s": n_s, "n_op": n_op})
+    monitor = StreamMonitor(
+        RULES, base, training, mode="group", capacity=n_s, n_op=n_op, snapshot_stride=stride
+    )
+    history, verdicts = [], set()
+    for i in range(120):
+        s = _record(rng)
+        if i >= 60:  # drift: x1 collapses toward 0
+            s["x1"] *= 0.2
+        history.append(s)
+        tick = monitor.push(s)
+        if tick is None:
+            continue
+        ends = [p for p in range(n_s, i + 2) if p % stride == 0][-n_op:]
+        windows = [_split(history[p - n_s : p]) for p in ends]
+        batch = detect_group(training, hit_matrix(RULES, windows), base)
+        assert tick.metric_values == {n: m.representative for n, m in batch.per_metric.items()}
+        assert tick.flags == {n: m.flag for n, m in batch.per_metric.items()}
+        assert tick.verdict == batch.verdict
+        verdicts.add(tick.verdict)
+    assert len(verdicts) == 2  # both verdicts occur
 
 
 def test_tick_record_csv_rows(rng):
