@@ -2,6 +2,8 @@
 
 Exit codes are a stable contract: 0 in-distribution / success, 1 usage or
 data error, 2 baseline fingerprint mismatch, 3 out-of-distribution verdict.
+Each subcommand accepts only the flags it reads; ``detect`` and ``stream``
+take the mode, split size and group size from the baseline bundle.
 """
 from __future__ import annotations
 
@@ -14,10 +16,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import RunConfig, build_config, load_config_file
+from .config import RunConfig, build_config, load_config_file, metric_list
 from .data import DataError, DataTable
 from .detection import (
     FINGERPRINT_KEYS,
+    GROUP,
+    GROUP_METRICS,
+    SINGLE_METRICS,
     BaselineBundle,
     DetectionError,
     FingerprintMismatchError,
@@ -41,45 +46,46 @@ EXIT_FINGERPRINT = 2
 EXIT_OOD = 3
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_ERROR``."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+# Flag and argparse keywords of each RunConfig field a flag can set.
+_CONFIG_FLAGS = {
+    "seed": ("--seed", {"type": int}),
+    "n_s": ("--ns", {"type": int, "help": "samples per split"}),
+    "n_tr": ("--ntr", {"type": int, "help": "number of training splits"}),
+    "n_op": ("--nop", {"type": int, "help": "number of operational splits"}),
+    "mode": ("--mode", {"choices": ("single", "group")}),
+    "stride": ("--stride", {"type": int, "help": "detection tick stride"}),
+    "sigma_floor": ("--sigma-floor", {"type": float}),
+    "label_column": ("--label-column", {}),
+    "metrics": ("--metrics", {"type": metric_list, "help": "comma list, e.g. wmi,l1,l2"}),
+    "repetitions": ("--repetitions", {"type": int}),
+    "max_depth": ("--max-depth", {"type": int}),
+    "min_leaf": ("--min-leaf", {"type": int}),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """``--config`` plus the flags of the named RunConfig fields.
+
+    A config file may set any field; a subcommand registers flags only for
+    the fields it reads.
+    """
     p.add_argument("--config", help="flat key = value config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ns", type=int, default=None, help="samples per split")
-    p.add_argument("--ntr", type=int, default=None, help="number of training splits")
-    p.add_argument("--nop", type=int, default=None, help="number of operational splits")
-    p.add_argument("--mode", choices=("single", "group"), default=None)
-    p.add_argument("--stride", type=int, default=None, help="detection tick stride")
-    p.add_argument("--sigma-floor", type=float, default=None)
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--metrics", default=None, help="comma list, e.g. wmi,l1,l2")
-    p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--full-scale", action="store_true", default=None,
-                   help="full-scale experiment defaults (2500 repetitions)")
+    for name in names:
+        flag, kwargs = _CONFIG_FLAGS[name]
+        p.add_argument(flag, dest=name, default=None, **kwargs)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
-    metrics = None
-    if getattr(args, "metrics", None):
-        metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    return build_config(
-        file_values,
-        seed=args.seed,
-        n_s=args.ns,
-        n_tr=args.ntr,
-        n_op=args.nop,
-        mode=args.mode,
-        stride=args.stride,
-        sigma_floor=getattr(args, "sigma_floor", None),
-        label_column=getattr(args, "label_column", None),
-        metrics=metrics,
-        repetitions=getattr(args, "repetitions", None),
-        max_depth=getattr(args, "max_depth", None),
-        min_leaf=getattr(args, "min_leaf", None),
-        full_scale=getattr(args, "full_scale", None),
-    )
+    return build_config(file_values, **{name: getattr(args, name, None) for name in _CONFIG_FLAGS})
 
 
 def _load_features(path: str, label_column: str | None) -> DataTable:
@@ -157,22 +163,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
     ruleset = parse_ruleset(Path(args.rules).read_text())
     bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
     bundle.verify(ruleset)
-    bcfg = bundle.baselines.config
-    n_s = int(bcfg.get("n_s", cfg.n_s))
-    mode = bcfg.get("mode", cfg.mode)
+    base, training = bundle.baselines, bundle.training
     table = _load_features(args.op_data, cfg.label_column)
-    if mode == "group":
-        n_op = int(bcfg.get("n_op", cfg.resolved_n_op))
+    n_op = int(base.config["n_op"]) if base.mode == GROUP else 1
+    op_splits = operational_splits(table, training.split_size, n_op)
+    if base.mode == GROUP:
         report = detect_group(
-            bundle.training, hit_matrix(ruleset, operational_splits(table, n_s, n_op)),
-            bundle.baselines,
-            metrics=cfg.metrics or ("rbi", "l1", "l2"),
+            training, hit_matrix(ruleset, op_splits), base, metrics=cfg.metrics or GROUP_METRICS
         )
     else:
-        op_split = operational_splits(table, n_s, 1)[0]
         report = detect_split(
-            bundle.training, hit_histogram(ruleset, op_split), bundle.baselines,
-            metrics=cfg.metrics or ("wmi", "l1", "l2"),
+            training, hit_histogram(ruleset, op_splits[0]), base,
+            metrics=cfg.metrics or SINGLE_METRICS,
         )
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -214,20 +216,16 @@ def cmd_stream(args: argparse.Namespace) -> int:
     ruleset = parse_ruleset(Path(args.rules).read_text())
     bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
     bundle.verify(ruleset)
-    mode_name = bundle.baselines.config.get("mode", cfg.mode)
-    stream_mode = "group" if mode_name == "group" else "single-split"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         monitor = StreamMonitor(
             ruleset,
             bundle.baselines,
             bundle.training,
-            mode=stream_mode,
             capacity=args.ns,
             detect_stride=cfg.stride,
             snapshot_stride=cfg.snapshot_stride,
             metrics=cfg.metrics,
-            n_op=bundle.baselines.config.get("n_op"),
         )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -340,7 +338,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rulewatch",
         description="Rule-hit histogram monitoring: baselines and out-of-distribution detection",
     )
@@ -349,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", help="induce a ruleset from labeled CSV data")
     p.add_argument("data", help="training CSV with a label column")
     p.add_argument("-o", "--output", default=None, help="rules file (default stdout)")
-    _add_config_flags(p)
+    _add_config_flags(p, "label_column", "max_depth", "min_leaf")
     p.set_defaults(fn=cmd_induce)
 
     p = sub.add_parser("baseline", help="build training baselines from data + rules")
     p.add_argument("data", help="training CSV")
     p.add_argument("--rules", required=True)
     p.add_argument("-o", "--output", default="baseline.json")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "n_s", "n_tr", "n_op", "mode", "sigma_floor", "label_column")
     p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser("detect", help="score operational data against a baseline")
@@ -364,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("--format", choices=("json-document", "csv"), default="json-document")
-    _add_config_flags(p)
+    _add_config_flags(p, "label_column", "metrics")
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("stream", help="incremental detection over a sample stream")
@@ -372,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("-o", "--output", default=None, help="tick CSV (default stdout)")
-    _add_config_flags(p)
+    p.add_argument("--ns", type=int, default=None,
+                   help="window length (default: the baseline's split size)")
+    _add_config_flags(p, "stride", "metrics")
     p.set_defaults(fn=cmd_stream)
 
     p = sub.add_parser("eval", help="measure FPR/FNR over repeated runs")
@@ -382,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", default=None, help="feature shifts POS:DELTA[,POS:DELTA...]")
     p.add_argument("--format", choices=("json-document", "csv"), default="json-document")
     p.add_argument("-o", "--output", default=None, help="summary (default stdout)")
-    _add_config_flags(p)
+    _add_config_flags(
+        p, "seed", "n_s", "n_tr", "n_op", "mode", "sigma_floor", "label_column",
+        "repetitions", "max_depth", "min_leaf",
+    )
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("featurize", help="rolling moment features over CSV columns")
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--columns", default=None, help="comma list (default all features)")
     p.add_argument("-o", "--output", default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, "label_column")
     p.set_defaults(fn=cmd_featurize)
 
     return parser

@@ -6,16 +6,15 @@ from pathlib import Path
 
 from .data import DataError
 
-FULL_SCALE_REPETITIONS = 2500
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """All knobs of a run; every report echoes the resolved values.
 
     Defaults target the design setting (splits of 5000 samples, 50 training
-    splits); ``repetitions`` defaults to a desk-scale 200 with the full
-    2500 behind ``full_scale``.
+    splits); ``repetitions`` defaults to a desk-scale 200 (the paper's full
+    scale is 2500). The split size, ``n_op`` and ``mode`` shape a baseline;
+    detection and streaming take them from the baseline, not from here.
     """
 
     n_s: int = 5000
@@ -31,13 +30,10 @@ class RunConfig:
     mode: str = "single"
     max_depth: int = 4
     min_leaf: int = 50
-    full_scale: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("single", "group"):
             raise DataError(f"mode must be 'single' or 'group', got {self.mode!r}")
-        if self.full_scale and self.repetitions == 200:
-            object.__setattr__(self, "repetitions", FULL_SCALE_REPETITIONS)
 
     @property
     def resolved_n_op(self) -> int:
@@ -57,7 +53,9 @@ class RunConfig:
         return out
 
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+def metric_list(raw: str) -> tuple[str, ...]:
+    """Metric names of a comma list, e.g. ``"wmi, l1"``."""
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 def _coerce(name: str, raw: str):
@@ -67,13 +65,8 @@ def _coerce(name: str, raw: str):
         return int(raw)
     if name == "sigma_floor":
         return float(raw)
-    if name == "full_scale":
-        try:
-            return _BOOL_VALUES[raw.lower()]
-        except KeyError:
-            raise DataError(f"config key {name!r}: not a boolean: {raw!r}") from None
     if name == "metrics":
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
+        return metric_list(raw)
     return raw
 
 

@@ -20,14 +20,14 @@ Two modes:
 * group: rule-based information over a group of operational histograms
   + l1/l2 norms over all column pairs. Both ``group_baseline`` and
   ``detect_group`` take the training ``HitMatrix``, and the group is a
-  ``HitMatrix`` too, one row per member; ``group_baseline``
-  alone decides the reference part (the first ``k = n_tr - n_op - 1``
-  columns) and records ``k`` in the baseline config, which
-  ``detect_group`` reads back. The ``rbi`` envelope is calibrated over the
-  leave-one-out folds of the calibration part and over seeded rotations of
-  the whole training set, so that it covers fresh in-distribution groups
-  rather than one calibration draw. Folds, rotations and detection-time
-  groups all go through one batched rbi kernel.
+  ``HitMatrix`` too, one row per member. ``group_baseline(training, n_op)``
+  records ``n_op`` and ``n_tr`` in the baseline config; the reference part
+  is the first ``k = n_tr - n_op - 1`` columns, and ``detect_group``
+  derives ``k`` from those two recorded values. The ``rbi`` envelope is
+  calibrated over the leave-one-out folds of the calibration part and over
+  seeded rotations of the whole training set, so that it covers fresh
+  in-distribution groups rather than one calibration draw. Folds, rotations
+  and detection-time groups all go through ``rule_based_information_batch``.
 """
 from __future__ import annotations
 
@@ -47,9 +47,7 @@ from .metrics import (
     SIGMA_FLOOR_DEFAULT,
     MetricError,
     SplitMetrics,
-    fit_bank,
     lp_norms,
-    rule_based_information,
     rule_based_information_batch,
     split_metrics,
 )
@@ -108,10 +106,12 @@ def _majority(votes_out: int, votes_total: int) -> bool:
 class Baselines:
     """Per-metric closed [min, max] training envelopes.
 
-    ``wmi`` is present for single-split baselines, ``rbi`` for group
-    baselines; the norm intervals exist in both. ``config`` echoes the
-    build parameters and ``config_fingerprint`` binds the baseline to the
-    exact ruleset and conventions it was built under.
+    Exactly one of ``wmi`` (single-split) and ``rbi`` (group) is present,
+    and it decides ``mode``; the norm intervals exist in both. ``config``
+    echoes the build parameters, and a group baseline's config records the
+    ``n_op`` its reference partition was built for. ``config_fingerprint``
+    binds the baseline to the exact ruleset and conventions it was built
+    under.
     """
 
     l1: tuple[float, float]
@@ -126,6 +126,15 @@ class Baselines:
             iv = getattr(self, name)
             if iv is not None and not (iv[0] <= iv[1]):
                 raise DetectionError(f"{name} interval has min > max: {iv}")
+        if (self.wmi is None) == (self.rbi is None):
+            raise DetectionError("a baseline holds exactly one of a wmi and an rbi interval")
+        if self.rbi is not None and not self.config.get("n_op", 0) >= 2:
+            raise DetectionError("a group baseline must record n_op >= 2 in its config")
+
+    @property
+    def mode(self) -> str:
+        """``GROUP`` for an ``rbi`` envelope, ``SINGLE_SPLIT`` for a ``wmi`` one."""
+        return GROUP if self.rbi is not None else SINGLE_SPLIT
 
     def interval(self, metric: str) -> tuple[float, float]:
         iv = getattr(self, metric, None)
@@ -415,14 +424,14 @@ def group_baseline(
 ) -> Baselines:
     """Rotation-calibrated rule-based-information envelope plus norm envelopes.
 
-    The training columns are partitioned here and nowhere else: the first
-    ``k = n_tr - n_op - 1`` form the reference part (TR1), the last
-    ``n_op + 1`` the calibration part (TR2). ``k``, ``n_rules``, ``n_tr``
-    and ``sigma_floor`` are written into the config over any value the
-    caller passed, so a baseline always records the partition its envelope
-    was built on; ``detect_group`` reads ``k`` back from it. A config
-    ``n_op`` other than ``n_op`` is rejected: group detection and streaming
-    size the operational group from it.
+    The first ``k = n_tr - n_op - 1`` training columns form the reference
+    part (TR1), the last ``n_op + 1`` the calibration part (TR2).
+    ``n_op``, ``n_rules``, ``n_tr`` and ``sigma_floor`` are written into the
+    config over any value the caller passed, so a baseline always records
+    the partition its envelope was built on; ``detect_group`` derives ``k``
+    from the recorded ``n_tr`` and ``n_op``, and group streaming sizes its
+    operational group from ``n_op``; a ``k`` in the caller's config is not
+    read. A config ``n_op`` other than ``n_op`` is rejected.
 
     The ``rbi`` envelope is the [min, max] over three score sets
     (``calibrated_rbi_interval``):
@@ -461,7 +470,7 @@ def group_baseline(
         **(config or {}),
         "n_rules": training.n_rules,
         "n_tr": training.n_splits,
-        "k": k,
+        "n_op": n_op,
         "sigma_floor": sigma_floor,
     }
     return Baselines(
@@ -480,18 +489,18 @@ def detect_group(
     """Score an operational group against the reference part of training.
 
     ``op_group`` holds one row per group member. The reference part is the
-    first ``k`` training rows, with ``k`` as ``group_baseline`` recorded it
-    in ``base.config``; a baseline without ``k`` (single-split) is
-    rejected. Rule-based information casts a single vote, scored as a batch
-    of one through the kernel that calibrated the envelope; the norms vote
-    once per (training row, group member) pair, in that order, computed in
-    one broadcast. Norm votes run over ALL training rows, matching the
-    envelopes built by ``group_baseline``.
+    first ``k = n_tr - n_op - 1`` training rows, with ``n_op`` as
+    ``group_baseline`` recorded it in ``base.config``; a single-split
+    baseline is rejected. Rule-based information casts a single vote,
+    scored as a batch of one through ``rule_based_information_batch``, the
+    kernel that calibrated the envelope; the norms vote once per (training
+    row, group member) pair, in that order, computed in one broadcast. Norm
+    votes run over ALL training rows, matching the envelopes built by
+    ``group_baseline``.
     """
     check_compatible(base, training)
-    k = base.config.get("k")
-    if k is None:
-        raise DetectionError("baseline has no reference partition (single-split mode?)")
+    if base.mode != GROUP:
+        raise DetectionError("baseline has no reference partition (single-split mode)")
     if op_group.n_splits < 2:
         raise DetectionError(
             f"group detection needs at least 2 operational histograms, got {op_group.n_splits}"
@@ -504,11 +513,11 @@ def detect_group(
     op_counts, op_size = op_group.counts, op_group.split_size
     values: dict[str, list[float]] = {}
     if "rbi" in metrics:
-        sigma_floor = float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
-        group = (op_counts / op_size)[None]
-        ref = (training.counts[: int(k)] / training.split_size)[None]
-        values["rbi"] = rule_based_information(
-            group, fit_bank(group, sigma_floor), fit_bank(ref, sigma_floor)
+        k = training.n_splits - int(base.config["n_op"]) - 1
+        values["rbi"] = rule_based_information_batch(
+            (op_counts / op_size)[None],
+            (training.counts[:k] / training.split_size)[None],
+            float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT)),
         ).tolist()
     if "l1" in metrics or "l2" in metrics:
         norms = lp_norms(
@@ -531,7 +540,10 @@ class BaselineBundle:
     """Everything detection needs later: envelopes plus training histograms.
 
     Detection recomputes metrics against the training columns, so the
-    persisted artifact carries them alongside the intervals.
+    persisted artifact carries them alongside the intervals. The bundle is
+    the one source of detection settings: the mode is ``baselines.mode``,
+    the operational split size ``training.split_size`` and, in group mode,
+    the group size the config's ``n_op``.
     """
 
     baselines: Baselines
@@ -564,15 +576,21 @@ class BaselineBundle:
             if any(type(c) is bool for row in columns for c in row):
                 raise ValueError("training hit counts must be integers, got a boolean")
             training = HitMatrix(columns, hits["split_size"])
+            config = doc.get("config", {})
+            if config.get("n_s", training.split_size) != training.split_size:
+                raise ValueError(
+                    f"config n_s {config['n_s']} differs from the training split size "
+                    f"{training.split_size}"
+                )
             base = Baselines(
                 l1=tuple(intervals["l1"]),
                 l2=tuple(intervals["l2"]),
                 wmi=tuple(intervals["wmi"]) if intervals.get("wmi") else None,
                 rbi=tuple(intervals["rbi"]) if intervals.get("rbi") else None,
                 config_fingerprint=doc.get("fingerprint", ""),
-                config=doc.get("config", {}),
+                config=config,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DetectionError(f"malformed baseline document: {exc}") from exc
         return cls(baselines=base, training=training)
 

@@ -434,29 +434,6 @@ def fit_bank(
     return mu, np.maximum(sigma, sigma_floor)
 
 
-def _entropy_ratio(
-    groups: np.ndarray,
-    own_bank: tuple[np.ndarray, np.ndarray],
-    ref_bank: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Mean own entropy over mean conditional entropy, per group of the stack.
-
-    Each member's own entropy sums, over the rules, the binary entropy of
-    the own-bank interval mass around its hit (halfwidth = own sigma). Its
-    conditional entropy sums the reference-bank entropies instead, each
-    scaled by own mass / reference mass, so hits likely under their own
-    group but unlikely under the reference are amplified; with equal banks
-    the two coincide. Both masses are clamped into
-    [PROB_CLAMP, 1 - PROB_CLAMP], so every conditional term is positive and,
-    with at least one rule, the ratio is finite.
-    """
-    p_own = _interval_mass_array(*own_bank, groups)
-    p_ref = _interval_mass_array(*ref_bank, groups)
-    num = _binary_entropy_array(p_own).sum(axis=2).mean(axis=1)
-    den = (p_own / p_ref * _binary_entropy_array(p_ref)).sum(axis=2).mean(axis=1)
-    return num / den
-
-
 def rule_based_information(
     group: np.ndarray,
     own_bank: tuple[np.ndarray, np.ndarray],
@@ -465,17 +442,31 @@ def rule_based_information(
     """Rule-based information of each group of a (batch, members, rules) stack.
 
     ``own_bank`` and ``ref_bank`` are ``(mu, sigma)`` pairs that broadcast
-    against the stack, as ``fit_bank`` returns them. Close to 1 when a
-    group is statistically indistinguishable from the reference; toward 0
-    when its conditional entropy is inflated by surprise under the
-    reference. A stack without members or without rules is rejected.
+    against the stack, as ``fit_bank`` returns them. The score is the mean
+    own entropy over the mean conditional entropy, per group. Each member's
+    own entropy sums, over the rules, the binary entropy of the own-bank
+    interval mass around its hit (halfwidth = own sigma). Its conditional
+    entropy sums the reference-bank entropies instead, each scaled by own
+    mass / reference mass, so hits likely under their own group but
+    unlikely under the reference are amplified; with equal banks the two
+    coincide. Both masses are clamped into [PROB_CLAMP, 1 - PROB_CLAMP], so
+    every conditional term is positive and the ratio is finite.
+
+    Close to 1 when a group is statistically indistinguishable from the
+    reference; toward 0 when its conditional entropy is inflated by
+    surprise under the reference. A stack without members or without rules
+    is rejected.
     """
     group = np.asarray(group, dtype=np.float64)
     if group.ndim != 3 or 0 in group.shape[1:]:
         raise MetricError(
             f"group must be a nonempty (batch, members, rules) array, got {group.shape}"
         )
-    return _entropy_ratio(group, own_bank, ref_bank)
+    p_own = _interval_mass_array(*own_bank, group)
+    p_ref = _interval_mass_array(*ref_bank, group)
+    num = _binary_entropy_array(p_own).sum(axis=2).mean(axis=1)
+    den = (p_own / p_ref * _binary_entropy_array(p_ref)).sum(axis=2).mean(axis=1)
+    return num / den
 
 
 def rule_based_information_batch(
@@ -496,6 +487,6 @@ def rule_based_information_batch(
         raise MetricError("groups and refs must be (batch, members, rules) arrays")
     if groups.shape[0] != refs.shape[0] or groups.shape[2] != refs.shape[2]:
         raise MetricError(f"groups {groups.shape} and refs {refs.shape} do not pair up")
-    return _entropy_ratio(
+    return rule_based_information(
         groups, fit_bank(groups, sigma_floor), fit_bank(refs, sigma_floor)
     )

@@ -8,8 +8,10 @@ score the window through a ``SplitScorer`` kept beside it, which moves its
 integer state only for the rules whose counts changed since the last tick
 and equals batch ``detect_split`` bit for bit. On top of that sits a
 monitor that reruns detection every push (or every ``detect_stride``
-pushes) and, in group mode, keeps the last ``n_op`` stride-spaced window
-snapshots as the rows of the operational group's ``HitMatrix``.
+pushes) and, for a group baseline, keeps the last ``n_op`` stride-spaced
+window snapshots as the rows of the operational group's ``HitMatrix``.
+The mode, ``n_op`` and the default window length all come from the
+baseline and its training matrix.
 
 A separate accumulator provides rolling mean/variance/skewness/kurtosis for
 time-series feature extraction.
@@ -28,9 +30,7 @@ from .detection import (
     GROUP,
     GROUP_METRICS,
     SINGLE_METRICS,
-    SINGLE_SPLIT,
     Baselines,
-    DetectionError,
     DetectionReport,
     check_split_request,
     detect_group,
@@ -172,29 +172,27 @@ def stream_detect(
     window: SlidingHitWindow,
     base: Baselines,
     training: HitMatrix,
-    mode: str = SINGLE_SPLIT,
     op_group: HitMatrix | None = None,
     metrics: Sequence[str] | None = None,
     sample_index: int = 0,
 ) -> TickRecord:
-    """Run one detection tick on the current window state.
+    """Run one detection tick on the current window state, in ``base.mode``.
 
-    Group mode scores ``op_group``, one row per window snapshot.
+    A group baseline scores ``op_group``, one row per window snapshot; a
+    single-split one scores the window.
     """
     if not window.is_full:
         raise StreamStateError(
             f"window holds {window.fill} of {window.capacity} samples; detection needs a full window"
         )
-    if mode == SINGLE_SPLIT:
-        metrics = metrics or SINGLE_METRICS
-        check_split_request(training, window.n_rules, base, metrics)
-        report = split_report(window.scores(training), base, metrics)
-    elif mode == GROUP:
+    if base.mode == GROUP:
         if op_group is None or op_group.n_splits < 2:
             raise StreamStateError("group mode needs at least 2 window snapshots")
         report = detect_group(training, op_group, base, metrics=metrics or GROUP_METRICS)
     else:
-        raise DetectionError(f"unknown stream mode {mode!r}")
+        metrics = metrics or SINGLE_METRICS
+        check_split_request(training, window.n_rules, base, metrics)
+        report = split_report(window.scores(training), base, metrics)
     return _tick_from_report(report, sample_index)
 
 
@@ -202,7 +200,10 @@ class StreamMonitor:
     """Feed samples, get a TickRecord per detection tick.
 
     Single-writer object: one stream pushes; reads happen between pushes.
-    In group mode the operational group is the window counts captured every
+    The baseline decides the mode (``base.mode``) and, for a group
+    baseline, the group size (its config's ``n_op``); the window holds
+    ``training.split_size`` samples unless ``capacity`` says otherwise. In
+    group mode the operational group is the window counts captured every
     ``snapshot_stride`` pushes (default capacity // n_op), one row each,
     and ticks start once ``n_op`` snapshots exist.
     """
@@ -212,40 +213,31 @@ class StreamMonitor:
         ruleset: Ruleset,
         base: Baselines,
         training: HitMatrix,
-        mode: str = SINGLE_SPLIT,
         capacity: int | None = None,
         detect_stride: int = 1,
         snapshot_stride: int | None = None,
-        n_op: int | None = None,
         metrics: Sequence[str] | None = None,
     ):
         if detect_stride < 1:
             raise ValueError("detect_stride must be >= 1")
-        base_ns = base.config.get("n_s")
         if capacity is None:
-            if base_ns is None:
-                raise DetectionError(
-                    "window capacity not given and baseline does not record n_s"
-                )
-            capacity = int(base_ns)
-        if base_ns is not None and capacity != int(base_ns):
+            capacity = training.split_size
+        elif capacity != training.split_size:
             warnings.warn(
                 f"stream window of {capacity} samples differs from the baseline split "
-                f"size {base_ns}; envelope calibration assumes matching sizes",
+                f"size {training.split_size}; envelope calibration assumes matching sizes",
                 WindowSizeMismatchWarning,
                 stacklevel=2,
             )
         self.window = SlidingHitWindow(ruleset, capacity)
         self.base = base
         self.training = training
-        self.mode = mode
+        self.mode = base.mode
         self.metrics = metrics
         self.detect_stride = detect_stride
         self._pushes = 0
-        if mode == GROUP:
-            self.n_op = int(n_op or base.config.get("n_op") or 0)
-            if self.n_op < 2:
-                raise DetectionError("group streaming needs n_op >= 2")
+        if self.mode == GROUP:
+            self.n_op = int(base.config["n_op"])
             self.snapshot_stride = snapshot_stride or max(capacity // self.n_op, 1)
             self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
         else:
@@ -277,7 +269,6 @@ class StreamMonitor:
             self.window,
             self.base,
             self.training,
-            mode=self.mode,
             op_group=op_group,
             metrics=self.metrics,
             sample_index=index,

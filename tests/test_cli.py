@@ -81,7 +81,8 @@ def test_baseline_group_mode_and_k(workdir):
     rc = main(_baseline_args(workdir, out="group.json", extra=("--mode", "group", "--nop", "4")))
     assert rc == 0
     doc = json.loads((workdir / "group.json").read_text())
-    assert doc["config"]["k"] == 12 - 4 - 1
+    assert doc["config"]["n_op"] == 4
+    assert "k" not in doc["config"]  # detection derives k = 12 - 4 - 1
     assert doc["intervals"]["rbi"] is not None
 
 
@@ -312,3 +313,118 @@ def test_nan_input_exits_1(workdir, capsys):
     labelled.write_text("x1,x2,x3,label\n" + "nan,nan,nan,0\nnan,nan,nan,1\n" * 150)
     assert main(["induce", str(labelled), "-o", str(workdir / "r.txt")]) == 1
     assert capsys.readouterr().err.count("is NaN") == 4
+
+
+def _subparsers():
+    from rulewatch.cli import build_parser
+
+    parser = build_parser()
+    return parser._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize(
+    "command, accepted",
+    [
+        ("induce", {"--config", "--label-column", "--max-depth", "--min-leaf"}),
+        ("baseline", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode",
+                      "--sigma-floor", "--label-column"}),
+        ("detect", {"--config", "--label-column", "--metrics"}),
+        ("stream", {"--config", "--ns", "--stride", "--metrics"}),
+        ("eval", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode", "--sigma-floor",
+                  "--label-column", "--repetitions", "--max-depth", "--min-leaf"}),
+        ("featurize", {"--config", "--label-column"}),
+    ],
+)
+def test_each_subcommand_registers_only_the_run_flags_it_reads(command, accepted):
+    run_flags = {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode", "--stride",
+                 "--sigma-floor", "--label-column", "--metrics", "--repetitions",
+                 "--max-depth", "--min-leaf", "--full-scale"}
+    options = {s for a in _subparsers()[command]._actions for s in a.option_strings}
+    assert options & run_flags == accepted
+
+
+_VALID_ARGS = {
+    "induce": ["induce", "train.csv"],
+    "baseline": ["baseline", "train.csv", "--rules", "rules.txt"],
+    "detect": ["detect", "op.csv", "--rules", "rules.txt", "--baseline", "base.json"],
+    "stream": ["stream", "op.csv", "--rules", "rules.txt", "--baseline", "base.json"],
+    "eval": ["eval", "--synthetic", "gaussian", "--shift", "1:1.0"],
+    "featurize": ["featurize", "op.csv", "--window", "5"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command, unread in [
+            ("induce", ["--stride", "2"]),
+            ("baseline", ["--repetitions", "5"]),
+            ("detect", ["--repetitions", "5"]),
+            ("stream", ["--nop", "3"]),
+            ("eval", ["--stride", "2"]),
+            ("featurize", ["--seed", "3"]),
+        ]
+        for flag in (["--bogus", "1"], unread)
+    ],
+)
+def test_unknown_or_unread_flag_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_VALID_ARGS[command], *flag])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"], ["eval", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_full_scale_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_VALID_ARGS["eval"], "--full-scale"])
+    assert exc.value.code == 1
+
+
+def test_group_detect_ignores_k_and_fingerprints_n_op(workdir, source, capsys):
+    assert main(_baseline_args(workdir, out="group.json", extra=("--mode", "group", "--nop", "4"))) == 0
+    doc = json.loads((workdir / "group.json").read_text())
+    source.sample(1000, np.random.default_rng(5)).to_csv(workdir / "op_group.csv")  # 4 x 250
+    detect = ["detect", str(workdir / "op_group.csv"), "--rules", str(workdir / "rules.txt"),
+              "--baseline", str(workdir / "edited.json")]
+
+    def run(edited):
+        (workdir / "edited.json").write_text(json.dumps(edited))
+        capsys.readouterr()
+        rc = main(detect)
+        return rc, capsys.readouterr()
+
+    rc, out = run(doc)
+    assert rc in (0, 3) and json.loads(out.out)["metrics"]["rbi"]["votes_total"] == 1
+    for k in (3, 5.7, 7):  # 7 is the derived 12 - 4 - 1
+        assert run({**doc, "config": {**doc["config"], "k": k}}) == (rc, out)
+    rc, out = run({**doc, "config": {**doc["config"], "n_op": 3}})
+    assert rc == 2
+    assert "fingerprint" in out.err
+
+
+@pytest.mark.parametrize("command", ["detect", "stream"])
+def test_baseline_whose_n_s_contradicts_its_split_size_exits_1(workdir, capsys, command):
+    main(_baseline_args(workdir))
+    doc = json.loads((workdir / "base.json").read_text())
+    assert doc["training_hits"]["split_size"] == 250
+    doc["config"]["n_s"] = 200
+    (workdir / "base.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main([
+        command, str(workdir / "op_in.csv"),
+        "--rules", str(workdir / "rules.txt"),
+        "--baseline", str(workdir / "base.json"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "malformed baseline document" in err
+    assert "config n_s 200 differs from the training split size 250" in err

@@ -104,16 +104,21 @@ def test_config_defaults_echo():
     assert RunConfig(mode="group").resolved_n_op == 10
 
 
-def test_config_full_scale():
-    assert RunConfig(full_scale=True).repetitions == 2500
-    assert RunConfig(full_scale=True, repetitions=77).repetitions == 77
+def test_config_full_scale(tmp_path):
+    # full_scale was an alias of repetitions = 2500; it is no config key now
+    with pytest.raises(TypeError):
+        RunConfig(full_scale=True)
+    p = tmp_path / "run.cfg"
+    p.write_text("full_scale = true\n")
+    with pytest.raises(DataError, match="unknown config key 'full_scale'"):
+        load_config_file(p)
 
 
 def test_config_file_parse_and_override(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("n_s = 100\nmetrics = wmi, l1\nfull_scale = false\n# note\n")
+    p.write_text("n_s = 100\nmetrics = wmi, l1\nrepetitions = 7\n# note\n")
     values = load_config_file(p)
-    assert values == {"n_s": 100, "metrics": ("wmi", "l1"), "full_scale": False}
+    assert values == {"n_s": 100, "metrics": ("wmi", "l1"), "repetitions": 7}
     cfg = build_config(values, n_s=250, seed=None)
     assert cfg.n_s == 250
     assert cfg.metrics == ("wmi", "l1")

@@ -28,10 +28,12 @@ from rulewatch import (
     weighted_mutual_information,
 )
 from rulewatch.detection import (
+    GROUP,
     IN_DISTRIBUTION,
     OUT_OF_DISTRIBUTION,
     ROTATION_SEED,
     ROTATIONS,
+    SINGLE_SPLIT,
     _calibration_scores,
     _metric_report,
     calibrated_rbi_interval,
@@ -222,7 +224,8 @@ def test_verdict_monotone_under_extra_flag(rng):
 
 def test_group_config_validation(rng):
     cols = tuple(random_histogram(rng, 2, 20) for _ in range(20))
-    assert group_baseline(stack(cols), 10).config["k"] == 9
+    config = group_baseline(stack(cols), 10).config
+    assert config["n_op"] == 10 and "k" not in config  # k = 20 - 10 - 1 is derived
     with pytest.raises(DetectionError, match=r"k = n_tr - n_op - 1 >= 2, got -6"):
         group_baseline(stack(cols[:5]), 10)
     with pytest.raises(DetectionError, match="n_op >= 2, got 1"):
@@ -235,9 +238,11 @@ def test_builders_overwrite_a_conflicting_partition_in_config(rng):
     assert single.config == {"n_s": 40, "n_tr": 9, "n_rules": 4}
     detect_split(m9, histograms(m9)[0], single)  # its own matrix is compatible
     group = group_baseline(m9, 3, config={"n_s": 40, "k": 2, "n_tr": 5, "sigma_floor": 0.5})
-    assert (group.config["k"], group.config["n_tr"], group.config["n_rules"]) == (5, 9, 4)
+    assert (group.config["n_op"], group.config["n_tr"], group.config["n_rules"]) == (3, 9, 4)
     assert group.config["sigma_floor"] == 1e-6  # the floor the envelope was fitted with
-    detect_group(m9, stack(histograms(m9)[6:]), group)
+    fold = stack(histograms(m9)[6:])
+    # the stray k is not read: detection derives k = 9 - 3 - 1 = 5
+    assert detect_group(m9, fold, group) == detect_group(m9, fold, group_baseline(m9, 3))
 
 
 def test_group_baseline_rejects_a_conflicting_n_op_in_config(rng):
@@ -298,7 +303,7 @@ def test_reloaded_bundle_scores_every_loo_fold_bit_for_bit(rng):
     training = stack(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
     built = BaselineBundle(group_baseline(training, 3, config={"n_op": 3}), training)
     bundle = BaselineBundle.from_document(built.to_document())
-    k = bundle.baselines.config["k"]
+    k = bundle.training.n_splits - bundle.baselines.config["n_op"] - 1
     assert k == 5
     loo, _ = _calibration_scores(training.counts / 40, k, 1e-6)
     tr2 = histograms(bundle.training)[k:]
@@ -501,6 +506,26 @@ def test_bundle_rejects_non_integer_counts(rng, edit):
         BaselineBundle.from_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(config=[1, 2]), "has no attribute 'get'"),
+        (lambda doc: doc["config"].update(n_s=41), "config n_s 41 differs"),
+        (lambda doc: doc["config"].pop("n_op"), "n_op >= 2"),
+        (lambda doc: doc["intervals"].update(wmi=[0.0, 1.0]), "exactly one of"),
+    ],
+    ids=["config-not-a-mapping", "n_s-not-the-split-size", "group-without-n_op", "both-intervals"],
+)
+def test_bundle_rejects_a_self_contradicting_config(rng, edit, message):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    bundle = BaselineBundle(group_baseline(training, 3, config={"n_s": 40}), training)
+    doc = json.loads(bundle.to_document())
+    BaselineBundle.from_document(json.dumps(doc))  # loads unedited
+    edit(doc)
+    with pytest.raises(DetectionError, match=f"malformed baseline document: .*{message}"):
+        BaselineBundle.from_document(json.dumps(doc))
+
+
 def test_fingerprint_binds_ruleset_and_config():
     rs1 = parse_ruleset("if x1 <= 1 then a\n")
     rs2 = parse_ruleset("if x1 <= 2 then a\n")
@@ -513,3 +538,13 @@ def test_fingerprint_binds_ruleset_and_config():
 def test_baselines_interval_validation():
     with pytest.raises(DetectionError):
         Baselines(l1=(1.0, 0.5), l2=(0.0, 1.0))
+
+
+def test_baselines_mode_comes_from_its_interval(rng):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    single, group = single_split_baseline(training), group_baseline(training, 3)
+    assert (single.mode, group.mode) == (SINGLE_SPLIT, GROUP)
+    with pytest.raises(DetectionError, match="exactly one of"):
+        Baselines(l1=(0.0, 1.0), l2=(0.0, 1.0))
+    with pytest.raises(DetectionError, match="n_op >= 2"):
+        Baselines(l1=(0.0, 1.0), l2=(0.0, 1.0), rbi=(0.5, 1.0), config={"n_op": 1})

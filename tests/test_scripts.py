@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +82,17 @@ def test_readme_library_snippets_run(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_lines_parse():
+    # Every documented rulewatch command line is accepted by the parser as written.
+    from rulewatch.cli import build_parser
+
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.findall(r"```\n(.*?)```", section, flags=re.S)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("rulewatch ")]
+    assert len(lines) >= 8
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line

@@ -188,6 +188,17 @@ def test_monitor_warns_on_window_size_mismatch(rng):
         StreamMonitor(RULES, base, matrix)  # capacity from baseline: no warning
 
 
+def test_monitor_window_defaults_to_the_training_split_size(rng):
+    splits = [Split(DataTable(("x1", "x2"), rng.random((24, 2)))) for _ in range(8)]
+    matrix = hit_matrix(RULES, splits)
+    # neither config records n_s
+    for base, n_op in ((single_split_baseline(matrix), 1), (group_baseline(matrix, 3), 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monitor = StreamMonitor(RULES, base, matrix)
+        assert (monitor.window.capacity, monitor.mode, monitor.n_op) == (24, base.mode, n_op)
+
+
 def test_monitor_tick_cadence_and_stride(rng):
     matrix, base = _training_setup(rng, n_s=8)
     monitor = StreamMonitor(RULES, base, matrix, capacity=8, detect_stride=3)
@@ -203,9 +214,7 @@ def test_monitor_group_mode_snapshots(rng):
 
     matrix = stack(cols)
     base = group_baseline(matrix, 3, config={"n_s": n_s, "n_op": 3})
-    monitor = StreamMonitor(
-        RULES, base, matrix, mode="group", capacity=n_s, n_op=3, snapshot_stride=4
-    )
+    monitor = StreamMonitor(RULES, base, matrix, capacity=n_s, snapshot_stride=4)
     first_tick = None
     for i in range(60):
         tick = monitor.push(_record(rng))
@@ -226,9 +235,7 @@ def test_group_stream_equals_batch_at_every_tick(rng):
     splits = [Split(DataTable(("x1", "x2"), rng.random((n_s, 2)))) for _ in range(8)]
     training = hit_matrix(RULES, splits)
     base = group_baseline(training, n_op, config={"n_s": n_s, "n_op": n_op})
-    monitor = StreamMonitor(
-        RULES, base, training, mode="group", capacity=n_s, n_op=n_op, snapshot_stride=stride
-    )
+    monitor = StreamMonitor(RULES, base, training, capacity=n_s, snapshot_stride=stride)
     history, verdicts = [], set()
     for i in range(120):
         s = _record(rng)
