@@ -19,7 +19,6 @@ from .detection import (
     detect_split,
     group_baseline,
     single_split_baseline,
-    strict_majority,
 )
 from .histogram import (
     HitHistogram,
@@ -32,12 +31,7 @@ from .histogram import (
 from .inducer import (
     InducerError,
     RuleQualityWarning,
-    TreeLeaf,
-    TreeSplit,
     induce_ruleset,
-    induce_tree,
-    predict_tree,
-    tree_to_rules,
 )
 from .metrics import (
     MetricError,

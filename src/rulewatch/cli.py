@@ -167,6 +167,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     table = _load_features(args.op_data, cfg.label_column)
     n_op = int(base.config["n_op"]) if base.mode == GROUP else 1
     op_splits = operational_splits(table, training.split_size, n_op)
+    scored = n_op * training.split_size
+    if table.n_rows > scored:
+        print(f"warning: scored the first {scored} of {table.n_rows} rows; "
+              f"{table.n_rows - scored} trailing rows ignored", file=sys.stderr)
     if base.mode == GROUP:
         report = detect_group(
             training, hit_matrix(ruleset, op_splits), base, metrics=cfg.metrics or GROUP_METRICS

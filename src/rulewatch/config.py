@@ -9,7 +9,7 @@ from .data import DataError
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of a run; every report echoes the resolved values.
+    """All knobs of a run; reports echo the resolved values they read.
 
     Defaults target the design setting (splits of 5000 samples, 50 training
     splits); ``repetitions`` defaults to a desk-scale 200 (the paper's full

@@ -28,6 +28,10 @@ from .inducer import induce_ruleset
 from .rules import Ruleset
 
 
+# Run settings no repetition reads: detection runs every metric of its mode.
+_UNREAD = ("metrics", "stride", "snapshot_stride")
+
+
 @dataclass(frozen=True)
 class EvalSummary:
     """Aggregated error rates of a repeated detection experiment."""
@@ -126,5 +130,5 @@ def run_eval(
         fnr=fn / reps,
         per_metric_fp_rates={k: v / reps for k, v in sorted(metric_fp.items())},
         per_metric_detect_rates={k: v / reps for k, v in sorted(metric_detect.items())},
-        config=cfg.echo(),
+        config={k: v for k, v in cfg.echo().items() if k not in _UNREAD},
     )

@@ -2,15 +2,19 @@
 
 A ruleset is an ordered list of rules; rule order is load-bearing because
 downstream hit histograms are indexed by rule position. The text syntax is
-line oriented::
+one rule per line, ``if COND (and COND)* then LABEL``::
 
     # comment
     if x1 <= 3.2 and x2 > 0.5 then 1
     if d in [0, 0.4] then safe
 
-Keywords are case-insensitive. Comparison thresholds are decimal reals and
-are compared with exact binary floating-point semantics, so hit counts are
-deterministic for a given ruleset text.
+Four anchored patterns read a line in turn: ``if``, one condition, ``and``
+or ``then``, the label. Names are ``[A-Za-z_][A-Za-z0-9_.-]*``; numbers are
+decimal with an optional sign and exponent; keywords (``if and then in``)
+are ASCII case-insensitive and are never names or labels; a label is a name
+or a number; whitespace between tokens is optional. Thresholds are compared
+with exact binary floating-point semantics, so hit counts are deterministic
+for a given ruleset text.
 
 One kernel, ``_hits``, evaluates tables (``Ruleset.hit_mask_table``) and
 single samples (``ruleset_hits``) against closed bounds ``lo <= v <= hi``
@@ -52,7 +56,6 @@ class NonNumericValueError(RuleError):
 
 
 _COMPARATORS = ("<=", "<", ">=", ">", "==")
-_KEYWORDS = frozenset({"if", "and", "then", "in"})
 
 
 @dataclass(frozen=True)
@@ -242,119 +245,58 @@ def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> list[bool]:
 # Text syntax
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<cmp><=|>=|==|<|>)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
-      | (?P<lbracket>[\[\(])
-      | (?P<rbracket>[\]\)])
-      | (?P<comma>,)
-    """,
-    re.VERBOSE,
+# Each name and keyword ends at _WORD_END, so backtracking cannot split one
+# word in two (``dIN`` stays a name, not ``d in``); possessive quantifiers
+# would need Python 3.11. Keywords fold ASCII case only: ``ın`` is no ``in``.
+_WORD_END = r"(?![A-Za-z0-9_.\-])"
+_KEYWORD = rf"(?ai:if|and|then|in){_WORD_END}"
+_NAME = rf"(?!{_KEYWORD})[A-Za-z_][A-Za-z0-9_.\-]*{_WORD_END}"
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+_IF = re.compile(rf"\s*(?ai:if){_WORD_END}\s*")
+_CONDITION = re.compile(
+    rf"(?P<feature>{_NAME})\s*(?:(?P<op>{'|'.join(_COMPARATORS)})\s*(?P<threshold>{_NUMBER})"
+    rf"|(?ai:in){_WORD_END}\s*(?P<lb>[\[(])\s*(?P<lo>{_NUMBER})\s*,"
+    rf"\s*(?P<hi>{_NUMBER})\s*(?P<rb>[\])]))\s*"
 )
+_AND_OR_THEN = re.compile(rf"(?ai:(?P<and>and)|then){_WORD_END}\s*")
+_LABEL = re.compile(rf"(?:{_NAME}|{_NUMBER})\Z")
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    column: int
+def _expect(pattern: re.Pattern, line: str, pos: int, what: str, line_no: int) -> re.Match:
+    """``pattern`` matched at ``pos``, else a syntax error naming ``what``."""
+    m = pattern.match(line, pos)
+    if m is None:
+        rest = line[pos:].lstrip()
+        got = repr(rest) if rest else "end of line"
+        raise RuleSyntaxError(f"expected {what}, got {got}", line_no, len(line) - len(rest) + 1)
+    return m
 
 
-def _tokenize(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        kind = m.lastgroup
-        if kind != "ws":
-            tok_text = m.group()
-            if kind == "ident" and tok_text.lower() in _KEYWORDS:
-                kind = tok_text.lower()
-            tokens.append(_Token(kind, tok_text, m.start() + 1))
-        pos = m.end()
-    return tokens
+def _parse_rule(line: str, line_no: int, rule_id: int) -> Rule:
+    """One ``if COND (and COND)* then LABEL`` line, matched left to right."""
+    pos = _expect(_IF, line, 0, "'if'", line_no).end()
+    conditions, more = [], True
+    while more:
+        cond = _expect(_CONDITION, line, pos, "a condition", line_no)
+        conditions.append(_condition(cond, line_no))
+        m = _expect(_AND_OR_THEN, line, cond.end(), "'and' or 'then'", line_no)
+        pos, more = m.end(), m["and"] is not None
+    label = _expect(_LABEL, line, pos, "a class label ending the line", line_no)
+    return Rule(id=rule_id, premise=tuple(conditions), consequence=label.group())
 
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.line_len = line_len
-        self.pos = 0
-
-    def _fail(self, message: str) -> None:
-        col = self.tokens[self.pos].column if self.pos < len(self.tokens) else self.line_len + 1
-        raise RuleSyntaxError(message, self.line_no, col)
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            got = f"{tok.text!r}" if tok else "end of line"
-            self._fail(f"expected {what}, got {got}")
-        self.pos += 1
-        return tok
-
-    def parse_rule(self, rule_id: int) -> Rule:
-        self.expect("if", "'if'")
-        tok = self.peek()
-        if tok is not None and tok.kind == "then":
-            self._fail("empty premise: expected at least one condition")
-        conditions = [self.parse_condition()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "and":
-                self.pos += 1
-                conditions.append(self.parse_condition())
-            else:
-                break
-        self.expect("then", "'and' or 'then'")
-        label = self.expect_label()
-        if self.peek() is not None:
-            self._fail(f"unexpected trailing token {self.peek().text!r}")
-        return Rule(id=rule_id, premise=tuple(conditions), consequence=label)
-
-    def expect_label(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            self._fail("expected class label after 'then'")
-        if tok.kind not in ("ident", "number"):
-            self._fail(f"expected class label, got {tok.text!r}")
-        self.pos += 1
-        return tok.text
-
-    def parse_condition(self) -> Condition:
-        feat = self.expect("ident", "feature name")
-        tok = self.peek()
-        if tok is None:
-            self._fail("expected comparison or 'in' after feature name")
-        if tok.kind == "cmp":
-            self.pos += 1
-            num = self.expect("number", "numeric threshold")
-            return Condition(feature=feat.text, operator=tok.text, threshold=float(num.text))
-        if tok.kind == "in":
-            self.pos += 1
-            lb = self.expect("lbracket", "'[' or '('")
-            lo = self.expect("number", "interval lower bound")
-            self.expect("comma", "','")
-            hi = self.expect("number", "interval upper bound")
-            rb = self.expect("rbracket", "']' or ')'")
-            lo_v, hi_v = float(lo.text), float(hi.text)
-            if lo_v > hi_v:
-                raise RuleSyntaxError(
-                    f"malformed interval: lower bound {lo.text} exceeds upper bound {hi.text}",
-                    self.line_no,
-                    lo.column,
-                )
-            interval = Interval(lo_v, hi_v, lb.text == "[", rb.text == "]")
-            return Condition(feature=feat.text, operator="in", interval=interval)
-        self._fail(f"expected comparison or 'in', got {tok.text!r}")
+def _condition(m: re.Match, line_no: int) -> Condition:
+    if m["op"]:
+        return Condition(m["feature"], m["op"], float(m["threshold"]))
+    lo, hi = float(m["lo"]), float(m["hi"])
+    if lo > hi:
+        raise RuleSyntaxError(
+            f"malformed interval: lower bound {m['lo']} exceeds upper bound {m['hi']}",
+            line_no, m.start("lo") + 1,
+        )
+    interval = Interval(lo, hi, m["lb"] == "[", m["rb"] == "]")
+    return Condition(m["feature"], "in", interval=interval)
 
 
 def parse_ruleset(text: str) -> Ruleset:
@@ -362,11 +304,8 @@ def parse_ruleset(text: str) -> Ruleset:
     rules: list[Rule] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        tokens = _tokenize(line, line_no)
-        parser = _LineParser(tokens, line_no, len(line))
-        rules.append(parser.parse_rule(len(rules) + 1))
+        if line:
+            rules.append(_parse_rule(line, line_no, len(rules) + 1))
     return Ruleset(tuple(rules))
 
 

@@ -181,6 +181,43 @@ def test_detect_csv_format(workdir, capsys):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize(
+    "mode_args, scored", [((), 250), (("--mode", "group", "--nop", "3", "--ns", "100"), 300)]
+)
+def test_detect_warns_about_ignored_trailing_rows(workdir, capsys, mode_args, scored):
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    lines = (workdir / "op_in.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 401
+    (workdir / "op_head.csv").write_text("".join(lines[: scored + 1]))
+    capsys.readouterr()
+
+    def detect(name):
+        rc = main(["detect", str(workdir / name), "--rules", str(workdir / "rules.txt"),
+                   "--baseline", str(workdir / "base.json")])
+        return rc, capsys.readouterr()
+
+    rc, out = detect("op_in.csv")
+    assert out.err == (f"warning: scored the first {scored} of 400 rows; "
+                       f"{400 - scored} trailing rows ignored\n")
+    head_rc, head_out = detect("op_head.csv")
+    assert (rc, out.out) == (head_rc, head_out.out)
+    assert head_out.err == ""
+
+
+@pytest.mark.parametrize("command", ["baseline", "detect", "stream"])
+def test_malformed_rule_line_exits_1_naming_line_and_column(workdir, capsys, command):
+    assert main(_baseline_args(workdir)) == 0
+    (workdir / "rules.txt").write_text("if x1 <= 0.5 then 1\nif x2 >> 1 then 2\n")
+    capsys.readouterr()
+    if command == "baseline":
+        argv = _baseline_args(workdir, out="never.json")
+    else:
+        argv = [command, str(workdir / "op_in.csv"), "--rules", str(workdir / "rules.txt"),
+                "--baseline", str(workdir / "base.json")]
+    assert main(argv) == 1
+    assert "line 2, column" in capsys.readouterr().err
+
+
 def test_stream_emits_tick_csv(workdir, tmp_path):
     main(_baseline_args(workdir))
     rc = main([
@@ -260,6 +297,22 @@ def test_eval_synthetic_smoke(capsys):
     assert doc["repetitions"] == 3
     assert doc["fnr"] == 0.0
     assert 0.0 <= doc["fpr"] <= 1.0
+
+
+def test_eval_document_omits_settings_eval_does_not_read(tmp_path):
+    (tmp_path / "run.cfg").write_text("metrics = wmi\nstride = 5\n")
+    rc = main([
+        "eval", "--synthetic", "rule-aligned", "--shift", "1:0.8,2:0.8",
+        "--config", str(tmp_path / "run.cfg"), "-o", str(tmp_path / "eval.json"),
+        "--ns", "150", "--ntr", "6", "--repetitions", "2",
+        "--max-depth", "2", "--min-leaf", "10", "--seed", "3",
+    ])
+    assert rc == 0
+    doc = json.loads((tmp_path / "eval.json").read_text())
+    assert not {"metrics", "stride", "snapshot_stride"} & set(doc["config"])
+    assert doc["config"]["n_s"] == 150
+    metrics = {"wmi", "l1", "l2"}
+    assert set(doc["per_metric_fp_rates"]) == set(doc["per_metric_detect_rates"]) == metrics
 
 
 def test_eval_csv_pair_smoke(tmp_path, capsys):

@@ -24,7 +24,6 @@ from rulewatch import (
     hit_matrix,
     parse_ruleset,
     single_split_baseline,
-    strict_majority,
     weighted_mutual_information,
 )
 from rulewatch.detection import (
@@ -37,6 +36,7 @@ from rulewatch.detection import (
     _calibration_scores,
     _metric_report,
     calibrated_rbi_interval,
+    strict_majority,
 )
 from rulewatch.metrics import lp_norm
 from tests.conftest import histograms, random_histogram, stack

@@ -10,16 +10,12 @@ from rulewatch import (
     DataTable,
     InducerError,
     RuleQualityWarning,
-    TreeLeaf,
-    TreeSplit,
     induce_ruleset,
-    induce_tree,
     parse_ruleset,
-    predict_tree,
     ruleset_hits,
-    tree_to_rules,
 )
 from rulewatch import inducer
+from rulewatch.inducer import TreeLeaf, TreeSplit, induce_tree, predict_tree, tree_to_rules
 
 
 def _table(X, labels, columns=None):

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -319,3 +321,203 @@ def test_compiled_bounds_merge_and_pad():
     assert hi[:, 0].tolist() == [math.nextafter(1.0, -math.inf)] * 2
     assert (lo[0, 1], hi[0, 1]) == (math.inf, -math.inf)  # x2 > +inf never holds
     assert (lo[1, 1], hi[1, 1]) == (0.0, 2.0)
+
+
+# -- agreement with the token-based parser -----------------------------------
+# The tokenizer and recursive-descent line parser that the anchored patterns
+# in rulewatch.rules replaced, kept verbatim as the reference.
+
+_KEYWORDS = frozenset({"if", "and", "then", "in"})
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<cmp><=|>=|==|<|>)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
+      | (?P<lbracket>[\[\(])
+      | (?P<rbracket>[\]\)])
+      | (?P<comma>,)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class _Token:
+    kind: str
+    text: str
+    column: int
+
+
+def _tokenize(text: str, line_no: int) -> list[_Token]:
+    tokens: list[_Token] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+        kind = m.lastgroup
+        if kind != "ws":
+            tok_text = m.group()
+            if kind == "ident" and tok_text.lower() in _KEYWORDS:
+                kind = tok_text.lower()
+            tokens.append(_Token(kind, tok_text, m.start() + 1))
+        pos = m.end()
+    return tokens
+
+
+class _LineParser:
+    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
+        self.tokens = tokens
+        self.line_no = line_no
+        self.line_len = line_len
+        self.pos = 0
+
+    def _fail(self, message: str) -> None:
+        col = self.tokens[self.pos].column if self.pos < len(self.tokens) else self.line_len + 1
+        raise RuleSyntaxError(message, self.line_no, col)
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            got = f"{tok.text!r}" if tok else "end of line"
+            self._fail(f"expected {what}, got {got}")
+        self.pos += 1
+        return tok
+
+    def parse_rule(self, rule_id: int) -> Rule:
+        self.expect("if", "'if'")
+        tok = self.peek()
+        if tok is not None and tok.kind == "then":
+            self._fail("empty premise: expected at least one condition")
+        conditions = [self.parse_condition()]
+        while True:
+            tok = self.peek()
+            if tok is not None and tok.kind == "and":
+                self.pos += 1
+                conditions.append(self.parse_condition())
+            else:
+                break
+        self.expect("then", "'and' or 'then'")
+        label = self.expect_label()
+        if self.peek() is not None:
+            self._fail(f"unexpected trailing token {self.peek().text!r}")
+        return Rule(id=rule_id, premise=tuple(conditions), consequence=label)
+
+    def expect_label(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            self._fail("expected class label after 'then'")
+        if tok.kind not in ("ident", "number"):
+            self._fail(f"expected class label, got {tok.text!r}")
+        self.pos += 1
+        return tok.text
+
+    def parse_condition(self) -> Condition:
+        feat = self.expect("ident", "feature name")
+        tok = self.peek()
+        if tok is None:
+            self._fail("expected comparison or 'in' after feature name")
+        if tok.kind == "cmp":
+            self.pos += 1
+            num = self.expect("number", "numeric threshold")
+            return Condition(feature=feat.text, operator=tok.text, threshold=float(num.text))
+        if tok.kind == "in":
+            self.pos += 1
+            lb = self.expect("lbracket", "'[' or '('")
+            lo = self.expect("number", "interval lower bound")
+            self.expect("comma", "','")
+            hi = self.expect("number", "interval upper bound")
+            rb = self.expect("rbracket", "']' or ')'")
+            lo_v, hi_v = float(lo.text), float(hi.text)
+            if lo_v > hi_v:
+                raise RuleSyntaxError(
+                    f"malformed interval: lower bound {lo.text} exceeds upper bound {hi.text}",
+                    self.line_no,
+                    lo.column,
+                )
+            interval = Interval(lo_v, hi_v, lb.text == "[", rb.text == "]")
+            return Condition(feature=feat.text, operator="in", interval=interval)
+        self._fail(f"expected comparison or 'in', got {tok.text!r}")
+
+
+def _reference_parse_ruleset(text: str) -> Ruleset:
+    rules: list[Rule] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        tokens = _tokenize(line, line_no)
+        parser = _LineParser(tokens, line_no, len(line))
+        rules.append(parser.parse_rule(len(rules) + 1))
+    return Ruleset(tuple(rules))
+
+
+def _cased(word):
+    return st.sampled_from((word, word.upper(), word.capitalize(), word[:-1] + word[-1].upper()))
+
+
+_NAMES = st.sampled_from((
+    "x1", "d", "_z", "a.b", "f-1", "e", "E", "n9", "t_", "x.in", "and-1", "x1", "d", "e",
+    "iff", "ifx", "inx", "index", "thenx", "andy", "in", "IF", "Then",
+))
+_NUMBERS = st.sampled_from((
+    "0", "-1", "3.2", "+.5", "5.", "1e5", "-2E-3", "1e999", "-1e999", "-0.0", "12", ".25",
+    "7.e+1", "+12.5e-2", "5e-324", "1.7976931348623157e+308", "-2.4010675246480174e-119",
+))
+# Mutation fragments: keywords glued to names and numbers, stray characters,
+# letters that equal a keyword only under Unicode case folding and a
+# non-ASCII digit.
+_FRAGMENTS = ("dIN[0,1]", "xin(", "3.2and", "1e5then", "then1", "index", "+.5", "5.", "7.5e",
+          "-", "=", "!", ",", "(", "]", "ın", "İf", "١")
+
+
+@st.composite
+def _condition_tokens(draw):
+    name = draw(_NAMES)
+    if draw(st.booleans()):
+        return [name, draw(st.sampled_from(("<", "<=", ">", ">=", "=="))), draw(_NUMBERS)]
+    return [name, draw(_cased("in")), draw(st.sampled_from("[(")), draw(_NUMBERS), ",",
+            draw(_NUMBERS), draw(st.sampled_from("])"))]
+
+
+@st.composite
+def _rule_line(draw):
+    tokens = [draw(_cased("if")), *draw(_condition_tokens())]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens += [draw(_cased("and")), *draw(_condition_tokens())]
+    tokens += [draw(_cased("then")), draw(st.one_of(_NAMES, _NUMBERS))]
+    pool = st.one_of(st.sampled_from(_FRAGMENTS), _NAMES, _NUMBERS,
+                     st.sampled_from(("if", "AND", "Then", "in", "<=", "[", ")")))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        i = draw(st.integers(0, len(tokens)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        if kind == "insert":
+            tokens.insert(i, draw(pool))
+        elif i < len(tokens):
+            tokens[i : i + 1] = [] if kind == "delete" else [draw(pool)]
+    separators = st.sampled_from(("", " ", " ", " ", " ", " ", " ", "  ", "\t"))
+    return "".join(tok + draw(separators) for tok in tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except RuleError as exc:
+        return type(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(_rule_line(), st.sampled_from(("", "# note", "  "))),
+                min_size=1, max_size=2).map("\n".join))
+@example("if dIN[0,1] then a")
+@example("if xin (0, 1] then a")
+@example("if then 1")
+@example("if d in [5, 1] then bad")
+@example("if x ın [0, 1] then a\nİF x < 1 then b")
+@example("IF x<1e5then+.5\nif x <= 1ethen a")
+def test_parser_agrees_with_token_parser(text):
+    assert _outcome(parse_ruleset, text) == _outcome(_reference_parse_ruleset, text)

@@ -96,3 +96,15 @@ def test_readme_cli_lines_parse():
     for line in lines:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert callable(args.fn), line
+
+
+def test_readme_rule_syntax_block_parses():
+    from rulewatch import Interval, parse_ruleset
+
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Rule syntax\n", 1)[1].split("\n## ", 1)[0]
+    block = re.findall(r"```\n(.*?)```", section, flags=re.S)[0]
+    rs = parse_ruleset(block)
+    assert rs.n_rules == 2
+    (cond,) = rs.rules[1].premise
+    assert (cond.feature, cond.operator, cond.interval) == ("d", "in", Interval(0.0, 0.4))
