@@ -44,7 +44,7 @@ def main() -> int:
     drift = src.shifted({0: args.shift, 1: args.shift})
 
     train = src.sample(args.ntr * args.design_ns, np.random.default_rng(args.seed))
-    matrix = hit_matrix(rules, make_splits(train, args.design_ns, args.ntr, seed=args.seed))
+    matrix = hit_matrix(rules, train, make_splits(train, args.design_ns, args.ntr, seed=args.seed))
     base = single_split_baseline(matrix, config={"n_s": args.design_ns})
 
     window_sizes = [int(w) for w in args.windows.split(",")]

@@ -44,7 +44,6 @@ from .metrics import (
 )
 from .rules import (
     Condition,
-    Interval,
     MissingFeatureError,
     NonNumericValueError,
     Rule,

@@ -33,7 +33,7 @@ from .detection import (
     single_split_baseline,
 )
 from .eval import run_eval
-from .histogram import hit_histogram, hit_matrix, make_splits, operational_splits
+from .histogram import HitHistogram, hit_matrix, make_splits, operational_splits
 from .inducer import InducerError, induce_ruleset
 from .metrics import MetricError
 from .rules import RuleError, format_ruleset, parse_ruleset
@@ -141,8 +141,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset = parse_ruleset(Path(args.rules).read_text())
     table = _load_features(args.data, cfg.label_column)
-    splits = make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed)
-    training = hit_matrix(ruleset, splits)
+    training = hit_matrix(ruleset, table, make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed))
     echo = _fingerprint_config(cfg)
     fingerprint = compute_fingerprint(ruleset, echo)
     if cfg.mode == "group":
@@ -166,18 +165,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     base, training = bundle.baselines, bundle.training
     table = _load_features(args.op_data, cfg.label_column)
     n_op = int(base.config["n_op"]) if base.mode == GROUP else 1
-    op_splits = operational_splits(table, training.split_size, n_op)
-    scored = n_op * training.split_size
-    if table.n_rows > scored:
-        print(f"warning: scored the first {scored} of {table.n_rows} rows; "
-              f"{table.n_rows - scored} trailing rows ignored", file=sys.stderr)
+    rows = operational_splits(table, training.split_size, n_op)
+    if table.n_rows > rows.size:
+        print(f"warning: scored the first {rows.size} of {table.n_rows} rows; "
+              f"{table.n_rows - rows.size} trailing rows ignored", file=sys.stderr)
+    unit = hit_matrix(ruleset, table, rows)
     if base.mode == GROUP:
-        report = detect_group(
-            training, hit_matrix(ruleset, op_splits), base, metrics=cfg.metrics or GROUP_METRICS
-        )
+        report = detect_group(training, unit, base, metrics=cfg.metrics or GROUP_METRICS)
     else:
         report = detect_split(
-            training, hit_histogram(ruleset, op_splits[0]), base,
+            training, HitHistogram(unit.counts[0], unit.split_size), base,
             metrics=cfg.metrics or SINGLE_METRICS,
         )
     if args.format == "csv":

@@ -23,7 +23,7 @@ from .detection import (
     group_baseline,
     single_split_baseline,
 )
-from .histogram import hit_histogram, hit_matrix, make_splits, operational_splits
+from .histogram import HitHistogram, hit_matrix, make_splits, operational_splits
 from .inducer import induce_ruleset
 from .rules import Ruleset
 
@@ -83,7 +83,7 @@ def _run_repetition(
     ruleset = _induce(in_source, cfg, rng)
     train_table = in_source.sample(cfg.n_tr * cfg.n_s, rng)
     splits = make_splits(train_table, cfg.n_s, cfg.n_tr, seed=int(rng.integers(2**31)))
-    training = hit_matrix(ruleset, splits)
+    training = hit_matrix(ruleset, train_table, splits)
     if single:
         base = single_split_baseline(training, config={"n_s": cfg.n_s})
     else:
@@ -93,10 +93,11 @@ def _run_repetition(
         )
     reports = []
     for source in (in_source, ood_source):
-        unit = operational_splits(source.sample(n_op * cfg.n_s, rng), cfg.n_s, n_op)
+        op_table = source.sample(n_op * cfg.n_s, rng)
+        unit = hit_matrix(ruleset, op_table, operational_splits(op_table, cfg.n_s, n_op))
         reports.append(
-            detect_split(training, hit_histogram(ruleset, unit[0]), base) if single
-            else detect_group(training, hit_matrix(ruleset, unit), base)
+            detect_split(training, HitHistogram(unit.counts[0], unit.split_size), base) if single
+            else detect_group(training, unit, base)
         )
     return reports[0], reports[1]
 

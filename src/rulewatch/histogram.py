@@ -1,14 +1,17 @@
 """Data splits and rule-hit histograms.
 
-A split is a bunch of ``n_s`` samples treated as one observation unit. Its
-hit histogram is the per-rule count of samples satisfying each premise,
-scaled by ``n_s``. Counts are stored exactly as integers so that histogram
-values compare exactly (they are integer multiples of ``1/n_s``), which the
-value-frequency metrics rely on. A ``HitHistogram`` is one (n_rules,) int64
-count vector and a ``HitMatrix`` one (n, n_rules) int64 count matrix, row i
-holding split i; the matrix serves training splits and operational groups
-alike and is the array the metric kernels take. Both hold a read-only copy
-of their counts, checked once on construction.
+A split is ``n_s`` samples treated as one observation unit, held as a row
+of indices into one table: ``make_splits`` and ``operational_splits`` return
+a read-only ``(n_splits, n_s)`` index array, and ``hit_matrix`` counts each
+row of it straight from the table. A split's hit histogram is the per-rule
+count of samples satisfying each premise, scaled by ``n_s``. Counts are
+stored exactly as integers so that histogram values compare exactly (they
+are integer multiples of ``1/n_s``), which the value-frequency metrics rely
+on. A ``HitHistogram`` is one (n_rules,) int64 count vector and a
+``HitMatrix`` one (n, n_rules) int64 count matrix, row i holding split i;
+the matrix serves training splits and operational groups alike and is the
+array the metric kernels take. Both hold a read-only copy of their counts,
+checked once on construction.
 """
 from __future__ import annotations
 
@@ -120,8 +123,8 @@ class HitMatrix:
         return self.counts.shape[0]
 
 
-def make_splits(dataset: DataTable, n_s: int, n_splits: int, seed: int) -> list[Split]:
-    """Draw ``n_splits`` pairwise-disjoint splits of exactly ``n_s`` rows.
+def make_splits(table: DataTable, n_s: int, n_splits: int, seed: int) -> np.ndarray:
+    """Row indices of ``n_splits`` pairwise-disjoint splits of exactly ``n_s`` rows.
 
     Rows are assigned by a seeded shuffle followed by partition, so splits
     never share samples and the draw is reproducible for a fixed seed.
@@ -129,41 +132,37 @@ def make_splits(dataset: DataTable, n_s: int, n_splits: int, seed: int) -> list[
     if n_s < 1 or n_splits < 1:
         raise ValueError("n_s and n_splits must both be >= 1")
     needed = n_s * n_splits
-    if dataset.n_rows < needed:
+    if table.n_rows < needed:
         raise InsufficientDataError(
-            f"need {needed} rows ({n_splits} splits of {n_s}), have {dataset.n_rows}"
+            f"need {needed} rows ({n_splits} splits of {n_s}), have {table.n_rows}"
         )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n_rows)
-    return [Split(dataset.take(perm[i * n_s : (i + 1) * n_s])) for i in range(n_splits)]
+    rows = np.random.default_rng(seed).permutation(table.n_rows)[:needed].reshape(n_splits, n_s)
+    rows.setflags(write=False)
+    return rows
 
 
-def operational_splits(table: DataTable, n_s: int, count: int) -> list[Split]:
-    """The first ``count * n_s`` rows of ``table`` as consecutive operational splits."""
+def operational_splits(table: DataTable, n_s: int, count: int) -> np.ndarray:
+    """Row indices of the first ``count * n_s`` rows of ``table`` as consecutive splits."""
     if table.n_rows < n_s * count:
         raise InsufficientDataError(
             f"operational data has {table.n_rows} rows; "
             f"need {n_s * count} ({count} splits of {n_s})"
         )
-    return [
-        Split(table.take(np.arange(i * n_s, (i + 1) * n_s)), origin=OPERATIONAL)
-        for i in range(count)
-    ]
-
-
-def _split_counts(ruleset: Ruleset, split: Split) -> np.ndarray:
-    """Per rule, how many of the split's samples satisfy the premise."""
-    return ruleset.hit_mask_table(split.table.X, split.table.columns).sum(axis=0)
+    rows = np.arange(count * n_s).reshape(count, n_s)
+    rows.setflags(write=False)
+    return rows
 
 
 def hit_histogram(ruleset: Ruleset, split: Split) -> HitHistogram:
     """The hit histogram of one split."""
-    return HitHistogram(_split_counts(ruleset, split), split.size)
+    counts = ruleset.hit_mask_table(split.table.X, split.table.columns).sum(axis=0)
+    return HitHistogram(counts, split.size)
 
 
-def hit_matrix(ruleset: Ruleset, splits: Sequence[Split]) -> HitMatrix:
-    """The hit counts of splits of one size, one row per split, in order."""
-    sizes = {s.size for s in splits}
-    if len(sizes) != 1:
-        raise ValueError(f"hit matrix needs one split size, got split sizes {sorted(sizes)}")
-    return HitMatrix(np.array([_split_counts(ruleset, s) for s in splits]), splits[0].size)
+def hit_matrix(ruleset: Ruleset, table: DataTable, splits: np.ndarray) -> HitMatrix:
+    """Hit counts per split, one per row of indices in ``splits``; other rows are never read."""
+    rows = np.asarray(splits)  # a ragged nested sequence raises ValueError here
+    if rows.ndim != 2 or rows.size == 0 or rows.dtype.kind not in "iu":
+        raise ValueError(f"splits must be a non-empty 2-D integer array, got {rows.shape}")
+    counts = [ruleset.hit_mask_table(table.X[r], table.columns).sum(axis=0) for r in rows]
+    return HitMatrix(np.array(counts), rows.shape[1])

@@ -121,7 +121,7 @@ def test_criterion_3_streaming_oracle_equivalence():
         drift = src.shifted({0: 0.5, 1: 0.5})
         setup_rng = np.random.default_rng(42)
         train = src.sample(n_tr * n_s, setup_rng)
-        matrix = hit_matrix(STREAM_RULES, make_splits(train, n_s, n_tr, seed=13))
+        matrix = hit_matrix(STREAM_RULES, train, make_splits(train, n_s, n_tr, seed=13))
         base = single_split_baseline(matrix, config={"n_s": n_s})
 
         for stream_idx in range(10):
@@ -210,7 +210,7 @@ def test_criterion_6_drift_onset_shorter_window_faster():
             seed = 6100 + run
             train = src.sample(n_tr * design_ns, np.random.default_rng(seed))
             matrix = hit_matrix(
-                STREAM_RULES, make_splits(train, design_ns, n_tr, seed=seed)
+                STREAM_RULES, train, make_splits(train, design_ns, n_tr, seed=seed)
             )
             base = single_split_baseline(matrix, config={"n_s": design_ns})
             prefill = list(itertools.islice(

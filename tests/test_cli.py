@@ -204,6 +204,42 @@ def test_detect_warns_about_ignored_trailing_rows(workdir, capsys, mode_args, sc
     assert head_out.err == ""
 
 
+def _op_in_with_x2(workdir, line_no, cell):
+    """op_in.csv's lines, with x2 on file line ``line_no`` (the header is line 1) set to ``cell``."""
+    lines = (workdir / "op_in.csv").read_text().splitlines(keepends=True)
+    x2 = lines[0].strip().split(",").index("x2")
+    cells = lines[line_no - 1].rstrip("\r\n").split(",")
+    cells[x2] = cell
+    lines[line_no - 1] = ",".join(cells) + "\r\n"
+    return lines
+
+
+def _detect_single(workdir, capsys, lines):
+    (workdir / "op_edited.csv").write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["detect", str(workdir / "op_edited.csv"), "--rules", str(workdir / "rules.txt"),
+               "--baseline", str(workdir / "base.json")])
+    return rc, capsys.readouterr()
+
+
+def test_detect_parses_every_row_of_the_operational_file(workdir, capsys):
+    # Only the first 250 of 400 rows are scored, but the whole file must parse.
+    assert main(_baseline_args(workdir)) == 0
+    rc, out = _detect_single(workdir, capsys, _op_in_with_x2(workdir, 351, "abc"))
+    assert rc == 1
+    assert "row 351, column 'x2': not a number" in out.err
+
+
+def test_detect_ignores_a_nan_in_a_trailing_row(workdir, capsys):
+    # A nan parses; it sits in an ignored row, so no rule ever evaluates it.
+    assert main(_baseline_args(workdir)) == 0
+    with_nan = _op_in_with_x2(workdir, 351, "nan")
+    rc, out = _detect_single(workdir, capsys, with_nan)
+    rc_without, out_without = _detect_single(workdir, capsys, with_nan[:350] + with_nan[351:])
+    assert (rc, out.out) == (rc_without, out_without.out)
+    assert "399 rows" in out_without.err and "400 rows" in out.err
+
+
 @pytest.mark.parametrize("command", ["baseline", "detect", "stream"])
 def test_malformed_rule_line_exits_1_naming_line_and_column(workdir, capsys, command):
     assert main(_baseline_args(workdir)) == 0

@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 from rulewatch import (
     BaselineBundle,
     Baselines,
-    DataTable,
     DetectionError,
     FingerprintMismatchError,
     HitHistogram,
-    Split,
     compute_fingerprint,
     detect_group,
     detect_split,
     group_baseline,
-    hit_matrix,
     parse_ruleset,
     single_split_baseline,
     weighted_mutual_information,
@@ -407,17 +404,6 @@ def test_group_norms_match_explicit_pair_loops(rng):
         votes = [lp_norm(tr, h, p) for tr in cols for h in op]
         assert list(report.per_metric[name].values) == votes
         assert all(type(v) is float for v in report.per_metric[name].values)
-
-
-def test_detect_group_rejects_mixed_member_split_sizes(rng):
-    tr1 = [random_histogram(rng, 2, 20) for _ in range(3)]
-    tr2 = [random_histogram(rng, 2, 20) for _ in range(3)]
-    training = stack(tuple(tr1 + tr2))
-    base = group_baseline(training, 2)
-    rs = parse_ruleset("if x1 <= 0.5 then a\nif x1 > 0.5 then b\n")
-    splits = [Split(DataTable(("x1",), rng.random((n, 1)))) for n in (20, 40)]
-    with pytest.raises(ValueError, match="split sizes"):
-        detect_group(training, hit_matrix(rs, splits), base)
 
 
 def test_detect_group_requires_two_members(rng):

@@ -15,6 +15,8 @@ from rulewatch import (
     make_splits,
     parse_ruleset,
 )
+from rulewatch.histogram import operational_splits
+from tests.test_rules import rulesets
 
 
 def _table(rows, columns=("x1", "x2")):
@@ -24,9 +26,11 @@ def _table(rows, columns=("x1", "x2")):
 def test_make_splits_exact_partition():
     table = _table([[i, i] for i in range(10)])
     splits = make_splits(table, n_s=5, n_splits=2, seed=7)
-    assert [s.size for s in splits] == [5, 5]
+    assert splits.shape == (2, 5) and splits.dtype.kind == "i"
+    assert not splits.flags.writeable
+    assert [len(s) for s in splits] == [5, 5]
     seen = sorted(
-        int(v) for s in splits for v in s.table.X[:, 0]
+        int(v) for s in splits for v in table.X[s, 0]
     )
     assert seen == list(range(10))  # disjoint and covering
 
@@ -35,6 +39,8 @@ def test_make_splits_insufficient_data():
     table = _table([[i, i] for i in range(10)])
     with pytest.raises(InsufficientDataError, match="15"):
         make_splits(table, n_s=5, n_splits=3, seed=7)
+    with pytest.raises(InsufficientDataError, match="need 15"):
+        operational_splits(table, 5, 3)
 
 
 def test_make_splits_deterministic():
@@ -42,9 +48,15 @@ def test_make_splits_deterministic():
     a = make_splits(table, n_s=6, n_splits=4, seed=123)
     b = make_splits(table, n_s=6, n_splits=4, seed=123)
     for sa, sb in zip(a, b):
-        assert np.array_equal(sa.table.X, sb.table.X)
+        assert np.array_equal(table.X[sa], table.X[sb])
     c = make_splits(table, n_s=6, n_splits=4, seed=124)
-    assert any(not np.array_equal(sa.table.X, sc.table.X) for sa, sc in zip(a, c))
+    assert any(not np.array_equal(table.X[sa], table.X[sc]) for sa, sc in zip(a, c))
+
+
+def test_operational_splits_are_the_leading_rows():
+    rows = operational_splits(_table([[i, i] for i in range(10)]), 3, 2)
+    assert rows.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert not rows.flags.writeable
 
 
 def test_hit_histogram_counts():
@@ -116,7 +128,7 @@ def test_hit_matrix_shapes(rng):
     rs = parse_ruleset("if x1 <= 0 then a\nif x2 > 0 then b\n")
     table = _table(rng.normal(0, 1, size=(60, 2)))
     tr = make_splits(table, n_s=10, n_splits=4, seed=1)
-    m = hit_matrix(rs, tr)
+    m = hit_matrix(rs, table, tr)
     assert m.n_splits == 4
     assert m.n_rules == 2
 
@@ -131,11 +143,50 @@ def test_hit_matrix_rejects_mixed_rule_counts():
         HitMatrix([[1, 2], [1]], 4)
 
 
-def test_hit_matrix_rejects_mixed_training_split_sizes():
+@pytest.mark.parametrize(
+    "splits",
+    [
+        pytest.param([[0, 1, 2, 3], [4, 5, 6, 7, 8]], id="ragged"),
+        pytest.param(np.arange(4), id="1-D"),
+        pytest.param(np.zeros((0, 4), dtype=np.int64), id="empty"),
+        pytest.param(np.zeros((2, 0), dtype=np.int64), id="empty-splits"),
+        pytest.param(np.zeros((2, 4)), id="non-integer"),
+    ],
+)
+def test_hit_matrix_rejects_bad_partitions(splits):
     rs = parse_ruleset("if x1 <= 0 then a\nif x2 > 0 then b\n")
-    splits = [Split(_table([[0, 0]] * 4)), Split(_table([[0, 0]] * 5))]
-    with pytest.raises(ValueError, match="split sizes"):
-        hit_matrix(rs, splits)
+    with pytest.raises(ValueError):
+        hit_matrix(rs, _table([[0, 0]] * 9), splits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rulesets(),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(0, 7),
+    st.sampled_from(["shuffled", "leading"]),
+    st.data(),
+)
+def test_hit_matrix_equals_per_split_tables(ruleset, n_s, n_splits, spare, kind, data):
+    # Counting a row of the index partition equals counting a copied table
+    # of that split's rows; rows outside every split are NaN and never read.
+    columns = ("x1", "x2", "x3", "x4")
+    n_rows = n_s * n_splits + spare
+    halves = st.integers(-10, 10).map(lambda v: v / 2)
+    X = data.draw(hnp.arrays(np.float64, (n_rows, len(columns)), elements=halves))
+    drawn = _table(X.copy(), columns)
+    if kind == "shuffled":
+        rows = make_splits(drawn, n_s, n_splits, data.draw(st.integers(0, 2**32 - 1)))
+    else:
+        rows = operational_splits(drawn, n_s, n_splits)
+    X[np.setdiff1d(np.arange(n_rows), rows)] = np.nan
+    table = _table(X, columns)
+    m = hit_matrix(ruleset, table, rows)
+    assert m.counts.shape == (n_splits, ruleset.n_rules) and m.split_size == n_s
+    for i in range(n_splits):
+        reference = hit_histogram(ruleset, Split(DataTable(table.columns, table.X[rows[i]])))
+        assert m.counts[i].tolist() == reference.counts.tolist()
 
 
 def test_hit_matrix_training_counts():

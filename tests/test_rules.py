@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rulewatch import rules as rules_module
 from rulewatch import (
     Condition,
-    Interval,
     MissingFeatureError,
     NonNumericValueError,
     Rule,
@@ -22,6 +21,7 @@ from rulewatch import (
     parse_ruleset,
     ruleset_hits,
 )
+from rulewatch.rules import Interval
 
 
 def test_parse_simple_rule():

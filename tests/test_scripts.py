@@ -99,7 +99,8 @@ def test_readme_cli_lines_parse():
 
 
 def test_readme_rule_syntax_block_parses():
-    from rulewatch import Interval, parse_ruleset
+    from rulewatch import parse_ruleset
+    from rulewatch.rules import Interval
 
     text = (ROOT / "README.md").read_text()
     section = text.split("\n## Rule syntax\n", 1)[1].split("\n## ", 1)[0]

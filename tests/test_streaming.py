@@ -34,12 +34,18 @@ def _record(rng):
     return {"x1": float(rng.random()), "x2": float(rng.random())}
 
 
-def _split(samples):
-    return Split(DataTable(("x1", "x2"), np.array([[s["x1"], s["x2"]] for s in samples])))
+def _table(samples):
+    return DataTable(("x1", "x2"), np.array([[s["x1"], s["x2"]] for s in samples]))
 
 
 def _batch_histogram(samples):
-    return hit_histogram(RULES, _split(samples))
+    return hit_histogram(RULES, Split(_table(samples)))
+
+
+def _random_matrix(rng, n_splits, n_s, rules=RULES):
+    """Hit counts of ``n_splits`` consecutive splits of ``n_s`` uniform samples."""
+    table = DataTable(("x1", "x2"), rng.random((n_splits * n_s, 2)))
+    return hit_matrix(rules, table, np.arange(n_splits * n_s).reshape(n_splits, n_s))
 
 
 # -- sliding window -----------------------------------------------------------
@@ -112,11 +118,7 @@ def test_empty_window_has_no_histogram():
 # -- stream detection ----------------------------------------------------------
 
 def _training_setup(rng, n_tr=5, n_s=32):
-    splits = []
-    for i in range(n_tr):
-        X = rng.random((n_s, 2))
-        splits.append(Split(DataTable(("x1", "x2"), X)))
-    matrix = hit_matrix(RULES, splits)
+    matrix = _random_matrix(rng, n_tr, n_s)
     base = single_split_baseline(matrix, config={"n_s": n_s})
     return matrix, base
 
@@ -161,8 +163,7 @@ ONE_HIT_RULES = parse_ruleset(
 def test_tick_updates_only_the_rules_that_changed(rng):
     # Every sample hits one rule, so a push moves at most 2 counts: the
     # evicted sample's rule down, the admitted one's up.
-    splits = [Split(DataTable(("x1", "x2"), rng.random((32, 2)))) for _ in range(5)]
-    matrix = hit_matrix(ONE_HIT_RULES, splits)
+    matrix = _random_matrix(rng, 5, 32, ONE_HIT_RULES)
     base = single_split_baseline(matrix, config={"n_s": 32})
     most = set()
     for capacity in (8, 64, 1024):
@@ -189,8 +190,7 @@ def test_monitor_warns_on_window_size_mismatch(rng):
 
 
 def test_monitor_window_defaults_to_the_training_split_size(rng):
-    splits = [Split(DataTable(("x1", "x2"), rng.random((24, 2)))) for _ in range(8)]
-    matrix = hit_matrix(RULES, splits)
+    matrix = _random_matrix(rng, 8, 24)
     # neither config records n_s
     for base, n_op in ((single_split_baseline(matrix), 1), (group_baseline(matrix, 3), 3)):
         with warnings.catch_warnings():
@@ -232,8 +232,7 @@ def test_group_stream_equals_batch_at_every_tick(rng):
     # once the window is full; recounting those windows in batch must give
     # the tick's values, flags and verdict exactly, before and after drift.
     n_s, n_op, stride = 12, 3, 4
-    splits = [Split(DataTable(("x1", "x2"), rng.random((n_s, 2)))) for _ in range(8)]
-    training = hit_matrix(RULES, splits)
+    training = _random_matrix(rng, 8, n_s)
     base = group_baseline(training, n_op, config={"n_s": n_s, "n_op": n_op})
     monitor = StreamMonitor(RULES, base, training, capacity=n_s, snapshot_stride=stride)
     history, verdicts = [], set()
@@ -246,8 +245,8 @@ def test_group_stream_equals_batch_at_every_tick(rng):
         if tick is None:
             continue
         ends = [p for p in range(n_s, i + 2) if p % stride == 0][-n_op:]
-        windows = [_split(history[p - n_s : p]) for p in ends]
-        batch = detect_group(training, hit_matrix(RULES, windows), base)
+        windows = np.array([np.arange(p - n_s, p) for p in ends])
+        batch = detect_group(training, hit_matrix(RULES, _table(history), windows), base)
         assert tick.metric_values == {n: m.representative for n, m in batch.per_metric.items()}
         assert tick.flags == {n: m.flag for n, m in batch.per_metric.items()}
         assert tick.verdict == batch.verdict
