@@ -59,6 +59,7 @@ class GaussianMixtureSource(_Source):
         if self.mean_shift:
             X += np.asarray(self.mean_shift)
         labels = tuple(map(str, comp.tolist()))
+        X.setflags(write=False)  # a fresh sample, handed over uncopied
         return DataTable(_feature_names(self.n_features), X, labels)
 
 
@@ -82,6 +83,7 @@ class RuleAlignedSource(_Source):
         labels = tuple(map(str, (below1 & below2).astype(np.int64).tolist()))
         if self.mean_shift:
             X = X + np.asarray(self.mean_shift)
+        X.setflags(write=False)  # a fresh sample, handed over uncopied
         return DataTable(_feature_names(self.n_features), X, labels)
 
 

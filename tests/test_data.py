@@ -1,8 +1,15 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulewatch import CsvFormatError, DataError, DataTable
 from rulewatch.config import RunConfig, build_config, load_config_file
+from rulewatch.data import _drop_column, _read_csv_numpy, _read_csv_python
 
 
 def test_from_csv_with_labels(tmp_path):
@@ -91,6 +98,153 @@ def test_take_preserves_labels():
     sub = t.take(np.array([2, 0]))
     assert sub.labels == ("r", "p")
     assert list(sub.X[:, 0]) == [3.0, 1.0]
+
+
+def test_table_copies_an_array_the_caller_can_still_write():
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    t = DataTable(("a", "b"), X)
+    assert X.flags.writeable
+    X[0, 0] = np.nan
+    assert t.X[0, 0] == 1.0
+    assert not t.X.flags.writeable
+    # a slice of the caller's array, and a buffer that is not an ndarray
+    base = np.arange(6.0).reshape(3, 2)
+    sliced = DataTable(("a", "b"), base[1:])
+    base[1, 0] = -1.0
+    assert sliced.X[0, 0] == 2.0 and base.flags.writeable
+    from array import array
+    buf = array("d", [1.0, 2.0])
+    wrapped = DataTable(("a",), np.frombuffer(buf, dtype=np.float64).reshape(2, 1))
+    buf[0] = 9.0
+    assert wrapped.X[0, 0] == 1.0
+
+
+def test_table_keeps_a_read_only_array_uncopied():
+    X = np.array([[1.0], [2.0], [3.0]])
+    X.setflags(write=False)
+    assert DataTable(("a",), X).X is X
+
+
+# -- CSV readers ----------------------------------------------------------------
+#
+# from_csv tries numpy's C reader first and keeps its table only when the
+# Python reader would build the same one; every other file goes to the Python
+# reader. These pin the inputs where the two readers part.
+
+@pytest.mark.parametrize(("text", "label_column", "expected"), [
+    pytest.param("a,b\n1,2,3\n4,5,6\n", None, "row 2 has 3 cells, expected 2",
+                 id="consistent-extra-cells"),
+    pytest.param("a,b\n1,2\n#3,4\n", None, "row 3, column 'a': not a number: '#3'",
+                 id="hash-cell-is-no-comment"),
+    pytest.param("a,b\n1_000,2\n", None, (("a", "b"), [[1000.0, 2.0]], None),
+                 id="underscored-digits"),
+    pytest.param("a,b\r1,2\r3,4\r", None, (("a", "b"), [[1.0, 2.0], [3.0, 4.0]], None),
+                 id="cr-line-endings"),
+    pytest.param('a,label\n1,"a b"\n2,c\n', "label", (("a",), [[1.0], [2.0]], ("a b", "c")),
+                 id="quoted-label"),
+    pytest.param('"a","b c",label\n1,2,x\n', "label", (("a", "b c"), [[1.0, 2.0]], ("x",)),
+                 id="quoted-names"),
+    pytest.param('"a\n1\n2\n', None, "no data rows",  # one header cell, 'a\n1\n2\n'
+                 id="header-quote-left-open"),
+    pytest.param("label\n  \nx\n", "label", ((), [[]], ("x",)),
+                 id="label-only-whitespace-line"),
+    pytest.param("a,b\n", None, "no data rows", id="header-only"),
+])
+def test_from_csv_where_the_readers_part(tmp_path, text, label_column, expected):
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as info:
+                DataTable.from_csv(p, label_column)
+            assert str(info.value) == f"{p}: {expected}"
+        else:
+            t = DataTable.from_csv(p, label_column)
+            assert (t.columns, t.X.tolist(), t.labels) == expected
+    assert not caught  # numpy's empty-input warning stays inside the fast path
+
+
+def test_numpy_reader_takes_a_plain_labeled_file(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"x1, x2 ,label\r\n1.5,-0.0,a\r\n\r\n+.5,1e400, b \r\n")
+    fast = _read_csv_numpy(p, "label")
+    assert fast is not None
+    names, X, labels = fast
+    assert names == ("x1", "x2") and labels == ("a", "b")
+    assert X.tobytes() == _read_csv_python(p, "label")[1].tobytes()
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_drop_column_equals_np_delete_across_blocks(j):
+    X = np.random.default_rng(j).normal(size=(2 * 4096 + 5, 5))
+    expected = np.delete(X, j, axis=1)
+    assert _drop_column(X, j).tobytes() == expected.tobytes()
+
+
+_NUMBERS = (
+    "0", "1.5", "-2", "-0.0", "1e-3", "1e400", "-nan", "nan", "Infinity", "-inf",
+    "+.5", "5.", " 1.5 ", "\xa01.5\xa0", "\x0c2",
+)
+_HAZARDS = ("1_000", "\u0661", '"1.5"', '" 1.5 "', "#1", "1.5#c", "", "abc", "a b", "\x00")
+_NAMES = ("a", "b", " c ", "label")
+_HAZARD_NAMES = ('"q"', '"q', "", "#d")
+_BLANK_LINES = ("", " ", "\t", "\xa0")
+_ENDINGS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text mixing valid rows with every cell and line the readers treat apart.
+
+    Half the files hold only numbers, unquoted names and empty lines, so
+    numpy's reader keeps its table for them and the comparison is not only
+    of the fallback with itself.
+    """
+    clean = draw(st.booleans())
+    cells = st.sampled_from(_NUMBERS if clean else _NUMBERS + _HAZARDS)
+    names = st.sampled_from(_NAMES if clean else _NAMES + _HAZARD_NAMES)
+    header = draw(st.lists(names, min_size=1, max_size=4))
+    lines = [",".join(header)]
+    kinds = ("row", "row", "row", "blank") if clean else ("row", "row", "ragged", "blank")
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(_BLANK_LINES[:1] if clean else _BLANK_LINES)))
+            continue
+        n = len(header) if kind == "row" else draw(st.integers(1, len(header) + 2))
+        lines.append(",".join(draw(st.lists(cells, min_size=n, max_size=n))))
+    text = "".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    label_column = draw(st.sampled_from((None, "label")))
+    return text, label_column
+
+
+def _outcome(read, path, label_column):
+    try:
+        return read(path, label_column)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_files())
+def test_from_csv_equals_the_python_reader(case):
+    text, label_column = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_read_csv_python, path, label_column)
+        got = _outcome(DataTable.from_csv, path, label_column)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    names, X, labels = expected
+    assert isinstance(got, DataTable), got
+    assert got.columns == names and got.labels == labels
+    assert got.X.shape == X.shape
+    assert got.X.tobytes() == X.tobytes()  # bit for bit: NaNs and the sign of -0.0 too
 
 
 # -- run configuration --------------------------------------------------------
