@@ -195,6 +195,8 @@ def _read_csv_numpy(
     rejects before Python 3.11, and a table whose only column is the label,
     where numpy would keep whitespace-only lines as rows.
     """
+    if not path.is_file():
+        return None  # a pipe cannot be read a second time
     labels: list[str] = []
 
     def keep_label(cell: str) -> float:

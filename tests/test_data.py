@@ -1,3 +1,4 @@
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -163,6 +164,18 @@ def test_from_csv_where_the_readers_part(tmp_path, text, label_column, expected)
             t = DataTable.from_csv(p, label_column)
             assert (t.columns, t.X.tolist(), t.labels) == expected
     assert not caught  # numpy's empty-input warning stays inside the fast path
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_from_csv_reads_a_pipe():
+    r, w = os.pipe()
+    os.write(w, b"a,b\n1,2\n3,4\n")
+    os.close(w)
+    try:
+        t = DataTable.from_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert t.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_numpy_reader_takes_a_plain_labeled_file(tmp_path):
