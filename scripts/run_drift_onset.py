@@ -64,13 +64,12 @@ def main() -> int:
             for rec in prefill:
                 monitor.push(rec)
             for tick, rec in enumerate(drift_feed):
-                record = monitor.push(rec)
-                if record is None:
+                report = monitor.push(rec)
+                if report is None:
                     continue
-                lo, hi = record.baseline_bounds["wmi"]
+                wmi = report.per_metric["wmi"]
                 writer.writerow(
-                    (n_s, tick, "wmi", record.metric_values["wmi"], lo, hi,
-                     int(record.flags["wmi"]))
+                    (n_s, tick, "wmi", wmi.representative, *wmi.baseline, int(wmi.flag))
                 )
     finally:
         if out is not sys.stdout:

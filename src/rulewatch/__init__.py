@@ -15,6 +15,7 @@ from .detection import (
     FingerprintMismatchError,
     MetricReport,
     compute_fingerprint,
+    detect,
     detect_group,
     detect_split,
     group_baseline,
@@ -60,7 +61,6 @@ from .streaming import (
     SlidingHitWindow,
     StreamMonitor,
     StreamStateError,
-    TickRecord,
     WindowSizeMismatchWarning,
     stream_detect,
 )

@@ -17,27 +17,24 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import RunConfig, build_config, load_config_file, metric_list
-from .data import DataError, DataTable
+from .data import CsvFormatError, DataError, DataTable
 from .detection import (
     FINGERPRINT_KEYS,
-    GROUP,
-    GROUP_METRICS,
-    SINGLE_METRICS,
     BaselineBundle,
     DetectionError,
+    DetectionReport,
     FingerprintMismatchError,
     compute_fingerprint,
-    detect_group,
-    detect_split,
+    detect,
     group_baseline,
     single_split_baseline,
 )
 from .eval import run_eval
-from .histogram import HitHistogram, hit_matrix, make_splits, operational_splits
+from .histogram import hit_matrix, make_splits, operational_splits
 from .inducer import InducerError, induce_ruleset
 from .metrics import MetricError
 from .rules import RuleError, format_ruleset, parse_ruleset
-from .streaming import MomentAccumulator, StreamMonitor, StreamStateError, TickRecord
+from .streaming import MomentAccumulator, StreamMonitor, StreamStateError
 from .synth import make_source
 
 EXIT_OK = 0
@@ -88,16 +85,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return build_config(file_values, **{name: getattr(args, name, None) for name in _CONFIG_FLAGS})
 
 
-def _load_features(path: str, label_column: str | None) -> DataTable:
-    """Load a CSV, tolerating the absence of the configured label column."""
-    if label_column:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), [])
-        if label_column in [h.strip() for h in header]:
-            return DataTable.from_csv(path, label_column=label_column)
-    return DataTable.from_csv(path)
-
-
 def _fingerprint_config(cfg: RunConfig) -> dict:
     echo = cfg.echo()
     return {k: echo[k] for k in FINGERPRINT_KEYS}
@@ -140,7 +127,7 @@ def _print_intervals(bundle: BaselineBundle) -> None:
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset = parse_ruleset(Path(args.rules).read_text())
-    table = _load_features(args.data, cfg.label_column)
+    table = DataTable.from_csv(args.data, cfg.label_column, label_required=False)
     training = hit_matrix(ruleset, table, make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed))
     echo = _fingerprint_config(cfg)
     fingerprint = compute_fingerprint(ruleset, echo)
@@ -163,43 +150,35 @@ def cmd_detect(args: argparse.Namespace) -> int:
     bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
     bundle.verify(ruleset)
     base, training = bundle.baselines, bundle.training
-    table = _load_features(args.op_data, cfg.label_column)
-    n_op = int(base.config["n_op"]) if base.mode == GROUP else 1
-    rows = operational_splits(table, training.split_size, n_op)
+    table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False)
+    rows = operational_splits(table, training.split_size, base.n_op)
     if table.n_rows > rows.size:
         print(f"warning: scored the first {rows.size} of {table.n_rows} rows; "
               f"{table.n_rows - rows.size} trailing rows ignored", file=sys.stderr)
-    unit = hit_matrix(ruleset, table, rows)
-    if base.mode == GROUP:
-        report = detect_group(training, unit, base, metrics=cfg.metrics or GROUP_METRICS)
-    else:
-        report = detect_split(
-            training, HitHistogram(unit.counts[0], unit.split_size), base,
-            metrics=cfg.metrics or SINGLE_METRICS,
-        )
+    report = detect(training, hit_matrix(ruleset, table, rows), base, cfg.metrics or None)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(("metric", "value", "base_min", "base_max", "flag", "verdict"))
-        for name, m in report.per_metric.items():
-            writer.writerow(
-                (name, m.representative, m.baseline[0], m.baseline[1],
-                 int(m.flag), report.verdict)
-            )
+        writer.writerow(report.CSV_HEADER)
+        writer.writerows(report.csv_rows())
     else:
         sys.stdout.write(report.to_document())
     return EXIT_OOD if report.is_ood else EXIT_OK
 
 
 def _iter_stream_records(source: str) -> Iterator[dict[str, float]]:
+    """One record per non-empty row; a row of another length than the header is an error."""
     fh = sys.stdin if source == "-" else open(source, newline="")
+    reader = csv.reader(fh)
     try:
-        reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         if not header:
             raise DataError("stream source has no header row")
         for cells in reader:
             if not cells:
                 continue
+            if len(cells) != len(header):
+                raise CsvFormatError(f"{source}: row {reader.line_num} has {len(cells)} cells, "
+                                     f"expected {len(header)}")
             record: dict[str, float] = {}
             for name, cell in zip(header, cells):
                 try:
@@ -207,6 +186,8 @@ def _iter_stream_records(source: str) -> Iterator[dict[str, float]]:
                 except ValueError:
                     record[name] = cell  # label-ish columns ride along untouched
             yield record
+    except csv.Error as exc:
+        raise CsvFormatError(f"{source}: row {reader.line_num}: {exc}") from None
     finally:
         if fh is not sys.stdin:
             fh.close()
@@ -233,11 +214,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", newline="")
     try:
         writer = csv.writer(out)
-        writer.writerow(TickRecord.CSV_HEADER)
-        for record in _iter_stream_records(args.source):
+        writer.writerow(("sample_index", *DetectionReport.CSV_HEADER))
+        for index, record in enumerate(_iter_stream_records(args.source)):
             tick = monitor.push(record)
             if tick is not None:
-                writer.writerows(tick.to_csv_rows())
+                writer.writerows((index, *row) for row in tick.csv_rows())
     finally:
         if out is not sys.stdout:
             out.close()
@@ -274,7 +255,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if args.in_csv and args.op_csv:
         in_source = _TableSource(DataTable.from_csv(args.in_csv, label_column=cfg.label_column))
-        ood_source = _TableSource(_load_features(args.op_csv, cfg.label_column))
+        op_table = DataTable.from_csv(args.op_csv, cfg.label_column, label_required=False)
+        ood_source = _TableSource(op_table)
         scenario = f"csv:{args.in_csv}|{args.op_csv}"
     else:
         kind = args.synthetic or "gaussian"
@@ -302,7 +284,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    table = _load_features(args.data, cfg.label_column)
+    table = DataTable.from_csv(args.data, cfg.label_column, label_required=False)
     names = args.columns.split(",") if args.columns else list(table.columns)
     for name in names:
         if name not in table.column_index:

@@ -98,19 +98,23 @@ class DataTable:
         return DataTable(self.columns, X, labels)
 
     @classmethod
-    def from_csv(cls, path: str | Path, label_column: str | None = None) -> "DataTable":
+    def from_csv(
+        cls, path: str | Path, label_column: str | None = None, *, label_required: bool = True
+    ) -> "DataTable":
         """Load a CSV with a header row; values are decimal reals.
 
-        The label column, when named, is split out as strings. Any other
-        cell must parse as Python ``float()`` parses it; a non-numeric or
-        empty cell is a hard error. numpy's C reader is tried first and its
-        table is kept only when the Python reader would build the same one;
-        any other file is read again by the Python reader, which owns every
-        error message.
+        The label column, when named, is split out as strings; a header
+        without it is an error unless ``label_required`` is false, in which
+        case the table has no labels. Any other cell must parse as Python
+        ``float()`` parses it; a non-numeric or empty cell is a hard error.
+        The header is read once, so a pipe loads too. numpy's C reader is
+        tried first and its table is kept only when the Python reader would
+        build the same one; any other file is read again by the Python
+        reader, which owns every error message.
         """
         path = Path(path)
-        columns, X, labels = (_read_csv_numpy(path, label_column)
-                              or _read_csv_python(path, label_column))
+        columns, X, labels = (_read_csv_numpy(path, label_column, label_required)
+                              or _read_csv_python(path, label_column, label_required))
         X.setflags(write=False)  # handed over: the table keeps it uncopied
         return cls(columns, X, labels)
 
@@ -130,50 +134,52 @@ class DataTable:
 
 
 def _read_csv_python(
-    path: Path, label_column: str | None
+    path: Path, label_column: str | None, label_required: bool = True
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...] | None]:
     """Read a CSV with the ``csv`` module, one ``float()`` per cell.
 
-    This reader defines what a valid file is and owns every error message.
-    Values are gathered into one flat float64 buffer, not a Python float
-    object per cell.
+    This reader defines what a valid file is and owns every error message;
+    a record the ``csv`` module refuses (a cell over its field limit, say)
+    is a ``CsvFormatError`` naming its row. Values are gathered into one
+    flat float64 buffer, not a Python float object per cell.
     """
     # Imported here: only this reader needs it, and loading the extension
     # module adds about 0.2 MB of resident memory to every process.
     from array import array
 
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        label_idx = None
-        if label_column is not None:
-            if label_column not in header:
-                raise DataError(
-                    f"{path}: label column {label_column!r} not in header {header}"
-                )
-            label_idx = header.index(label_column)
-        feat_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        values = array("d")
-        n_rows = 0
-        labels: list[str] = []
-        for rownum, cells in enumerate(reader, start=2):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if len(cells) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}"
-                )
-            if label_idx is not None:
-                labels.append(cells.pop(label_idx).strip())
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                values.extend(map(float, cells))
-            except ValueError:
-                raise _not_a_number(path, rownum, feat_names, cells) from None
-            n_rows += 1
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            label_idx = None
+            if label_column in header:
+                label_idx = header.index(label_column)
+            elif label_column is not None and label_required:
+                raise DataError(f"{path}: label column {label_column!r} not in header {header}")
+            feat_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+            values = array("d")
+            n_rows = 0
+            labels: list[str] = []
+            for rownum, cells in enumerate(reader, start=2):
+                if not cells or (len(cells) == 1 and not cells[0].strip()):
+                    continue
+                if len(cells) != len(header):
+                    raise CsvFormatError(
+                        f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}"
+                    )
+                if label_idx is not None:
+                    labels.append(cells.pop(label_idx).strip())
+                try:
+                    values.extend(map(float, cells))
+                except ValueError:
+                    raise _not_a_number(path, rownum, feat_names, cells) from None
+                n_rows += 1
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if not n_rows:
         raise DataError(f"{path}: no data rows")
     X = np.frombuffer(values, dtype=np.float64).reshape(n_rows, len(feat_names)).copy()
@@ -181,7 +187,7 @@ def _read_csv_python(
 
 
 def _read_csv_numpy(
-    path: Path, label_column: str | None
+    path: Path, label_column: str | None, label_required: bool = True
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...] | None] | None:
     """Read a CSV with numpy's C reader; None unless it is ``_read_csv_python``'s table.
 
@@ -211,10 +217,12 @@ def _read_csv_numpy(
                 return None
             header = [h.strip() for h in next(csv.reader([line]), [])]
             label_idx = None
-            if label_column is not None:
-                if label_column not in header or len(header) == 1:
+            if label_column in header:
+                if len(header) == 1:
                     return None
                 label_idx = header.index(label_column)
+            elif label_column is not None and label_required:
+                return None
             # An explicit encoding: under numpy 1.x's default, "bytes",
             # converters would receive bytes.
             X = np.loadtxt(

@@ -10,13 +10,19 @@ Each metric's report comes from one sort of its values: votes are counted
 by bisection against the interval, only the values outside it get a
 normalised distance, and the median is stored once as a Python float.
 
+The baseline names the mode: ``Baselines.mode``, ``.n_op`` (operational
+splits per unit) and ``.metrics`` follow from the interval it holds, and
+``detect(training, unit, base)`` scores a unit in that mode. Both modes
+share one request checker and one report builder, whose report is also
+the stream tick.
+
 Two modes:
 
 * single-split: weighted mutual information + l1/l2 norms against one
   operational histogram. Scoring (``split_metrics``, or a stream's
-  ``SplitScorer`` with bit-identical values) and the report builder
-  (``split_report``) are separate, so batch and stream detection share
-  every step after the scores;
+  ``SplitScorer`` with bit-identical values) and the report builder are
+  separate, so batch and stream detection share every step after the
+  scores;
 * group: rule-based information over a group of operational histograms
   + l1/l2 norms over all column pairs. Both ``group_baseline`` and
   ``detect_group`` take the training ``HitMatrix``, and the group is a
@@ -46,7 +52,6 @@ from .histogram import HitHistogram, HitMatrix
 from .metrics import (
     SIGMA_FLOOR_DEFAULT,
     MetricError,
-    SplitMetrics,
     lp_norms,
     rule_based_information_batch,
     split_metrics,
@@ -107,11 +112,11 @@ class Baselines:
     """Per-metric closed [min, max] training envelopes.
 
     Exactly one of ``wmi`` (single-split) and ``rbi`` (group) is present,
-    and it decides ``mode``; the norm intervals exist in both. ``config``
-    echoes the build parameters, and a group baseline's config records the
-    ``n_op`` its reference partition was built for. ``config_fingerprint``
-    binds the baseline to the exact ruleset and conventions it was built
-    under.
+    and it decides ``mode``, ``n_op`` and ``metrics``; the norm intervals
+    exist in both. ``config`` echoes the build parameters, and a group
+    baseline's config records the ``n_op`` its reference partition was
+    built for. ``config_fingerprint`` binds the baseline to the exact
+    ruleset and conventions it was built under.
     """
 
     l1: tuple[float, float]
@@ -135,6 +140,16 @@ class Baselines:
     def mode(self) -> str:
         """``GROUP`` for an ``rbi`` envelope, ``SINGLE_SPLIT`` for a ``wmi`` one."""
         return GROUP if self.rbi is not None else SINGLE_SPLIT
+
+    @property
+    def n_op(self) -> int:
+        """Operational splits per detected unit: the recorded group size, or 1."""
+        return int(self.config["n_op"]) if self.rbi is not None else 1
+
+    @property
+    def metrics(self) -> tuple[str, ...]:
+        """The metrics this baseline has envelopes for, in report order."""
+        return GROUP_METRICS if self.rbi is not None else SINGLE_METRICS
 
     def interval(self, metric: str) -> tuple[float, float]:
         iv = getattr(self, metric, None)
@@ -160,11 +175,13 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Per-metric outcomes plus the final verdict for one detection."""
+    """Per-metric outcomes plus the final verdict of one detection or stream tick."""
 
     mode: str
     per_metric: dict[str, MetricReport]
     verdict: str = field(init=False)
+
+    CSV_HEADER = ("metric", "value", "base_min", "base_max", "flag", "verdict")
 
     def __post_init__(self) -> None:
         any_flag = any(m.flag for m in self.per_metric.values())
@@ -175,6 +192,13 @@ class DetectionReport:
     @property
     def is_ood(self) -> bool:
         return self.verdict == OUT_OF_DISTRIBUTION
+
+    def csv_rows(self) -> list[tuple]:
+        """One ``CSV_HEADER`` row per metric: median value, envelope, flag, verdict."""
+        return [
+            (name, m.representative, m.baseline[0], m.baseline[1], int(m.flag), self.verdict)
+            for name, m in self.per_metric.items()
+        ]
 
     def to_document(self) -> str:
         doc = {
@@ -264,6 +288,49 @@ def check_compatible(base: Baselines, training: HitMatrix) -> None:
         )
 
 
+def check_request(
+    training: HitMatrix,
+    base: Baselines,
+    mode: str,
+    n_rules: int,
+    n_rows: int,
+    metrics: Sequence[str] | None,
+) -> Sequence[str]:
+    """The metrics to score (``None``: ``base.metrics``) once the request checks out.
+
+    Rejects a baseline of another mode or training matrix, operational
+    counts of another rule count (or, in group mode, fewer than 2 rows) and
+    a metric name outside ``base.metrics``.
+    """
+    check_compatible(base, training)
+    if base.mode != mode:
+        raise DetectionError(
+            "baseline has no reference partition (single-split mode)" if mode == GROUP
+            else "baseline is a group baseline; it scores groups, not single splits"
+        )
+    if mode == GROUP and n_rows < 2:
+        raise DetectionError(f"group detection needs at least 2 operational rows, got {n_rows}")
+    if n_rules != training.n_rules:
+        raise MetricError(f"operational counts have {n_rules} rules, training {training.n_rules}")
+    if metrics is None:
+        return base.metrics
+    for name in metrics:
+        if name not in base.metrics:
+            raise DetectionError(f"unknown {mode} metric {name!r}")
+    return metrics
+
+
+def build_report(
+    base: Baselines, values: Mapping[str, np.ndarray], metrics: Sequence[str]
+) -> DetectionReport:
+    """Each of ``metrics``' values (as Python floats) voted against ``base``."""
+    reports = {
+        name: _metric_report(name, values[name].tolist(), base.interval(name))
+        for name in metrics
+    }
+    return DetectionReport(mode=base.mode, per_metric=reports)
+
+
 # ---------------------------------------------------------------------------
 # Single-split mode
 # ---------------------------------------------------------------------------
@@ -306,46 +373,19 @@ def detect_split(
     training: HitMatrix,
     op: HitHistogram,
     base: Baselines,
-    metrics: Sequence[str] = SINGLE_METRICS,
+    metrics: Sequence[str] | None = None,
 ) -> DetectionReport:
     """Compare one operational histogram against every training column.
 
     Each metric votes once per training column; a strict majority of
     out-of-envelope votes raises that metric's flag. One ``split_metrics``
     call scores the histogram against all training columns, and
-    ``split_report`` turns the scores into votes.
+    ``build_report`` turns the scores into votes. ``metrics`` defaults to
+    ``base.metrics``; a group baseline is rejected.
     """
-    check_split_request(training, op.n_rules, base, metrics)
+    metrics = check_request(training, base, SINGLE_SPLIT, op.n_rules, 1, metrics)
     scores = split_metrics(training.counts, training.split_size, op.counts, op.split_size)
-    return split_report(scores, base, metrics)
-
-
-def check_split_request(
-    training: HitMatrix, n_rules: int, base: Baselines, metrics: Sequence[str]
-) -> None:
-    """Reject a mismatched baseline, rule count or metric name before scoring.
-
-    ``n_rules`` is the rule count of the operational counts to be scored.
-    """
-    check_compatible(base, training)
-    if n_rules != training.n_rules:
-        raise MetricError(
-            f"operational histogram has {n_rules} rules, training {training.n_rules}"
-        )
-    for name in metrics:
-        if name not in SINGLE_METRICS:
-            raise DetectionError(f"unknown single-split metric {name!r}")
-
-
-def split_report(
-    scores: SplitMetrics, base: Baselines, metrics: Sequence[str]
-) -> DetectionReport:
-    """The single-split report of ``scores``; batch and stream detection share it."""
-    reports = {
-        name: _metric_report(name, getattr(scores, name).tolist(), base.interval(name))
-        for name in metrics
-    }
-    return DetectionReport(mode=SINGLE_SPLIT, per_metric=reports)
+    return build_report(base, scores._asdict(), metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -484,51 +524,56 @@ def detect_group(
     training: HitMatrix,
     op_group: HitMatrix,
     base: Baselines,
-    metrics: Sequence[str] = GROUP_METRICS,
+    metrics: Sequence[str] | None = None,
 ) -> DetectionReport:
     """Score an operational group against the reference part of training.
 
     ``op_group`` holds one row per group member. The reference part is the
     first ``k = n_tr - n_op - 1`` training rows, with ``n_op`` as
-    ``group_baseline`` recorded it in ``base.config``; a single-split
-    baseline is rejected. Rule-based information casts a single vote,
-    scored as a batch of one through ``rule_based_information_batch``, the
+    ``group_baseline`` recorded it; a single-split baseline is rejected,
+    and ``metrics`` defaults to ``base.metrics``. Rule-based information
+    casts a single vote, scored as a batch of one through ``rule_based_information_batch``, the
     kernel that calibrated the envelope; the norms vote once per (training
     row, group member) pair, in that order, computed in one broadcast. Norm
     votes run over ALL training rows, matching the envelopes built by
     ``group_baseline``.
     """
-    check_compatible(base, training)
-    if base.mode != GROUP:
-        raise DetectionError("baseline has no reference partition (single-split mode)")
-    if op_group.n_splits < 2:
-        raise DetectionError(
-            f"group detection needs at least 2 operational histograms, got {op_group.n_splits}"
-        )
-    for name in metrics:
-        if name not in GROUP_METRICS:
-            raise DetectionError(f"unknown group metric {name!r}")
-    if op_group.n_rules != training.n_rules:
-        raise MetricError(f"operational histograms must have {training.n_rules} rules")
+    metrics = check_request(training, base, GROUP, op_group.n_rules, op_group.n_splits, metrics)
     op_counts, op_size = op_group.counts, op_group.split_size
-    values: dict[str, list[float]] = {}
+    values: dict[str, np.ndarray] = {}
     if "rbi" in metrics:
-        k = training.n_splits - int(base.config["n_op"]) - 1
+        k = training.n_splits - base.n_op - 1
         values["rbi"] = rule_based_information_batch(
             (op_counts / op_size)[None],
             (training.counts[:k] / training.split_size)[None],
             float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT)),
-        ).tolist()
+        )
     if "l1" in metrics or "l2" in metrics:
         norms = lp_norms(
             training.counts[:, None, :], training.split_size,
             op_counts[None, :, :], op_size,
         )
-        values["l1"], values["l2"] = (v.ravel().tolist() for v in norms)
-    reports = {
-        name: _metric_report(name, values[name], base.interval(name)) for name in metrics
-    }
-    return DetectionReport(mode=GROUP, per_metric=reports)
+        values["l1"], values["l2"] = (v.ravel() for v in norms)
+    return build_report(base, values, metrics)
+
+
+def detect(
+    training: HitMatrix,
+    unit: HitMatrix,
+    base: Baselines,
+    metrics: Sequence[str] | None = None,
+) -> DetectionReport:
+    """Score one operational unit of ``base.n_op`` rows in ``base.mode``.
+
+    ``detect_split`` scores a single-split unit, ``detect_group`` a group.
+    """
+    if unit.n_splits != base.n_op:
+        raise DetectionError(
+            f"a {base.mode} unit has {base.n_op} operational split(s), got {unit.n_splits}"
+        )
+    if base.mode == GROUP:
+        return detect_group(training, unit, base, metrics)
+    return detect_split(training, HitHistogram(unit.counts[0], unit.split_size), base, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +587,8 @@ class BaselineBundle:
     Detection recomputes metrics against the training columns, so the
     persisted artifact carries them alongside the intervals. The bundle is
     the one source of detection settings: the mode is ``baselines.mode``,
-    the operational split size ``training.split_size`` and, in group mode,
-    the group size the config's ``n_op``.
+    the operational split size ``training.split_size`` and the unit size
+    ``baselines.n_op``.
     """
 
     baselines: Baselines

@@ -4,9 +4,10 @@ Each repetition draws fresh training data, induces a ruleset, builds the
 baseline, then scores one held-out in-distribution unit (false positive if
 flagged) and one out-of-distribution unit (false negative if not flagged).
 Held-out units never enter baseline construction. Both modes share one
-repetition runner; in group mode it hands the whole training matrix to
-``group_baseline`` and ``detect_group``, which own the reference
-partition. All randomness descends from the single master seed;
+repetition runner: the configured mode picks the baseline builder, and the
+baseline then sizes each unit (``base.n_op``) and scores it with
+``detect``; in group mode ``group_baseline`` and ``detect_group`` own the
+reference partition. All randomness descends from the single master seed;
 repetitions are independent and aggregation is deterministic.
 """
 from __future__ import annotations
@@ -16,14 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .detection import (
-    DetectionReport,
-    detect_group,
-    detect_split,
-    group_baseline,
-    single_split_baseline,
-)
-from .histogram import HitHistogram, hit_matrix, make_splits, operational_splits
+from .detection import DetectionReport, detect, group_baseline, single_split_baseline
+from .histogram import hit_matrix, make_splits, operational_splits
 from .inducer import induce_ruleset
 from .rules import Ruleset
 
@@ -74,31 +69,27 @@ def _run_repetition(
     """One repetition: the in-distribution report, then the OoD one.
 
     Draws, in order: the inducer sample, the training rows, the split seed,
-    the in-distribution unit and the OoD unit. A unit is one split of
-    ``n_s`` rows in single-split mode (whatever ``n_op`` says) and a group
-    of ``n_op`` splits in group mode.
+    the in-distribution unit and the OoD unit. A unit is ``base.n_op``
+    splits of ``n_s`` rows: one in single-split mode (whatever the
+    configured ``n_op`` says), ``n_op`` in group mode.
     """
-    single = cfg.mode == "single"
-    n_op = 1 if single else cfg.resolved_n_op
     ruleset = _induce(in_source, cfg, rng)
     train_table = in_source.sample(cfg.n_tr * cfg.n_s, rng)
     splits = make_splits(train_table, cfg.n_s, cfg.n_tr, seed=int(rng.integers(2**31)))
     training = hit_matrix(ruleset, train_table, splits)
-    if single:
+    if cfg.mode == "single":
         base = single_split_baseline(training, config={"n_s": cfg.n_s})
     else:
+        n_op = cfg.resolved_n_op
         base = group_baseline(
             training, n_op, sigma_floor=cfg.sigma_floor,
             config={"n_s": cfg.n_s, "n_op": n_op},
         )
     reports = []
     for source in (in_source, ood_source):
-        op_table = source.sample(n_op * cfg.n_s, rng)
-        unit = hit_matrix(ruleset, op_table, operational_splits(op_table, cfg.n_s, n_op))
-        reports.append(
-            detect_split(training, HitHistogram(unit.counts[0], unit.split_size), base) if single
-            else detect_group(training, unit, base)
-        )
+        op_table = source.sample(base.n_op * cfg.n_s, rng)
+        unit = hit_matrix(ruleset, op_table, operational_splits(op_table, cfg.n_s, base.n_op))
+        reports.append(detect(training, unit, base))
     return reports[0], reports[1]
 
 

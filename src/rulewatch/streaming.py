@@ -9,9 +9,11 @@ integer state only for the rules whose counts changed since the last tick
 and equals batch ``detect_split`` bit for bit. On top of that sits a
 monitor that reruns detection every push (or every ``detect_stride``
 pushes) and, for a group baseline, keeps the last ``n_op`` stride-spaced
-window snapshots as the rows of the operational group's ``HitMatrix``.
-The mode, ``n_op`` and the default window length all come from the
-baseline and its training matrix.
+window snapshots as the rows of the operational group's ``HitMatrix``,
+scored by batch ``detect``. The mode, ``n_op`` and the default window
+length all come from the baseline and its training matrix. A tick is the
+``DetectionReport`` batch detection returns, not a copy of it; a caller
+that wants to key it by sample counts its own pushes.
 
 A separate accumulator provides rolling mean/variance/skewness/kurtosis for
 time-series feature extraction.
@@ -21,20 +23,18 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .detection import (
     GROUP,
-    GROUP_METRICS,
-    SINGLE_METRICS,
+    SINGLE_SPLIT,
     Baselines,
     DetectionReport,
-    check_split_request,
-    detect_group,
-    split_report,
+    build_report,
+    check_request,
+    detect,
 )
 from .histogram import HitHistogram, HitMatrix
 from .metrics import SplitMetrics, SplitScorer
@@ -133,71 +133,33 @@ class SlidingHitWindow:
         return self.scorer(training).score(self._counts, self._fill)
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    """One detection outcome of the stream, keyed by the pushed sample."""
-
-    sample_index: int
-    mode: str
-    metric_values: dict[str, float]
-    flags: dict[str, bool]
-    verdict: str
-    baseline_bounds: dict[str, tuple[float, float]]
-
-    CSV_HEADER = ("sample_index", "metric", "value", "base_min", "base_max", "flag", "verdict")
-
-    def to_csv_rows(self) -> list[tuple]:
-        rows = []
-        for name, value in self.metric_values.items():
-            lo, hi = self.baseline_bounds[name]
-            rows.append(
-                (self.sample_index, name, value, lo, hi,
-                 int(self.flags[name]), self.verdict)
-            )
-        return rows
-
-
-def _tick_from_report(report: DetectionReport, sample_index: int) -> TickRecord:
-    return TickRecord(
-        sample_index=sample_index,
-        mode=report.mode,
-        metric_values={n: m.representative for n, m in report.per_metric.items()},
-        flags={n: m.flag for n, m in report.per_metric.items()},
-        verdict=report.verdict,
-        baseline_bounds={n: m.baseline for n, m in report.per_metric.items()},
-    )
-
-
 def stream_detect(
     window: SlidingHitWindow,
     base: Baselines,
     training: HitMatrix,
     op_group: HitMatrix | None = None,
     metrics: Sequence[str] | None = None,
-    sample_index: int = 0,
-) -> TickRecord:
+) -> DetectionReport:
     """Run one detection tick on the current window state, in ``base.mode``.
 
-    A group baseline scores ``op_group``, one row per window snapshot; a
-    single-split one scores the window.
+    A group baseline scores ``op_group``, one row per window snapshot, with
+    ``detect``; a single-split one scores the window through its scorer and
+    builds the same report as ``detect_split``.
     """
     if not window.is_full:
         raise StreamStateError(
             f"window holds {window.fill} of {window.capacity} samples; detection needs a full window"
         )
     if base.mode == GROUP:
-        if op_group is None or op_group.n_splits < 2:
-            raise StreamStateError("group mode needs at least 2 window snapshots")
-        report = detect_group(training, op_group, base, metrics=metrics or GROUP_METRICS)
-    else:
-        metrics = metrics or SINGLE_METRICS
-        check_split_request(training, window.n_rules, base, metrics)
-        report = split_report(window.scores(training), base, metrics)
-    return _tick_from_report(report, sample_index)
+        if op_group is None:
+            raise StreamStateError("group mode needs window snapshots")
+        return detect(training, op_group, base, metrics)
+    metrics = check_request(training, base, SINGLE_SPLIT, window.n_rules, 1, metrics)
+    return build_report(base, window.scores(training)._asdict(), metrics)
 
 
 class StreamMonitor:
-    """Feed samples, get a TickRecord per detection tick.
+    """Feed samples, get a ``DetectionReport`` per detection tick.
 
     Single-writer object: one stream pushes; reads happen between pushes.
     The baseline decides the mode (``base.mode``) and, for a group
@@ -233,26 +195,22 @@ class StreamMonitor:
         self.base = base
         self.training = training
         self.mode = base.mode
+        self.n_op = base.n_op
         self.metrics = metrics
         self.detect_stride = detect_stride
         self._pushes = 0
-        if self.mode == GROUP:
-            self.n_op = int(base.config["n_op"])
-            self.snapshot_stride = snapshot_stride or max(capacity // self.n_op, 1)
-            self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
-        else:
-            self.n_op = 1
-            self.snapshot_stride = 0
-            self._snapshots = deque()
+        self.snapshot_stride = (
+            (snapshot_stride or max(capacity // self.n_op, 1)) if self.mode == GROUP else 0
+        )
+        self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
 
     @property
     def pushes(self) -> int:
         return self._pushes
 
-    def push(self, sample: Mapping[str, float]) -> TickRecord | None:
-        """Push one sample; returns a TickRecord when a detection tick fires."""
+    def push(self, sample: Mapping[str, float]) -> DetectionReport | None:
+        """Push one sample; returns the tick's report when a detection tick fires."""
         self.window.push(sample)
-        index = self._pushes
         self._pushes += 1
         if not self.window.is_full:
             return None
@@ -271,7 +229,6 @@ class StreamMonitor:
             self.training,
             op_group=op_group,
             metrics=self.metrics,
-            sample_index=index,
         )
 
 

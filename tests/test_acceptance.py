@@ -136,7 +136,7 @@ def test_criterion_3_streaming_oracle_equivalence():
             window = SlidingHitWindow(STREAM_RULES, n_s)
             ring = np.zeros((n_s, len(STREAM_COLUMNS)))
             pos = 0
-            for i, rec in enumerate(feed):
+            for rec in feed:
                 window.push(rec)
                 ring[pos] = [rec[c] for c in STREAM_COLUMNS]
                 pos = (pos + 1) % n_s
@@ -146,10 +146,11 @@ def test_criterion_3_streaming_oracle_equivalence():
                     STREAM_RULES, Split(DataTable(STREAM_COLUMNS, ring.copy()))
                 )
                 assert np.array_equal(window.histogram().counts, batch_hist.counts)  # integer-exact
-                tick = stream_detect(window, base, matrix, sample_index=i)
+                tick = stream_detect(window, base, matrix)
                 batch = detect_split(matrix, batch_hist, base)
                 assert tick.verdict == batch.verdict
-                assert tick.flags == {n: m.flag for n, m in batch.per_metric.items()}
+                # values, votes, distances and bounds of every metric
+                assert tick.per_metric == batch.per_metric
 
 
 def test_criterion_4_rbi_identity_limits():
@@ -230,7 +231,7 @@ def test_criterion_6_drift_onset_shorter_window_faster():
                 t = None
                 for tick, rec in enumerate(drift_feed):
                     out = monitor.push(rec)
-                    if out is not None and out.flags["wmi"]:
+                    if out is not None and out.per_metric["wmi"].flag:
                         t = tick
                         break
                 first_exit[window_ns] = t

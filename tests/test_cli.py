@@ -1,5 +1,11 @@
 import csv
 import json
+import os
+import statistics
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,3 +523,114 @@ def test_baseline_whose_n_s_contradicts_its_split_size_exits_1(workdir, capsys, 
     err = capsys.readouterr().err
     assert "malformed baseline document" in err
     assert "config n_s 200 differs from the training split size 250" in err
+
+
+# -- output columns -------------------------------------------------------------
+
+_REPORT_COLUMNS = ["metric", "value", "base_min", "base_max", "flag", "verdict"]
+_GROUP_ARGS = ("--mode", "group", "--nop", "3", "--ns", "100")
+
+
+@pytest.mark.parametrize("mode_args, metrics", [((), "wmi l1 l2"), (_GROUP_ARGS, "rbi l1 l2")])
+def test_detect_csv_rows_follow_the_json_report(workdir, capsys, mode_args, metrics):
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    argv = ["detect", str(workdir / "op_out.csv"), "--rules", str(workdir / "rules.txt"),
+            "--baseline", str(workdir / "base.json")]
+    capsys.readouterr()
+    rc_json = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    rc_csv = main([*argv, "--format", "csv"])
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rc_csv == rc_json
+    assert rows[0] == _REPORT_COLUMNS
+    assert [r[0] for r in rows[1:]] == metrics.split()
+    for name, value, lo, hi, flag, verdict in rows[1:]:
+        m = doc["metrics"][name]
+        assert [float(lo), float(hi)] == m["baseline"]
+        assert (flag, verdict) == (str(int(m["flag"])), doc["verdict"])
+        assert float(value) == statistics.median(float(v) for v in m["values"])
+
+
+@pytest.mark.parametrize("mode_args, metrics", [((), 3), (_GROUP_ARGS, 3)])
+def test_stream_tick_rows_keep_their_columns(workdir, tmp_path, mode_args, metrics):
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    rc = main(["stream", str(workdir / "op_in.csv"), "--rules", str(workdir / "rules.txt"),
+               "--baseline", str(workdir / "base.json"), "-o", str(tmp_path / "ticks.csv")])
+    assert rc == 0
+    rows = list(csv.reader((tmp_path / "ticks.csv").read_text().splitlines()))
+    assert rows[0] == ["sample_index", *_REPORT_COLUMNS]
+    assert rows[1:] and all(len(r) == 7 for r in rows[1:])
+    indices = [int(r[0]) for r in rows[1:]]
+    assert indices == sorted(indices) and indices[-1] == 399  # the last of 400 rows
+    assert len(rows) - 1 == len(set(indices)) * metrics
+
+
+# -- input policies ---------------------------------------------------------------
+
+def _feed_fifo(tmp_path, data: bytes) -> str:
+    """A named pipe that a background thread fills with ``data`` once."""
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=feed, daemon=True).start()
+    return str(fifo)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["featurize", "detect"])
+def test_a_named_pipe_reads_like_its_file(workdir, tmp_path, capsys, command):
+    assert main(_baseline_args(workdir)) == 0
+    tail = (["--window", "20", "--columns", "x1,x3"] if command == "featurize" else
+            ["--rules", str(workdir / "rules.txt"), "--baseline", str(workdir / "base.json")])
+    capsys.readouterr()
+    rc_file = main([command, str(workdir / "op_out.csv"), *tail])
+    from_file = capsys.readouterr()
+    rc_pipe = main([command, _feed_fifo(tmp_path, (workdir / "op_out.csv").read_bytes()), *tail])
+    from_pipe = capsys.readouterr()
+    assert (rc_pipe, from_pipe.out) == (rc_file, from_file.out)
+    assert from_file.out and "error" not in from_pipe.err
+
+
+def test_featurize_reads_dev_stdin_from_a_pipe(workdir):
+    argv = ["featurize", "--window", "4", "--columns", "x1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rulewatch.cli", argv[0], "/dev/stdin", *argv[1:]],
+        input=(workdir / "op_in.csv").read_bytes(), capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.decode().splitlines()) == 1 + 400 - 3
+
+
+@pytest.mark.parametrize("command", ["induce", "eval"])
+def test_a_missing_label_column_is_named(workdir, capsys, command):
+    data = str(workdir / "train.csv")
+    argv = (["induce", data] if command == "induce" else
+            ["eval", "--in-csv", data, "--op-csv", data, "--repetitions", "1"])
+    assert main([*argv, "--label-column", "nope"]) == 1
+    assert "label column 'nope'" in capsys.readouterr().err
+
+
+def test_a_cell_over_the_csv_field_limit_exits_1(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("x1,x2\n1,2\n3," + "x" * 200_000 + "\n")
+    assert main(["featurize", str(big), "--window", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 3" in err and "field larger than field limit" in err
+
+
+@pytest.mark.parametrize("cells, count", [("0.1,0.2,0.3,1,extra", 5), ("0.1,0.2,0.3", 3)])
+def test_stream_rejects_a_ragged_row(workdir, tmp_path, capsys, cells, count):
+    assert main(_baseline_args(workdir)) == 0
+    lines = (workdir / "op_in.csv").read_text().splitlines(keepends=True)
+    lines[300] = cells + "\r\n"  # file row 301
+    (workdir / "ragged.csv").write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["stream", str(workdir / "ragged.csv"), "--rules", str(workdir / "rules.txt"),
+               "--baseline", str(workdir / "base.json"), "-o", str(tmp_path / "ticks.csv")])
+    assert rc == 1
+    assert f"row 301 has {count} cells, expected 4" in capsys.readouterr().err

@@ -38,6 +38,28 @@ def test_from_csv_missing_label_column(tmp_path):
         DataTable.from_csv(p, label_column="zz")
 
 
+@pytest.mark.parametrize("read", [_read_csv_numpy, _read_csv_python])
+@pytest.mark.parametrize("header, labels", [("a,b", None), ("a,label,b", ("x", "y"))])
+def test_an_optional_label_column_is_split_out_when_present(tmp_path, read, header, labels):
+    p = tmp_path / "d.csv"
+    p.write_text(header + "\n" + ("1,x,2\n3,y,4\n" if labels else "1,2\n3,4\n"))
+    names, X, got = read(p, "label", label_required=False)
+    assert (names, X.tolist(), got) == (("a", "b"), [[1.0, 2.0], [3.0, 4.0]], labels)
+    t = DataTable.from_csv(p, "label", label_required=False)
+    assert (t.columns, t.X.tolist(), t.labels) == (names, X.tolist(), labels)
+
+
+def test_from_csv_names_the_row_over_the_csv_field_limit(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n1,2\n3," + "x" * 200_000 + "\n5,6\n")
+    with pytest.raises(CsvFormatError) as info:
+        DataTable.from_csv(p)
+    assert str(info.value) == f"{p}: row 3: field larger than field limit (131072)"
+    p.write_text("a," + "b" * 200_000 + "\n1,2\n")
+    with pytest.raises(CsvFormatError, match="row 1: field larger"):
+        DataTable.from_csv(p)
+
+
 def test_from_csv_non_numeric_cell_is_hard_error(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n1,2\n3,oops\n")

@@ -16,6 +16,7 @@ from rulewatch import (
     FingerprintMismatchError,
     HitHistogram,
     compute_fingerprint,
+    detect,
     detect_group,
     detect_split,
     group_baseline,
@@ -25,10 +26,12 @@ from rulewatch import (
 )
 from rulewatch.detection import (
     GROUP,
+    GROUP_METRICS,
     IN_DISTRIBUTION,
     OUT_OF_DISTRIBUTION,
     ROTATION_SEED,
     ROTATIONS,
+    SINGLE_METRICS,
     SINGLE_SPLIT,
     _calibration_scores,
     _metric_report,
@@ -534,3 +537,52 @@ def test_baselines_mode_comes_from_its_interval(rng):
         Baselines(l1=(0.0, 1.0), l2=(0.0, 1.0))
     with pytest.raises(DetectionError, match="n_op >= 2"):
         Baselines(l1=(0.0, 1.0), l2=(0.0, 1.0), rbi=(0.5, 1.0), config={"n_op": 1})
+
+
+def test_baselines_name_their_unit_size_and_metrics(rng):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    single, group = single_split_baseline(training), group_baseline(training, 3)
+    assert (single.n_op, single.metrics) == (1, SINGLE_METRICS)
+    assert (group.n_op, group.metrics) == (3, GROUP_METRICS)
+    # a single-split baseline scores one split whatever its config says
+    assert single_split_baseline(training, config={"n_op": 4}).n_op == 1
+
+
+@pytest.mark.parametrize("metrics", [None, ("l1",), ("l2", "l1")])
+def test_detect_equals_the_entry_point_of_the_baseline_mode(rng, metrics):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    single, group = single_split_baseline(training), group_baseline(training, 3)
+    members = [random_histogram(rng, 3, 40) for _ in range(3)]
+    op, one = stack(members), stack(members[:1])
+    by_split = detect(training, one, single, metrics)
+    by_group = detect(training, op, group, metrics)
+    assert by_split == detect_split(training, members[0], single, metrics)
+    assert by_group == detect_group(training, op, group, metrics)
+    assert tuple(by_split.per_metric) == (metrics or SINGLE_METRICS)
+    assert tuple(by_group.per_metric) == (metrics or GROUP_METRICS)
+
+
+def test_detect_rejects_a_unit_of_another_size(rng):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    single, group = single_split_baseline(training), group_baseline(training, 3)
+    members = [random_histogram(rng, 3, 40) for _ in range(4)]
+    for base, size in ((single, 2), (group, 2), (group, 4)):
+        unit = stack(members[:size])
+        with pytest.raises(DetectionError, match=f"has {base.n_op} operational split"):
+            detect(training, unit, base)
+
+
+def test_detect_split_rejects_a_group_baseline(rng):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    base = group_baseline(training, 3)
+    with pytest.raises(DetectionError, match="group baseline"):
+        detect_split(training, histograms(training)[0], base)
+
+
+@pytest.mark.parametrize("mode", [SINGLE_SPLIT, GROUP])
+def test_metric_names_are_checked_against_the_baseline(rng, mode):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    base = group_baseline(training, 3) if mode == GROUP else single_split_baseline(training)
+    other = "wmi" if mode == GROUP else "rbi"
+    with pytest.raises(DetectionError, match=f"unknown {mode} metric '{other}'"):
+        detect(training, stack(histograms(training)[: base.n_op]), base, ("l1", other))

@@ -142,13 +142,11 @@ def test_stream_detect_equals_batch_detection(rng):
         w.push(s)
         if not w.is_full:
             continue
-        tick = stream_detect(w, base, matrix, sample_index=i)
+        tick = stream_detect(w, base, matrix)
         batch = detect_split(matrix, _batch_histogram(history[-32:]), base)
         assert tick.verdict == batch.verdict
-        assert tick.flags == {n: m.flag for n, m in batch.per_metric.items()}
-        assert tick.metric_values == {
-            n: m.representative for n, m in batch.per_metric.items()
-        }
+        # values, votes, distances and bounds of every metric
+        assert tick.per_metric == batch.per_metric
         ticks += 1
     assert ticks == 120 - 31
 
@@ -215,16 +213,16 @@ def test_monitor_group_mode_snapshots(rng):
     matrix = stack(cols)
     base = group_baseline(matrix, 3, config={"n_s": n_s, "n_op": 3})
     monitor = StreamMonitor(RULES, base, matrix, capacity=n_s, snapshot_stride=4)
-    first_tick = None
+    first_tick = first_index = None
     for i in range(60):
         tick = monitor.push(_record(rng))
         if tick is not None:
-            first_tick = tick
+            first_tick, first_index = tick, i
             break
     assert first_tick is not None
     # snapshots at pushes 12 (first full), 16, 20 -> 3rd snapshot on push 20
-    assert first_tick.sample_index == 19
-    assert "rbi" in first_tick.metric_values
+    assert first_index == 19
+    assert "rbi" in first_tick.per_metric
 
 
 def test_group_stream_equals_batch_at_every_tick(rng):
@@ -247,8 +245,8 @@ def test_group_stream_equals_batch_at_every_tick(rng):
         ends = [p for p in range(n_s, i + 2) if p % stride == 0][-n_op:]
         windows = np.array([np.arange(p - n_s, p) for p in ends])
         batch = detect_group(training, hit_matrix(RULES, _table(history), windows), base)
-        assert tick.metric_values == {n: m.representative for n, m in batch.per_metric.items()}
-        assert tick.flags == {n: m.flag for n, m in batch.per_metric.items()}
+        # values, votes, distances and bounds of every metric
+        assert tick.per_metric == batch.per_metric
         assert tick.verdict == batch.verdict
         verdicts.add(tick.verdict)
     assert len(verdicts) == 2  # both verdicts occur
@@ -262,11 +260,11 @@ def test_tick_record_csv_rows(rng):
     while tick is None:
         tick = monitor.push(_record(rng))
         i += 1
-    rows = tick.to_csv_rows()
+    rows = tick.csv_rows()
     assert len(rows) == 3  # wmi, l1, l2
-    for row in rows:
+    for row, (name, m) in zip(rows, tick.per_metric.items()):
         assert len(row) == len(tick.CSV_HEADER)
-        assert row[0] == tick.sample_index
+        assert row == (name, m.representative, *m.baseline, int(m.flag), tick.verdict)
 
 
 # -- moments -------------------------------------------------------------------
