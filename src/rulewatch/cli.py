@@ -206,7 +206,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
             bundle.training,
             capacity=args.ns,
             detect_stride=cfg.stride,
-            snapshot_stride=cfg.snapshot_stride,
             metrics=cfg.metrics,
         )
     for w in caught:
@@ -280,6 +279,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.output not in (None, "-"):
         print(f"FPR {summary.fpr:.4f}  FNR {summary.fnr:.4f}  ({summary.repetitions} repetitions)")
     return EXIT_OK
+
+
+def _moment_window(raw: str) -> int:
+    """A ``featurize --window`` length: every row it writes needs 4 samples."""
+    try:
+        window = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if window < 4:
+        raise argparse.ArgumentTypeError(f"must be at least 4 (kurtosis needs 4), got {window}")
+    return window
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="rolling moment features over CSV columns")
     p.add_argument("data", help="input CSV")
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_moment_window, required=True)
     p.add_argument("--columns", default=None, help="comma list (default all features)")
     p.add_argument("-o", "--output", default=None)
     _add_config_flags(p, "label_column")

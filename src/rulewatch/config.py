@@ -25,7 +25,6 @@ class RunConfig:
     metrics: tuple[str, ...] | None = None
     label_column: str = "label"
     stride: int = 1
-    snapshot_stride: int | None = None
     repetitions: int = 200
     mode: str = "single"
     max_depth: int = 4
@@ -60,8 +59,7 @@ def metric_list(raw: str) -> tuple[str, ...]:
 
 def _coerce(name: str, raw: str):
     raw = raw.strip()
-    if name in ("n_s", "n_tr", "n_op", "seed", "stride", "snapshot_stride",
-                "repetitions", "max_depth", "min_leaf"):
+    if name in ("n_s", "n_tr", "n_op", "seed", "stride", "repetitions", "max_depth", "min_leaf"):
         return int(raw)
     if name == "sigma_floor":
         return float(raw)

@@ -12,16 +12,17 @@ normalised distance, and the median is stored once as a Python float.
 
 The baseline names the mode: ``Baselines.mode``, ``.n_op`` (operational
 splits per unit) and ``.metrics`` follow from the interval it holds, and
-``detect(training, unit, base)`` scores a unit in that mode. Both modes
-share one request checker and one report builder, whose report is also
-the stream tick.
+``detect(training, unit, base)`` scores a unit of ``n_op`` rows in that
+mode. Both modes share one request checker and one report builder, whose
+report is also the stream tick; a group stream calls ``detect`` once per
+new window snapshot.
 
 Two modes:
 
 * single-split: weighted mutual information + l1/l2 norms against one
-  operational histogram. Scoring (``split_metrics``, or a stream's
-  ``SplitScorer`` with bit-identical values) and the report builder are
-  separate, so batch and stream detection share every step after the
+  operational histogram. Scoring (``split_metrics``, a fresh
+  ``SplitScorer``, or a stream's long-lived one) and the report builder
+  are separate, so batch and stream detection share every step after the
   scores;
 * group: rule-based information over a group of operational histograms
   + l1/l2 norms over all column pairs. Both ``group_baseline`` and
@@ -29,11 +30,13 @@ Two modes:
   ``HitMatrix`` too, one row per member. ``group_baseline(training, n_op)``
   records ``n_op`` and ``n_tr`` in the baseline config; the reference part
   is the first ``k = n_tr - n_op - 1`` columns, and ``detect_group``
-  derives ``k`` from those two recorded values. The ``rbi`` envelope is
-  calibrated over the leave-one-out folds of the calibration part and over
-  seeded rotations of the whole training set, so that it covers fresh
-  in-distribution groups rather than one calibration draw. Folds, rotations
-  and detection-time groups all go through ``rule_based_information_batch``.
+  derives ``k`` from those two recorded values and scores only groups of
+  ``n_op`` rows, the size the envelope was calibrated for. The ``rbi``
+  envelope is calibrated over the leave-one-out folds of the calibration
+  part and over seeded rotations of the whole training set, so that it
+  covers fresh in-distribution groups rather than one calibration draw.
+  Folds, rotations and detection-time groups all go through
+  ``rule_based_information_batch``.
 """
 from __future__ import annotations
 
@@ -298,9 +301,10 @@ def check_request(
 ) -> Sequence[str]:
     """The metrics to score (``None``: ``base.metrics``) once the request checks out.
 
-    Rejects a baseline of another mode or training matrix, operational
-    counts of another rule count (or, in group mode, fewer than 2 rows) and
-    a metric name outside ``base.metrics``.
+    Rejects a baseline of another mode or training matrix, a unit whose
+    row count is not ``base.n_op`` (the group size the envelope was
+    calibrated for), operational counts of another rule count and a metric
+    name outside ``base.metrics``.
     """
     check_compatible(base, training)
     if base.mode != mode:
@@ -308,8 +312,8 @@ def check_request(
             "baseline has no reference partition (single-split mode)" if mode == GROUP
             else "baseline is a group baseline; it scores groups, not single splits"
         )
-    if mode == GROUP and n_rows < 2:
-        raise DetectionError(f"group detection needs at least 2 operational rows, got {n_rows}")
+    if n_rows != base.n_op:
+        raise DetectionError(f"a {mode} unit has {base.n_op} operational split(s), got {n_rows}")
     if n_rules != training.n_rules:
         raise MetricError(f"operational counts have {n_rules} rules, training {training.n_rules}")
     if metrics is None:
@@ -528,12 +532,13 @@ def detect_group(
 ) -> DetectionReport:
     """Score an operational group against the reference part of training.
 
-    ``op_group`` holds one row per group member. The reference part is the
-    first ``k = n_tr - n_op - 1`` training rows, with ``n_op`` as
-    ``group_baseline`` recorded it; a single-split baseline is rejected,
-    and ``metrics`` defaults to ``base.metrics``. Rule-based information
-    casts a single vote, scored as a batch of one through ``rule_based_information_batch``, the
-    kernel that calibrated the envelope; the norms vote once per (training
+    ``op_group`` holds one row per group member, ``n_op`` rows as
+    ``group_baseline`` recorded it. The reference part is the first
+    ``k = n_tr - n_op - 1`` training rows; a single-split baseline or a
+    group of another size is rejected, and ``metrics`` defaults to
+    ``base.metrics``. Rule-based information casts a single vote, scored as
+    a batch of one through ``rule_based_information_batch``, the kernel
+    that calibrated the envelope; the norms vote once per (training
     row, group member) pair, in that order, computed in one broadcast. Norm
     votes run over ALL training rows, matching the envelopes built by
     ``group_baseline``.
@@ -565,14 +570,12 @@ def detect(
 ) -> DetectionReport:
     """Score one operational unit of ``base.n_op`` rows in ``base.mode``.
 
-    ``detect_split`` scores a single-split unit, ``detect_group`` a group.
+    ``detect_split`` scores a single-split unit, ``detect_group`` a group;
+    ``check_request`` rejects a unit of another size.
     """
-    if unit.n_splits != base.n_op:
-        raise DetectionError(
-            f"a {base.mode} unit has {base.n_op} operational split(s), got {unit.n_splits}"
-        )
     if base.mode == GROUP:
         return detect_group(training, unit, base, metrics)
+    check_request(training, base, SINGLE_SPLIT, unit.n_rules, unit.n_splits, metrics)
     return detect_split(training, HitHistogram(unit.counts[0], unit.split_size), base, metrics)
 
 

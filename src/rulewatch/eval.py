@@ -24,7 +24,7 @@ from .rules import Ruleset
 
 
 # Run settings no repetition reads: detection runs every metric of its mode.
-_UNREAD = ("metrics", "stride", "snapshot_stride")
+_UNREAD = ("metrics", "stride")
 
 
 @dataclass(frozen=True)

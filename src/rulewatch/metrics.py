@@ -3,13 +3,14 @@
 Two families:
 
 * Single-split metrics between hit-count vectors: the l1 and l2 norms and
-  the value-frequency information metrics. ``split_metrics`` scores one
+  the value-frequency information metrics. ``SplitScorer`` scores one
   operational count vector against every row of a training count matrix
-  in one numpy pass; the scalar functions (``lp_norm``,
-  ``weighted_mutual_information``, ``mutual_information``) are one-row
-  calls of the same code, and ``SplitScorer`` keeps the kernel's integer
-  state for a changing vector, so batch, stream and scalar values agree
-  bit for bit. Norms are integer sums over exact count gaps, divided once. For the
+  and keeps the kernel's integer state, so a changing vector moves only
+  the rules that changed. ``split_metrics`` is a fresh scorer, and the
+  scalar functions (``weighted_mutual_information``,
+  ``mutual_information``) are one-row scorers, so batch, stream and scalar
+  values agree bit for bit. Norms are integer sums over exact count gaps,
+  divided once (``lp_norms``, which ``lp_norm`` calls). For the
   information metrics each histogram is read as a multiset of exact values
   whose probability is multiplicity / n_rules, and the joint multiset
   counts exact value pairs per rule. An entropy term of a value of
@@ -155,18 +156,6 @@ def _reduce_information(d: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return out
 
 
-def _information(train: np.ndarray, op: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Weighted information of every training row with ``op`` at weights ``alpha``.
-
-    c_train, c_op and c_joint (the counts-of-multiplicities of the training
-    rows, of ``op`` and of each row's value pairs with ``op``) come from one
-    sort of 2 n_tr + 1 rows.
-    """
-    n_tr = len(train)
-    mult = value_multiplicities(np.vstack([train, op[None, :], _joint_keys(train, op)]))
-    return _reduce_information(mult[:n_tr] + mult[n_tr] - mult[n_tr + 1 :], alpha)
-
-
 def split_metrics(
     train: np.ndarray, train_size: int, op: np.ndarray, op_size: int
 ) -> SplitMetrics:
@@ -175,29 +164,24 @@ def split_metrics(
     ``train`` is an (n_tr, n_rules) array of hit counts over splits of
     ``train_size`` samples, ``op`` an (n_rules,) array of counts over
     ``op_size`` samples. The pair weight of ``wmi`` is l1 / n_rules. Entry i
-    of each result depends on row i alone.
+    of each result depends on row i alone. A fresh ``SplitScorer`` scores
+    the vector, so the arrays are read-only.
     """
-    train = np.asarray(train, dtype=np.int64)
-    op = np.asarray(op, dtype=np.int64)
-    if train.ndim != 2 or op.shape != train.shape[1:]:
-        raise MetricError(
-            f"training counts {train.shape} and operational counts {op.shape} do not pair up"
-        )
-    l1, l2 = lp_norms(train, train_size, op, op_size)
-    return SplitMetrics(_information(train, op, l1 / train.shape[1]), l1, l2)
+    return SplitScorer(train, train_size).score(op, op_size)
 
 
 class SplitScorer:
-    """``split_metrics`` of a changing operational count vector against fixed training counts.
+    """``wmi``, ``l1`` and ``l2`` of a changing operational count vector against training counts.
 
     The scorer keeps the integer state of the last vector it scored:
-    c_train, c_op and c_joint (see ``_information``) and, per
+    c_train, c_op and c_joint (the counts-of-multiplicities of the training
+    rows, of the vector and of each row's value pairs with it) and, per
     training row, the l1 and l2 integer gap sums over the common
     denominator of ``lp_norms``. ``score`` moves that state only for the
     rules whose count changed since the last call, at O(n_tr) per changed
     rule and per rule sharing its old or new count, then reduces it with
-    the code ``split_metrics`` uses. Equal integers go through the same
-    float operations, so every result equals ``split_metrics`` on the same
+    ``information``. Equal integers go through the same float operations,
+    so every result equals a fresh scorer's (``split_metrics``) on the same
     input bit for bit, and nothing drifts. A first call, a new ``op_size`` or
     more than ``MAX_UPDATES`` changed rules rebuild the state from scratch;
     when the gap sums could overflow int64 the norms come from ``lp_norms``.
@@ -227,7 +211,7 @@ class SplitScorer:
         self.last_updated_rules = 0
 
     def score(self, op: np.ndarray, op_size: int) -> SplitMetrics:
-        """``split_metrics(self.train, self.train_size, op, op_size)``, incrementally."""
+        """The metrics of ``op``, counts over ``op_size`` samples, against each training row."""
         op = np.asarray(op, dtype=np.int64)
         if op.shape != self.train.shape[1:]:
             raise MetricError(
@@ -251,11 +235,16 @@ class SplitScorer:
             l1, l2 = lp_norms(self.train, self.train_size, self._op, op_size)
         else:
             l1, l2 = self._gap1 / self._scale, np.sqrt(self._gap2) / self._scale
-        d = self._c_train + self._c_op - self._c_joint
-        self._scores = SplitMetrics(_reduce_information(d, l1 / len(op)), l1, l2)
+        self._scores = SplitMetrics(self.information(l1 / len(op)), l1, l2)
         for values in self._scores:
             values.setflags(write=False)
         return self._scores
+
+    def information(self, alpha: np.ndarray) -> np.ndarray:
+        """Weighted information of every training row with the last scored vector at ``alpha``."""
+        if self._op is None:
+            raise MetricError("no operational counts scored yet")
+        return _reduce_information(self._c_train + self._c_op - self._c_joint, alpha)
 
     def _rebuild(self, op: np.ndarray, op_size: int) -> None:
         self._op, self._op_size = op.copy(), op_size
@@ -327,7 +316,9 @@ def mutual_information(a: HitHistogram, b: HitHistogram) -> float:
     the same values in shuffled positions.
     """
     _check_same_rules(a, b)
-    return float(_information(a.counts[None], b.counts, np.ones(1))[0])
+    scorer = SplitScorer(a.counts[None], a.split_size)
+    scorer.score(b.counts, b.split_size)
+    return float(scorer.information(np.ones(1))[0])
 
 
 def weighted_mutual_information(a: HitHistogram, b: HitHistogram) -> float:

@@ -7,11 +7,13 @@ a batch recount of the retained samples at every tick. Single-split ticks
 score the window through a ``SplitScorer`` kept beside it, which moves its
 integer state only for the rules whose counts changed since the last tick
 and equals batch ``detect_split`` bit for bit. On top of that sits a
-monitor that reruns detection every push (or every ``detect_stride``
-pushes) and, for a group baseline, keeps the last ``n_op`` stride-spaced
-window snapshots as the rows of the operational group's ``HitMatrix``,
-scored by batch ``detect``. The mode, ``n_op`` and the default window
-length all come from the baseline and its training matrix. A tick is the
+monitor that ticks every push (or every ``detect_stride`` pushes) and, for
+a group baseline, keeps the last ``n_op`` window snapshots, taken every
+``capacity // n_op`` pushes, as the rows of the operational group's
+``HitMatrix``. Batch ``detect`` scores that group once per new snapshot,
+and the ticks until the next snapshot return its report. The mode,
+``n_op``, the snapshot spacing and the default window length all come
+from the baseline and its training matrix. A tick is the
 ``DetectionReport`` batch detection returns, not a copy of it; a caller
 that wants to key it by sample counts its own pushes.
 
@@ -137,23 +139,18 @@ def stream_detect(
     window: SlidingHitWindow,
     base: Baselines,
     training: HitMatrix,
-    op_group: HitMatrix | None = None,
     metrics: Sequence[str] | None = None,
 ) -> DetectionReport:
-    """Run one detection tick on the current window state, in ``base.mode``.
+    """Run one single-split detection tick on the current window state.
 
-    A group baseline scores ``op_group``, one row per window snapshot, with
-    ``detect``; a single-split one scores the window through its scorer and
-    builds the same report as ``detect_split``.
+    The window is scored through its scorer, and the report is the one
+    ``detect_split`` builds for the same counts; a group baseline is
+    rejected.
     """
     if not window.is_full:
         raise StreamStateError(
             f"window holds {window.fill} of {window.capacity} samples; detection needs a full window"
         )
-    if base.mode == GROUP:
-        if op_group is None:
-            raise StreamStateError("group mode needs window snapshots")
-        return detect(training, op_group, base, metrics)
     metrics = check_request(training, base, SINGLE_SPLIT, window.n_rules, 1, metrics)
     return build_report(base, window.scores(training)._asdict(), metrics)
 
@@ -166,8 +163,10 @@ class StreamMonitor:
     baseline, the group size (its config's ``n_op``); the window holds
     ``training.split_size`` samples unless ``capacity`` says otherwise. In
     group mode the operational group is the window counts captured every
-    ``snapshot_stride`` pushes (default capacity // n_op), one row each,
-    and ticks start once ``n_op`` snapshots exist.
+    ``max(capacity // n_op, 1)`` pushes, one row each, and ticks start once
+    ``n_op`` snapshots exist. The group changes only when a snapshot is
+    taken, so it is scored once per snapshot, and the ticks up to the next
+    one return that report.
     """
 
     def __init__(
@@ -177,7 +176,6 @@ class StreamMonitor:
         training: HitMatrix,
         capacity: int | None = None,
         detect_stride: int = 1,
-        snapshot_stride: int | None = None,
         metrics: Sequence[str] | None = None,
     ):
         if detect_stride < 1:
@@ -199,14 +197,9 @@ class StreamMonitor:
         self.metrics = metrics
         self.detect_stride = detect_stride
         self._pushes = 0
-        self.snapshot_stride = (
-            (snapshot_stride or max(capacity // self.n_op, 1)) if self.mode == GROUP else 0
-        )
+        self._snapshot_every = max(capacity // self.n_op, 1)
         self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
-
-    @property
-    def pushes(self) -> int:
-        return self._pushes
+        self._group_report: DetectionReport | None = None
 
     def push(self, sample: Mapping[str, float]) -> DetectionReport | None:
         """Push one sample; returns the tick's report when a detection tick fires."""
@@ -214,22 +207,19 @@ class StreamMonitor:
         self._pushes += 1
         if not self.window.is_full:
             return None
-        if self.mode == GROUP and self._pushes % self.snapshot_stride == 0:
+        if self.mode == GROUP and self._pushes % self._snapshot_every == 0:
             self._snapshots.append(self.window.histogram().counts)
+            self._group_report = None
         if (self._pushes - self.window.capacity) % self.detect_stride != 0:
             return None
-        if self.mode == GROUP and len(self._snapshots) < self.n_op:
+        if self.mode == SINGLE_SPLIT:
+            return stream_detect(self.window, self.base, self.training, self.metrics)
+        if len(self._snapshots) < self.n_op:
             return None
-        op_group = (
-            HitMatrix(list(self._snapshots), self.window.capacity) if self.mode == GROUP else None
-        )
-        return stream_detect(
-            self.window,
-            self.base,
-            self.training,
-            op_group=op_group,
-            metrics=self.metrics,
-        )
+        if self._group_report is None:
+            group = HitMatrix(list(self._snapshots), self.window.capacity)
+            self._group_report = detect(self.training, group, self.base, self.metrics)
+        return self._group_report
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from rulewatch.cli import main
+from rulewatch.config import load_config_file
+from rulewatch.data import DataError
 from rulewatch.synth import RuleAlignedSource
 
 
@@ -618,9 +620,29 @@ def test_a_missing_label_column_is_named(workdir, capsys, command):
 def test_a_cell_over_the_csv_field_limit_exits_1(tmp_path, capsys):
     big = tmp_path / "big.csv"
     big.write_text("x1,x2\n1,2\n3," + "x" * 200_000 + "\n")
-    assert main(["featurize", str(big), "--window", "2"]) == 1
+    assert main(["featurize", str(big), "--window", "4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "row 3" in err and "field larger than field limit" in err
+
+
+@pytest.mark.parametrize("window", ["0", "3"])
+def test_featurize_rejects_a_window_below_4_before_reading(tmp_path, capsys, window):
+    # Every row featurize writes is a full moment query, which needs 4
+    # samples; the input does not exist, so the rejection comes first.
+    with pytest.raises(SystemExit) as exc:
+        main(["featurize", str(tmp_path / "missing.csv"), "--window", window])
+    assert exc.value.code == 1
+    assert f"argument --window: must be at least 4 (kurtosis needs 4), got {window}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_snapshot_stride_is_not_a_config_key(tmp_path):
+    # The group stream spaces its snapshots capacity // n_op pushes apart.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snapshot_stride = 4\n")
+    with pytest.raises(DataError, match="unknown config key 'snapshot_stride'"):
+        load_config_file(cfg)
 
 
 @pytest.mark.parametrize("cells, count", [("0.1,0.2,0.3,1,extra", 5), ("0.1,0.2,0.3", 3)])

@@ -357,11 +357,18 @@ def test_group_baseline_size_guards(rng):
 
 def test_detect_group_identical_to_reference(rng):
     tr1 = [random_histogram(rng, 3, 40) for _ in range(4)]
-    tr2 = [random_histogram(rng, 3, 40) for _ in range(4)]
+    tr2 = [random_histogram(rng, 3, 40) for _ in range(5)]
     training = stack(tuple(tr1 + tr2))
-    base = group_baseline(training, 3)
+    base = group_baseline(training, 4)  # k = 9 - 4 - 1 = 4: the reference is tr1
     report = detect_group(training, stack(tr1), base)
     assert report.per_metric["rbi"].values[0] == 1.0
+
+
+def test_detect_group_rejects_a_group_of_another_size(rng):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(9)))
+    base = group_baseline(training, 3)
+    with pytest.raises(DetectionError, match="has 3 operational split.*got 4"):
+        detect_group(training, stack(histograms(training)[:4]), base)
 
 
 def test_detect_group_fold_membership_exact(rng):

@@ -410,6 +410,8 @@ def test_split_scorer_rebuilds_on_a_new_op_size():
     assert scorer.last_updated_rules == 3
     with pytest.raises(MetricError):
         scorer.score([1, 2], 2)
+    with pytest.raises(MetricError, match="no operational counts"):
+        SplitScorer(train, 2).information(np.ones(2))
 
 
 # -- reference oracle for the rbi kernel -------------------------------------

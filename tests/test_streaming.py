@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rulewatch import (
+    DetectionError,
     InsufficientSamplesError,
     MissingFeatureError,
     MomentAccumulator,
@@ -12,6 +13,7 @@ from rulewatch import (
     StreamMonitor,
     StreamStateError,
     WindowSizeMismatchWarning,
+    detect,
     detect_group,
     detect_split,
     group_baseline,
@@ -212,7 +214,7 @@ def test_monitor_group_mode_snapshots(rng):
 
     matrix = stack(cols)
     base = group_baseline(matrix, 3, config={"n_s": n_s, "n_op": 3})
-    monitor = StreamMonitor(RULES, base, matrix, capacity=n_s, snapshot_stride=4)
+    monitor = StreamMonitor(RULES, base, matrix, capacity=n_s)
     first_tick = first_index = None
     for i in range(60):
         tick = monitor.push(_record(rng))
@@ -220,19 +222,21 @@ def test_monitor_group_mode_snapshots(rng):
             first_tick, first_index = tick, i
             break
     assert first_tick is not None
-    # snapshots at pushes 12 (first full), 16, 20 -> 3rd snapshot on push 20
+    # a snapshot every 12 // 3 = 4 pushes once full: pushes 12, 16, 20 ->
+    # 3rd snapshot on push 20
     assert first_index == 19
     assert "rbi" in first_tick.per_metric
 
 
 def test_group_stream_equals_batch_at_every_tick(rng):
-    # Each tick's group is the last n_op snapshots, taken at every 4th push
-    # once the window is full; recounting those windows in batch must give
-    # the tick's values, flags and verdict exactly, before and after drift.
+    # Each tick's group is the last n_op snapshots, taken at every
+    # n_s // n_op = 4th push once the window is full; recounting those
+    # windows in batch must give the tick's values, flags and verdict
+    # exactly, before and after drift.
     n_s, n_op, stride = 12, 3, 4
     training = _random_matrix(rng, 8, n_s)
     base = group_baseline(training, n_op, config={"n_s": n_s, "n_op": n_op})
-    monitor = StreamMonitor(RULES, base, training, capacity=n_s, snapshot_stride=stride)
+    monitor = StreamMonitor(RULES, base, training, capacity=n_s)
     history, verdicts = [], set()
     for i in range(120):
         s = _record(rng)
@@ -250,6 +254,41 @@ def test_group_stream_equals_batch_at_every_tick(rng):
         assert tick.verdict == batch.verdict
         verdicts.add(tick.verdict)
     assert len(verdicts) == 2  # both verdicts occur
+
+
+def test_group_stream_scores_once_per_snapshot(rng, monkeypatch):
+    # Snapshots land every 12 // 3 = 4 pushes once the window is full
+    # (pushes 12, 16, ..., 60) and ticks start with the 3rd one (push 20), so
+    # 60 pushes bring 11 groups and 41 ticks; the ticks between two
+    # snapshots return the report of the group they share.
+    calls = []
+
+    def counted_detect(*args, **kwargs):
+        calls.append(args)
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr("rulewatch.streaming.detect", counted_detect)
+    training = _random_matrix(rng, 8, 12)
+    monitor = StreamMonitor(RULES, group_baseline(training, 3), training)
+    ticks = {}
+    for i in range(60):
+        tick = monitor.push(_record(rng))
+        if tick is not None:
+            ticks[i + 1] = tick
+    assert sorted(ticks) == list(range(20, 61))
+    assert len(calls) == 11
+    for push, tick in ticks.items():
+        if push % 4:
+            assert tick == ticks[push - push % 4]
+
+
+def test_stream_detect_rejects_a_group_baseline(rng):
+    training = _random_matrix(rng, 8, 12)
+    w = SlidingHitWindow(RULES, capacity=12)
+    for _ in range(12):
+        w.push(_record(rng))
+    with pytest.raises(DetectionError, match="group baseline"):
+        stream_detect(w, group_baseline(training, 3), training)
 
 
 def test_tick_record_csv_rows(rng):
