@@ -11,13 +11,14 @@ import argparse
 import csv
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import RunConfig, build_config, load_config_file, metric_list
-from .data import CsvFormatError, DataError, DataTable
+from .config import CONFIG_FLAGS, RunConfig, build_config, load_config_file
+from .data import DataError, DataTable, read_csv_rows
 from .detection import (
     FINGERPRINT_KEYS,
     BaselineBundle,
@@ -33,7 +34,7 @@ from .eval import run_eval
 from .histogram import hit_matrix, make_splits, operational_splits
 from .inducer import InducerError, induce_ruleset
 from .metrics import MetricError
-from .rules import RuleError, format_ruleset, parse_ruleset
+from .rules import RuleError, Ruleset, format_ruleset, parse_ruleset
 from .streaming import MomentAccumulator, StreamMonitor, StreamStateError
 from .synth import make_source
 
@@ -51,23 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-# Flag and argparse keywords of each RunConfig field a flag can set.
-_CONFIG_FLAGS = {
-    "seed": ("--seed", {"type": int}),
-    "n_s": ("--ns", {"type": int, "help": "samples per split"}),
-    "n_tr": ("--ntr", {"type": int, "help": "number of training splits"}),
-    "n_op": ("--nop", {"type": int, "help": "number of operational splits"}),
-    "mode": ("--mode", {"choices": ("single", "group")}),
-    "stride": ("--stride", {"type": int, "help": "detection tick stride"}),
-    "sigma_floor": ("--sigma-floor", {"type": float}),
-    "label_column": ("--label-column", {}),
-    "metrics": ("--metrics", {"type": metric_list, "help": "comma list, e.g. wmi,l1,l2"}),
-    "repetitions": ("--repetitions", {"type": int}),
-    "max_depth": ("--max-depth", {"type": int}),
-    "min_leaf": ("--min-leaf", {"type": int}),
-}
-
-
 def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
     """``--config`` plus the flags of the named RunConfig fields.
 
@@ -76,13 +60,13 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
     """
     p.add_argument("--config", help="flat key = value config file; flags override it")
     for name in names:
-        flag, kwargs = _CONFIG_FLAGS[name]
+        flag, kwargs = CONFIG_FLAGS[name]
         p.add_argument(flag, dest=name, default=None, **kwargs)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
-    return build_config(file_values, **{name: getattr(args, name, None) for name in _CONFIG_FLAGS})
+    return build_config(file_values, **{name: getattr(args, name, None) for name in CONFIG_FLAGS})
 
 
 def _fingerprint_config(cfg: RunConfig) -> dict:
@@ -90,11 +74,17 @@ def _fingerprint_config(cfg: RunConfig) -> dict:
     return {k: echo[k] for k in FINGERPRINT_KEYS}
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _output(path: str | None):
+    """stdout for ``None`` or ``-``, else the file at ``path``; for a ``with`` block."""
+    return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="")
+
+
+def _load_verified(args: argparse.Namespace) -> tuple[Ruleset, BaselineBundle]:
+    """The ``--rules`` ruleset and the ``--baseline`` bundle, checked against each other."""
+    ruleset = parse_ruleset(Path(args.rules).read_text())
+    bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
+    bundle.verify(ruleset)
+    return ruleset, bundle
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +94,9 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_induce(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     table = DataTable.from_csv(args.data, label_column=cfg.label_column)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ruleset = induce_ruleset(table, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    _write_text(args.output, format_ruleset(ruleset))
+    ruleset = induce_ruleset(table, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf)
+    with _output(args.output) as out:
+        out.write(format_ruleset(ruleset))
     print(f"induced {ruleset.n_rules} rules from {table.n_rows} samples", file=sys.stderr)
     return EXIT_OK
 
@@ -139,16 +126,15 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     else:
         base = single_split_baseline(training, config=echo, fingerprint=fingerprint)
     bundle = BaselineBundle(base, training)
-    _write_text(args.output, bundle.to_document())
+    with _output(args.output) as out:
+        out.write(bundle.to_document())
     _print_intervals(bundle)
     return EXIT_OK
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    ruleset = parse_ruleset(Path(args.rules).read_text())
-    bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
-    bundle.verify(ruleset)
+    ruleset, bundle = _load_verified(args)
     base, training = bundle.baselines, bundle.training
     table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False)
     rows = operational_splits(table, training.split_size, base.n_op)
@@ -165,62 +151,43 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OOD if report.is_ood else EXIT_OK
 
 
-def _iter_stream_records(source: str) -> Iterator[dict[str, float]]:
-    """One record per non-empty row; a row of another length than the header is an error."""
-    fh = sys.stdin if source == "-" else open(source, newline="")
-    reader = csv.reader(fh)
-    try:
-        header = [h.strip() for h in next(reader, [])]
-        if not header:
-            raise DataError("stream source has no header row")
-        for cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise CsvFormatError(f"{source}: row {reader.line_num} has {len(cells)} cells, "
-                                     f"expected {len(header)}")
-            record: dict[str, float] = {}
+def _iter_stream_records(source: str) -> Iterator[dict[str, float | str]]:
+    """One record per data row of ``source`` (``-``: stdin), read as it is asked for.
+
+    A cell that is not a number rides along as text: an error only where a
+    rule reads it.
+    """
+    with nullcontext(sys.stdin) if source == "-" else open(source, newline="") as fh:
+        rows = read_csv_rows(fh, source)
+        _, header = next(rows)
+        for _, cells in rows:
+            record: dict[str, float | str] = {}
             for name, cell in zip(header, cells):
                 try:
                     record[name] = float(cell)
                 except ValueError:
-                    record[name] = cell  # label-ish columns ride along untouched
+                    record[name] = cell
             yield record
-    except csv.Error as exc:
-        raise CsvFormatError(f"{source}: row {reader.line_num}: {exc}") from None
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    ruleset = parse_ruleset(Path(args.rules).read_text())
-    bundle = BaselineBundle.from_document(Path(args.baseline).read_text())
-    bundle.verify(ruleset)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        monitor = StreamMonitor(
-            ruleset,
-            bundle.baselines,
-            bundle.training,
-            capacity=args.ns,
-            detect_stride=cfg.stride,
-            metrics=cfg.metrics,
-        )
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w", newline="")
-    try:
+    ruleset, bundle = _load_verified(args)
+    monitor = StreamMonitor(
+        ruleset,
+        bundle.baselines,
+        bundle.training,
+        capacity=args.ns,
+        detect_stride=cfg.stride,
+        metrics=cfg.metrics,
+    )
+    with _output(args.output) as out:
         writer = csv.writer(out)
         writer.writerow(("sample_index", *DetectionReport.CSV_HEADER))
         for index, record in enumerate(_iter_stream_records(args.source)):
             tick = monitor.push(record)
             if tick is not None:
                 writer.writerows((index, *row) for row in tick.csv_rows())
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -236,35 +203,38 @@ class _TableSource:
         return self.table.take(idx)
 
 
-def _parse_shift(spec: str | None) -> dict[int, float]:
-    # "2:1.5,3:1.5" shifts features x2 and x3 by 1.5 (1-based positions).
+def _parse_shift(spec: str, n_features: int) -> dict[int, float]:
+    # "2:1.5,3:1.5" shifts features x2 and x3 by 1.5 (positions 1..n_features).
     out: dict[int, float] = {}
-    if not spec:
-        return out
     for part in spec.split(","):
         pos, _, delta = part.partition(":")
         try:
-            out[int(pos.strip()) - 1] = float(delta)
+            index, value = int(pos.strip()) - 1, float(delta)
         except ValueError:
             raise DataError(f"bad --shift entry {part!r}; expected POS:DELTA") from None
+        if not 0 <= index < n_features:
+            raise DataError(f"bad --shift entry {part!r}; positions run from 1 to {n_features}")
+        out[index] = value
     return out
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    if args.in_csv and args.op_csv:
+    if args.in_csv or args.op_csv:
+        if not (args.in_csv and args.op_csv) or args.synthetic or args.shift:
+            raise DataError("eval takes one source: --in-csv with --op-csv, "
+                            "or --synthetic with --shift")
         in_source = _TableSource(DataTable.from_csv(args.in_csv, label_column=cfg.label_column))
         op_table = DataTable.from_csv(args.op_csv, cfg.label_column, label_required=False)
         ood_source = _TableSource(op_table)
         scenario = f"csv:{args.in_csv}|{args.op_csv}"
     else:
         kind = args.synthetic or "gaussian"
-        base_source = make_source(kind)
-        shift = _parse_shift(args.shift)
-        if not shift:
+        if not args.shift:
             raise DataError("synthetic eval needs --shift POS:DELTA[,POS:DELTA...]")
+        base_source = make_source(kind)
         in_source = base_source
-        ood_source = base_source.shifted(shift)
+        ood_source = base_source.shifted(_parse_shift(args.shift, base_source.n_features))
         scenario = f"synthetic:{kind}:shift={args.shift}"
     summary = run_eval(in_source, ood_source, cfg, scenario=scenario)
     if args.format == "csv":
@@ -273,9 +243,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                   f"repetitions,{summary.repetitions}", f"mode,{summary.mode}"]
         lines += [f"fp_rate_{k},{v}" for k, v in summary.per_metric_fp_rates.items()]
         lines += [f"detect_rate_{k},{v}" for k, v in summary.per_metric_detect_rates.items()]
-        _write_text(args.output, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     else:
-        _write_text(args.output, summary.to_document())
+        text = summary.to_document()
+    with _output(args.output) as out:
+        out.write(text)
     if args.output not in (None, "-"):
         print(f"FPR {summary.fpr:.4f}  FNR {summary.fnr:.4f}  ({summary.repetitions} repetitions)")
     return EXIT_OK
@@ -296,33 +268,25 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     table = DataTable.from_csv(args.data, cfg.label_column, label_required=False)
     names = args.columns.split(",") if args.columns else list(table.columns)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in table.column_index:
             raise DataError(f"column {name!r} not in {list(table.columns)}")
+        if names.index(name) != i:
+            raise DataError(f"column {name!r} is named twice in --columns")
     window = args.window
-    accs = {name: MomentAccumulator(capacity=window) for name in names}
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w", newline="")
-    try:
+    columns = [table.column_index[name] for name in names]
+    accs = [MomentAccumulator(capacity=window) for _ in names]
+    with _output(args.output) as out:
         writer = csv.writer(out)
         header = ["sample_index"]
         for name in names:
             header += [f"{name}_mean", f"{name}_variance", f"{name}_skewness", f"{name}_kurtosis"]
         writer.writerow(header)
-        for i in range(table.n_rows):
-            row_out = [i]
-            ready = True
-            for name in names:
-                acc = accs[name]
-                acc.push(float(table.X[i, table.column_index[name]]))
-                if acc.count < window:
-                    ready = False
-            if ready:
-                for name in names:
-                    row_out += list(accs[name].query())
-                writer.writerow(row_out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        for i, row in enumerate(table.X):
+            for acc, j in zip(accs, columns):
+                acc.push(row[j])
+            if i + 1 >= window:  # the accumulators fill in lockstep
+                writer.writerow([i, *(m for acc in accs for m in acc.query())])
     return EXIT_OK
 
 
@@ -392,11 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _relay_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _relay_warning
+            return args.fn(args)
     except FingerprintMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINGERPRINT

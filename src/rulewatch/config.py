@@ -33,6 +33,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("single", "group"):
             raise DataError(f"mode must be 'single' or 'group', got {self.mode!r}")
+        if self.repetitions < 1:
+            raise DataError(f"repetitions must be at least 1, got {self.repetitions}")
 
     @property
     def resolved_n_op(self) -> int:
@@ -57,20 +59,26 @@ def metric_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _coerce(name: str, raw: str):
-    raw = raw.strip()
-    if name in ("n_s", "n_tr", "n_op", "seed", "stride", "repetitions", "max_depth", "min_leaf"):
-        return int(raw)
-    if name == "sigma_floor":
-        return float(raw)
-    if name == "metrics":
-        return metric_list(raw)
-    return raw
+# Each RunConfig field: its command-line flag and argparse keywords. A config
+# file value goes through the same ``type`` (``str`` where none is given).
+CONFIG_FLAGS = {
+    "seed": ("--seed", {"type": int}),
+    "n_s": ("--ns", {"type": int, "help": "samples per split"}),
+    "n_tr": ("--ntr", {"type": int, "help": "number of training splits"}),
+    "n_op": ("--nop", {"type": int, "help": "number of operational splits"}),
+    "mode": ("--mode", {"choices": ("single", "group")}),
+    "stride": ("--stride", {"type": int, "help": "detection tick stride"}),
+    "sigma_floor": ("--sigma-floor", {"type": float}),
+    "label_column": ("--label-column", {}),
+    "metrics": ("--metrics", {"type": metric_list, "help": "comma list, e.g. wmi,l1,l2"}),
+    "repetitions": ("--repetitions", {"type": int}),
+    "max_depth": ("--max-depth", {"type": int}),
+    "min_leaf": ("--min-leaf", {"type": int}),
+}
 
 
 def load_config_file(path: str | Path) -> dict:
     """Parse ``key = value`` lines ('#' comments allowed) into config values."""
-    known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,10 +88,10 @@ def load_config_file(path: str | Path) -> dict:
             raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in CONFIG_FLAGS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _coerce(key, value)
+            out[key] = CONFIG_FLAGS[key][1].get("type", str)(value.strip())
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return out

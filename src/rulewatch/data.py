@@ -6,7 +6,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,53 +133,66 @@ class DataTable:
                 writer.writerow(row)
 
 
+def read_csv_rows(lines: Iterable[str], source: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """``(row number, cells)`` of each CSV record in ``lines``, the header first.
+
+    The header is row 1, its names stripped. Blank and whitespace-only lines
+    are skipped; a row with another number of cells than the header, or a
+    record the ``csv`` module refuses (a cell over its field limit, say), is a
+    ``CsvFormatError`` naming ``source`` and the row; empty input is a
+    ``DataError``. Rows are read one at a time, as they are asked for.
+    """
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{source}: empty file")
+        yield 1, [h.strip() for h in header]
+        for rownum, cells in enumerate(reader, start=2):
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            if len(cells) != len(header):
+                raise CsvFormatError(
+                    f"{source}: row {rownum} has {len(cells)} cells, expected {len(header)}"
+                )
+            yield rownum, cells
+    except csv.Error as exc:
+        raise CsvFormatError(f"{source}: row {reader.line_num}: {exc}") from None
+
+
 def _read_csv_python(
     path: Path, label_column: str | None, label_required: bool = True
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...] | None]:
-    """Read a CSV with the ``csv`` module, one ``float()`` per cell.
+    """Read a CSV through ``read_csv_rows``, one ``float()`` per cell.
 
-    This reader defines what a valid file is and owns every error message;
-    a record the ``csv`` module refuses (a cell over its field limit, say)
-    is a ``CsvFormatError`` naming its row. Values are gathered into one
-    flat float64 buffer, not a Python float object per cell.
+    This reader defines what a valid file is and owns every error message.
+    Values are gathered into one flat float64 buffer, not a Python float
+    object per cell.
     """
     # Imported here: only this reader needs it, and loading the extension
     # module adds about 0.2 MB of resident memory to every process.
     from array import array
 
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
+    with path.open(newline="") as fh:
+        rows = read_csv_rows(fh, path)
+        _, header = next(rows)
+        label_idx = None
+        if label_column in header:
+            label_idx = header.index(label_column)
+        elif label_column is not None and label_required:
+            raise DataError(f"{path}: label column {label_column!r} not in header {header}")
+        feat_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        values = array("d")
+        n_rows = 0
+        labels: list[str] = []
+        for rownum, cells in rows:
+            if label_idx is not None:
+                labels.append(cells.pop(label_idx).strip())
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            label_idx = None
-            if label_column in header:
-                label_idx = header.index(label_column)
-            elif label_column is not None and label_required:
-                raise DataError(f"{path}: label column {label_column!r} not in header {header}")
-            feat_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-            values = array("d")
-            n_rows = 0
-            labels: list[str] = []
-            for rownum, cells in enumerate(reader, start=2):
-                if not cells or (len(cells) == 1 and not cells[0].strip()):
-                    continue
-                if len(cells) != len(header):
-                    raise CsvFormatError(
-                        f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}"
-                    )
-                if label_idx is not None:
-                    labels.append(cells.pop(label_idx).strip())
-                try:
-                    values.extend(map(float, cells))
-                except ValueError:
-                    raise _not_a_number(path, rownum, feat_names, cells) from None
-                n_rows += 1
-    except csv.Error as exc:
-        raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+                values.extend(map(float, cells))
+            except ValueError:
+                raise _not_a_number(path, rownum, feat_names, cells) from None
+            n_rows += 1
     if not n_rows:
         raise DataError(f"{path}: no data rows")
     X = np.frombuffer(values, dtype=np.float64).reshape(n_rows, len(feat_names)).copy()

@@ -166,7 +166,9 @@ class StreamMonitor:
     ``max(capacity // n_op, 1)`` pushes, one row each, and ticks start once
     ``n_op`` snapshots exist. The group changes only when a snapshot is
     taken, so it is scored once per snapshot, and the ticks up to the next
-    one return that report.
+    one return that report. The request (``check_request``: the training
+    matrix, the rule count and the metric names) is checked when the
+    monitor is built, before any sample is read.
     """
 
     def __init__(
@@ -180,6 +182,7 @@ class StreamMonitor:
     ):
         if detect_stride < 1:
             raise ValueError("detect_stride must be >= 1")
+        check_request(training, base, base.mode, ruleset.n_rules, base.n_op, metrics)
         if capacity is None:
             capacity = training.split_size
         elif capacity != training.split_size:

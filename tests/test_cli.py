@@ -60,6 +60,15 @@ def test_induce_roundtrip(workdir, capsys):
     assert parse_ruleset(format_ruleset(rs)) == rs
 
 
+def test_induce_relays_each_warning_as_one_stderr_line(workdir, capsys):
+    assert main(["induce", str(workdir / "train.csv"), "--max-depth", "1"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: only 2 rules induced; hit histograms this short carry little "
+        "distribution information",
+        "induced 2 rules from 4000 samples",
+    ]
+
+
 def test_induce_missing_label_column(workdir):
     rc = main([
         "induce", str(workdir / "train.csv"),
@@ -656,3 +665,65 @@ def test_stream_rejects_a_ragged_row(workdir, tmp_path, capsys, cells, count):
                "--baseline", str(workdir / "base.json"), "-o", str(tmp_path / "ticks.csv")])
     assert rc == 1
     assert f"row 301 has {count} cells, expected 4" in capsys.readouterr().err
+
+
+def test_stream_skips_blank_lines_like_detect(workdir, tmp_path):
+    assert main(_baseline_args(workdir)) == 0
+    lines = (workdir / "op_in.csv").read_text().splitlines(keepends=True)
+    lines.insert(5, "  \t \n")  # file row 6
+    (workdir / "blank.csv").write_text("".join(lines))
+    common = ["--rules", str(workdir / "rules.txt"), "--baseline", str(workdir / "base.json")]
+    assert main(["detect", str(workdir / "blank.csv"), *common]) == 0
+    for name in ("op_in", "blank"):
+        ticks = str(tmp_path / f"{name}.ticks")
+        assert main(["stream", str(workdir / f"{name}.csv"), *common, "-o", ticks]) == 0
+    assert (tmp_path / "blank.ticks").read_bytes() == (tmp_path / "op_in.ticks").read_bytes()
+
+
+_SMALL_EVAL = ["--ns", "100", "--ntr", "5", "--max-depth", "2", "--min-leaf", "10"]
+_GAUSSIAN = ["--synthetic", "gaussian", "--shift", "2:1"]
+_CSV_PAIR = ["--in-csv", "{w}/train.csv", "--op-csv", "{w}/op_in.csv"]
+_ONE_SOURCE = "eval takes one source: --in-csv with --op-csv, or --synthetic with --shift"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["eval", *_GAUSSIAN, *_SMALL_EVAL, "--repetitions", "0"],
+                 "repetitions must be at least 1, got 0", id="eval-repetitions-0"),
+    pytest.param(["eval", *_GAUSSIAN, *_SMALL_EVAL, "--repetitions", "-1"],
+                 "repetitions must be at least 1, got -1", id="eval-repetitions-negative"),
+    pytest.param(["eval", *_GAUSSIAN, *_SMALL_EVAL, "--config", "{w}/reps.cfg"],
+                 "repetitions must be at least 1, got 0", id="eval-repetitions-0-in-config"),
+    pytest.param(["eval", "--synthetic", "gaussian", "--shift", "9:1", *_SMALL_EVAL,
+                  "--repetitions", "1"],
+                 "bad --shift entry '9:1'; positions run from 1 to 6", id="eval-shift-past-x6"),
+    pytest.param(["eval", "--synthetic", "gaussian", "--shift", "2:1,0:1", *_SMALL_EVAL,
+                  "--repetitions", "1"],
+                 "bad --shift entry '0:1'; positions run from 1 to 6", id="eval-shift-position-0"),
+    pytest.param(["eval", "--in-csv", "{w}/train.csv", *_SMALL_EVAL, "--repetitions", "1"],
+                 _ONE_SOURCE, id="eval-lone-in-csv"),
+    pytest.param(["eval", "--op-csv", "{w}/op_in.csv", *_SMALL_EVAL, "--repetitions", "1"],
+                 _ONE_SOURCE, id="eval-lone-op-csv"),
+    pytest.param(["eval", "--op-csv", "{w}/op_in.csv", *_GAUSSIAN, *_SMALL_EVAL,
+                  "--repetitions", "1"],
+                 _ONE_SOURCE, id="eval-op-csv-with-synthetic"),
+    pytest.param(["eval", *_CSV_PAIR, "--synthetic", "rule-aligned", *_SMALL_EVAL,
+                  "--repetitions", "1"],
+                 _ONE_SOURCE, id="eval-csv-pair-with-synthetic"),
+    pytest.param(["eval", *_CSV_PAIR, "--shift", "1:1", *_SMALL_EVAL, "--repetitions", "1"],
+                 _ONE_SOURCE, id="eval-csv-pair-with-shift"),
+    pytest.param(["featurize", "{w}/op_in.csv", "--window", "4", "--columns", "x2,x1,x2"],
+                 "column 'x2' is named twice in --columns", id="featurize-repeated-column"),
+    # The source does not exist: the request is refused before any row is read.
+    pytest.param(["stream", "{w}/missing.csv", "--rules", "{w}/rules.txt",
+                  "--baseline", "{w}/base.json", "--metrics", "bogus", "-o", "{w}/ticks.csv"],
+                 "unknown single-split metric 'bogus'", id="stream-unknown-metric"),
+])
+def test_bad_input_exits_1_with_an_error_line(workdir, capsys, argv, message):
+    (workdir / "reps.cfg").write_text("repetitions = 0\n")
+    if argv[0] == "stream":
+        assert main(_baseline_args(workdir)) == 0
+    capsys.readouterr()
+    assert main([arg.format(w=workdir) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not (workdir / "ticks.csv").exists()
