@@ -184,10 +184,18 @@ def cmd_stream(args: argparse.Namespace) -> int:
     with _output(args.output) as out:
         writer = csv.writer(out)
         writer.writerow(("sample_index", *DetectionReport.CSV_HEADER))
+        report = None
         for index, record in enumerate(_iter_stream_records(args.source)):
             tick = monitor.push(record)
-            if tick is not None:
-                writer.writerows((index, *row) for row in tick.csv_rows())
+            if tick is None:
+                continue
+            if tick is not report:
+                # A monitor returns its last report again until the unit
+                # changes; its cells are the str() that csv.writer writes
+                # for each float, int and str, formatted once.
+                report = tick
+                rows = [tuple(map(str, row)) for row in tick.csv_rows()]
+            writer.writerows((index, *row) for row in rows)
     return EXIT_OK
 
 
@@ -214,6 +222,8 @@ def _parse_shift(spec: str, n_features: int) -> dict[int, float]:
             raise DataError(f"bad --shift entry {part!r}; expected POS:DELTA") from None
         if not 0 <= index < n_features:
             raise DataError(f"bad --shift entry {part!r}; positions run from 1 to {n_features}")
+        if index in out:
+            raise DataError(f"position {index + 1} is named twice in --shift")
         out[index] = value
     return out
 

@@ -16,12 +16,14 @@ or a number; whitespace between tokens is optional. Thresholds are compared
 with exact binary floating-point semantics, so hit counts are deterministic
 for a given ruleset text.
 
-One kernel, ``_hits``, evaluates tables (``Ruleset.hit_mask_table``) and
-single samples (``ruleset_hits``) against closed bounds ``lo <= v <= hi``
-compiled once per ruleset; ``v > t`` becomes ``v >= nextafter(t, +inf)``,
-exact for every non-NaN float64. Before any rule runs, the input must hold
-every feature some rule uses (else ``MissingFeatureError``) as a non-NaN,
-non-bool number (else ``NonNumericValueError``); other fields are ignored.
+Tables (``Ruleset.hit_mask_table``, through the row-block kernel ``_hits``)
+and single samples (``ruleset_hits``, one gather of the sample's values)
+are evaluated against the same closed bounds ``lo <= v <= hi``, compiled
+once per ruleset (``Ruleset.bounds``); ``v > t`` becomes
+``v >= nextafter(t, +inf)``, exact for every non-NaN float64. Before any
+rule runs, the input must hold every feature some rule uses (else
+``MissingFeatureError``) as a non-NaN, non-bool number (else
+``NonNumericValueError``); other fields are ignored.
 """
 from __future__ import annotations
 
@@ -225,7 +227,7 @@ def _hits(V: np.ndarray, gather: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
 
 def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> list[bool]:
     """Per-rule premise hits of one sample (consequences are ignored); any number may hit."""
-    row = []
+    row, nan = [], None
     for name in ruleset.feature_names:
         try:
             value = sample[name]
@@ -233,12 +235,14 @@ def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> list[bool]:
             raise MissingFeatureError(f"sample is missing feature {name!r}") from None
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise NonNumericValueError(f"feature {name!r} has non-numeric value {value!r}")
+        if value != value and nan is None:  # NaN, and only NaN, differs from itself
+            nan = name
         row.append(value)
-    V = np.array([row], dtype=np.float64)
-    nan = np.isnan(V[0])
-    if nan.any():
-        raise NonNumericValueError(f"feature {ruleset.feature_names[nan.argmax()]!r} is NaN")
-    return _hits(V, *ruleset.bounds)[0].tolist()
+    if nan is not None:
+        raise NonNumericValueError(f"feature {nan!r} is NaN")
+    idx, lo, hi = ruleset.bounds
+    gathered = np.array(row, dtype=np.float64)[idx]
+    return ((lo <= gathered) & (gathered <= hi)).all(axis=0).tolist()
 
 
 # ---------------------------------------------------------------------------

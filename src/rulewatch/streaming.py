@@ -10,10 +10,12 @@ and equals batch ``detect_split`` bit for bit. On top of that sits a
 monitor that ticks every push (or every ``detect_stride`` pushes) and, for
 a group baseline, keeps the last ``n_op`` window snapshots, taken every
 ``capacity // n_op`` pushes, as the rows of the operational group's
-``HitMatrix``. Batch ``detect`` scores that group once per new snapshot,
-and the ticks until the next snapshot return its report. The mode,
-``n_op``, the snapshot spacing and the default window length all come
-from the baseline and its training matrix. A tick is the
+``HitMatrix``. The monitor scores only a unit that changed: batch
+``detect`` scores the group once per new snapshot, a single-split window
+is scored at the first tick after a push that moved its counts, and every
+other tick returns the last report. The mode, ``n_op``, the snapshot
+spacing and the default window length all come from the baseline and its
+training matrix. A tick is the
 ``DetectionReport`` batch detection returns, not a copy of it; a caller
 that wants to key it by sample counts its own pushes.
 
@@ -89,24 +91,30 @@ class SlidingHitWindow:
     def n_rules(self) -> int:
         return self._n_rules
 
-    def push(self, sample: Mapping[str, float]) -> None:
-        """Admit one sample, evicting the oldest when full.
+    def push(self, sample: Mapping[str, float]) -> bool:
+        """Admit one sample, evicting the oldest when full; True if the counts or the fill moved.
 
         Evaluation happens before any mutation, so an evaluation error
-        leaves the window unchanged. ``histogram`` reads the counts.
+        leaves the window unchanged. A full window whose evicted mask equals
+        the admitted one keeps its counts and returns False. ``histogram``
+        reads the counts.
         """
         mask = np.asarray(ruleset_hits(self._ruleset, sample), dtype=bool)
-        ops = self._n_rules  # rule evaluations
-        if self._fill == self._capacity:
-            self._counts -= self._masks[self._head]
-            ops += self._n_rules
-        else:
+        if self._fill < self._capacity:
             self._fill += 1
+            self._counts += mask
+            moved, ops = True, 2 * self._n_rules  # evaluate, admit
+        else:
+            evicted = self._masks[self._head]
+            moved = bool((evicted != mask).any())
+            if moved:
+                self._counts -= evicted
+                self._counts += mask
+            ops = 3 * self._n_rules  # evaluate, retire the evicted mask, admit
         self._masks[self._head] = mask
-        self._counts += mask
-        ops += self._n_rules
         self._head = (self._head + 1) % self._capacity
         self.last_push_ops = ops
+        return moved
 
     def histogram(self) -> HitHistogram:
         """The window's counts over its fill; a copy, so later pushes leave it as it is."""
@@ -145,7 +153,7 @@ def stream_detect(
 
     The window is scored through its scorer, and the report is the one
     ``detect_split`` builds for the same counts; a group baseline is
-    rejected.
+    rejected. Every call checks the request and builds a new report.
     """
     if not window.is_full:
         raise StreamStateError(
@@ -164,9 +172,12 @@ class StreamMonitor:
     ``training.split_size`` samples unless ``capacity`` says otherwise. In
     group mode the operational group is the window counts captured every
     ``max(capacity // n_op, 1)`` pushes, one row each, and ticks start once
-    ``n_op`` snapshots exist. The group changes only when a snapshot is
-    taken, so it is scored once per snapshot, and the ticks up to the next
-    one return that report. The request (``check_request``: the training
+    ``n_op`` snapshots exist. A tick scores its unit only if the unit
+    changed since the last report, and otherwise returns that report object
+    again: a group changes only when a snapshot is taken, a single-split
+    window only on a push whose evicted hit mask differs from the admitted
+    one (a push between two ticks counts too, so any ``detect_stride``
+    stays exact). The request (``check_request``: the training
     matrix, the rule count and the metric names) is checked when the
     monitor is built, before any sample is read.
     """
@@ -185,14 +196,14 @@ class StreamMonitor:
         check_request(training, base, base.mode, ruleset.n_rules, base.n_op, metrics)
         if capacity is None:
             capacity = training.split_size
-        elif capacity != training.split_size:
+        self.window = SlidingHitWindow(ruleset, capacity)
+        if capacity != training.split_size:
             warnings.warn(
                 f"stream window of {capacity} samples differs from the baseline split "
                 f"size {training.split_size}; envelope calibration assumes matching sizes",
                 WindowSizeMismatchWarning,
                 stacklevel=2,
             )
-        self.window = SlidingHitWindow(ruleset, capacity)
         self.base = base
         self.training = training
         self.mode = base.mode
@@ -202,27 +213,30 @@ class StreamMonitor:
         self._pushes = 0
         self._snapshot_every = max(capacity // self.n_op, 1)
         self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
-        self._group_report: DetectionReport | None = None
+        # The last tick's report; None once the scored unit has changed.
+        self._report: DetectionReport | None = None
 
     def push(self, sample: Mapping[str, float]) -> DetectionReport | None:
         """Push one sample; returns the tick's report when a detection tick fires."""
-        self.window.push(sample)
+        moved = self.window.push(sample)
         self._pushes += 1
         if not self.window.is_full:
             return None
-        if self.mode == GROUP and self._pushes % self._snapshot_every == 0:
-            self._snapshots.append(self.window.histogram().counts)
-            self._group_report = None
+        if self.mode == GROUP:
+            if self._pushes % self._snapshot_every == 0:
+                self._snapshots.append(self.window.histogram().counts)
+                self._report = None
+        elif moved:
+            self._report = None
         if (self._pushes - self.window.capacity) % self.detect_stride != 0:
             return None
-        if self.mode == SINGLE_SPLIT:
-            return stream_detect(self.window, self.base, self.training, self.metrics)
-        if len(self._snapshots) < self.n_op:
-            return None
-        if self._group_report is None:
-            group = HitMatrix(list(self._snapshots), self.window.capacity)
-            self._group_report = detect(self.training, group, self.base, self.metrics)
-        return self._group_report
+        if self._report is None:
+            if self.mode == SINGLE_SPLIT:
+                self._report = stream_detect(self.window, self.base, self.training, self.metrics)
+            elif len(self._snapshots) == self.n_op:
+                group = HitMatrix(list(self._snapshots), self.window.capacity)
+                self._report = detect(self.training, group, self.base, self.metrics)
+        return self._report
 
 
 # ---------------------------------------------------------------------------

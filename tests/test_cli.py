@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import statistics
@@ -13,6 +14,9 @@ import pytest
 from rulewatch.cli import main
 from rulewatch.config import load_config_file
 from rulewatch.data import DataError
+from rulewatch.detection import BaselineBundle
+from rulewatch.rules import parse_ruleset
+from rulewatch.streaming import StreamMonitor
 from rulewatch.synth import RuleAlignedSource
 
 
@@ -654,6 +658,37 @@ def test_snapshot_stride_is_not_a_config_key(tmp_path):
         load_config_file(cfg)
 
 
+@pytest.mark.parametrize("mode_args, stride", [((), 1), ((), 3), (_GROUP_ARGS, 1)])
+def test_stream_writes_every_tick_as_its_report_rows(workdir, tmp_path, mode_args, stride):
+    # stream formats a report's cells once and writes them again while the
+    # monitor returns the same report; the file must equal csv.writer over
+    # every tick's csv_rows(), ticks of a drifting stream included.
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    shifted = (workdir / "op_out.csv").read_text().splitlines(keepends=True)[1:]
+    (workdir / "drift.csv").write_text((workdir / "op_in.csv").read_text() + "".join(shifted))
+    ticks = tmp_path / "ticks.csv"
+    rc = main(["stream", str(workdir / "drift.csv"), "--rules", str(workdir / "rules.txt"),
+               "--baseline", str(workdir / "base.json"), "--stride", str(stride),
+               "-o", str(ticks)])
+    assert rc == 0
+    bundle = BaselineBundle.from_document((workdir / "base.json").read_text())
+    monitor = StreamMonitor(parse_ruleset((workdir / "rules.txt").read_text()),
+                            bundle.baselines, bundle.training, detect_stride=stride)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(("sample_index", *_REPORT_COLUMNS))
+    with open(workdir / "drift.csv", newline="") as fh:
+        for index, record in enumerate(csv.DictReader(fh)):
+            tick = monitor.push({name: float(cell) for name, cell in record.items()})
+            if tick is not None:
+                writer.writerows((index, *row) for row in tick.csv_rows())
+    got = ticks.read_bytes().decode().splitlines(keepends=True)
+    want = expected.getvalue().splitlines(keepends=True)
+    assert len(got) == len(want)
+    assert next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+    assert {line.rstrip().rsplit(",", 1)[1] for line in want[1:]} == {"in-distribution", "OoD"}
+
+
 @pytest.mark.parametrize("cells, count", [("0.1,0.2,0.3,1,extra", 5), ("0.1,0.2,0.3", 3)])
 def test_stream_rejects_a_ragged_row(workdir, tmp_path, capsys, cells, count):
     assert main(_baseline_args(workdir)) == 0
@@ -699,6 +734,9 @@ _ONE_SOURCE = "eval takes one source: --in-csv with --op-csv, or --synthetic wit
     pytest.param(["eval", "--synthetic", "gaussian", "--shift", "2:1,0:1", *_SMALL_EVAL,
                   "--repetitions", "1"],
                  "bad --shift entry '0:1'; positions run from 1 to 6", id="eval-shift-position-0"),
+    pytest.param(["eval", "--synthetic", "gaussian", "--shift", "2:1,3:1,2:3", *_SMALL_EVAL,
+                  "--repetitions", "1"],
+                 "position 2 is named twice in --shift", id="eval-shift-repeated-position"),
     pytest.param(["eval", "--in-csv", "{w}/train.csv", *_SMALL_EVAL, "--repetitions", "1"],
                  _ONE_SOURCE, id="eval-lone-in-csv"),
     pytest.param(["eval", "--op-csv", "{w}/op_in.csv", *_SMALL_EVAL, "--repetitions", "1"],
@@ -717,6 +755,10 @@ _ONE_SOURCE = "eval takes one source: --in-csv with --op-csv, or --synthetic wit
     pytest.param(["stream", "{w}/missing.csv", "--rules", "{w}/rules.txt",
                   "--baseline", "{w}/base.json", "--metrics", "bogus", "-o", "{w}/ticks.csv"],
                  "unknown single-split metric 'bogus'", id="stream-unknown-metric"),
+    # An empty window is refused before the window-size warning could run.
+    pytest.param(["stream", "{w}/op_in.csv", "--rules", "{w}/rules.txt",
+                  "--baseline", "{w}/base.json", "--ns", "0", "-o", "{w}/ticks.csv"],
+                 "capacity must be >= 1, got 0", id="stream-empty-window"),
 ])
 def test_bad_input_exits_1_with_an_error_line(workdir, capsys, argv, message):
     (workdir / "reps.cfg").write_text("repetitions = 0\n")

@@ -252,6 +252,38 @@ def test_hits_match_per_condition_loop(rs, raw_values):
     assert ruleset_hits(rs, sample) == _brute_force_hits(rs, sample)
 
 
+_SAMPLE_COLUMNS = ("x3", "x1", "x5", "x4", "x2")  # no rule reads x5
+
+
+@settings(max_examples=300, deadline=None)
+@given(rulesets(_WIDE_THRESHOLDS, max_conds=4),
+       st.lists(st.lists(st.sampled_from(_EDGES + _THRESHOLDS + [math.nan]), min_size=5,
+                         max_size=5), min_size=1, max_size=6))
+@example(
+    parse_ruleset("if x1 > 0 and x2 < 0 then a\nif x3 >= -0.0 and x4 <= 5e-324 then b\n"),
+    [[-0.0, math.inf, math.nan, 5e-324, -math.inf], [0.0, -math.inf, 1.0, -0.0, math.inf]],
+)
+def test_sample_hits_equal_hit_mask_table_rows(rs, rows):
+    # ruleset_hits gathers one sample and hit_mask_table evaluates row
+    # blocks; both read Ruleset.bounds and must agree row for row, and a
+    # NaN in a feature some rule reads is an error on both paths.
+    samples = [dict(zip(_SAMPLE_COLUMNS, row)) for row in rows]
+    nan_rows = [
+        i for i, sample in enumerate(samples)
+        if any(math.isnan(sample[name]) for name in rs.feature_names)
+    ]
+    for i in nan_rows:
+        with pytest.raises(NonNumericValueError, match="is NaN"):
+            ruleset_hits(rs, samples[i])
+    X = np.array(rows)
+    if nan_rows:
+        with pytest.raises(NonNumericValueError, match=f"row {nan_rows[0]}: .* is NaN"):
+            rs.hit_mask_table(X, _SAMPLE_COLUMNS)
+    keep = [i for i in range(len(rows)) if i not in nan_rows]
+    table = rs.hit_mask_table(X[keep], _SAMPLE_COLUMNS)
+    assert [ruleset_hits(rs, samples[i]) for i in keep] == table.tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(rulesets())
 def test_text_round_trip_random(rs):

@@ -22,6 +22,7 @@ from rulewatch import (
     stream_detect,
 )
 from rulewatch.data import DataTable
+from rulewatch.detection import build_report
 from rulewatch.histogram import Split, hit_histogram, hit_matrix
 from tests.conftest import random_histogram, stack
 
@@ -178,6 +179,53 @@ def test_tick_updates_only_the_rules_that_changed(rng):
             updated.append(monitor.window.scorer(matrix).last_updated_rules)
         most.add(max(updated))
     assert most == {2}  # same work at every capacity
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_single_split_monitor_scores_only_a_moved_window(rng, monkeypatch, stride):
+    # RULES overlap: rule 3 shares samples with rules 1 and 2, so the
+    # window's masks do not partition it. A tick scores the window (one
+    # build_report) only if some push since the last tick moved the counts
+    # or the fill, and otherwise returns the last tick's report object;
+    # either way the tick equals detect_split on a batch recount.
+    built = []
+
+    def counted_build_report(*args, **kwargs):
+        built.append(build_report(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("rulewatch.streaming.build_report", counted_build_report)
+    n_s = 8
+    matrix, base = _training_setup(rng, n_s=n_s)
+    monitor = StreamMonitor(RULES, base, matrix, detect_stride=stride)
+    history, last, state, moved = [], None, None, False
+    outcomes, verdicts = {"scored": 0, "reused": 0}, set()
+    for i in range(300):
+        s = _record(rng)
+        if i >= 150:  # drift: x1 collapses toward 0
+            s["x1"] *= 0.2
+        history.append(s)
+        recount = _batch_histogram(history[-n_s:])
+        now = (recount.counts.tolist(), recount.split_size)
+        moved |= now != state
+        state = now
+        n_built = len(built)
+        tick = monitor.push(s)
+        if tick is None:
+            continue
+        if moved:
+            assert len(built) == n_built + 1 and tick is built[-1]
+            outcomes["scored"] += 1
+        else:
+            assert len(built) == n_built and tick is last
+            outcomes["reused"] += 1
+        batch = detect_split(matrix, recount, base)
+        assert tick.per_metric == batch.per_metric
+        assert tick.verdict == batch.verdict
+        verdicts.add(tick.verdict)
+        last, moved = tick, False
+    assert sum(outcomes.values()) == len(range(n_s - 1, 300, stride))
+    assert min(outcomes.values()) > 0 and len(verdicts) == 2
 
 
 def test_monitor_warns_on_window_size_mismatch(rng):
