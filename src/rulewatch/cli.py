@@ -139,9 +139,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False)
     rows = operational_splits(table, training.split_size, base.n_op)
     if table.n_rows > rows.size:
-        print(f"warning: scored the first {rows.size} of {table.n_rows} rows; "
-              f"{table.n_rows - rows.size} trailing rows ignored", file=sys.stderr)
-    report = detect(training, hit_matrix(ruleset, table, rows), base, cfg.metrics or None)
+        warnings.warn(f"scored the first {rows.size} of {table.n_rows} rows; "
+                      f"{table.n_rows - rows.size} trailing rows ignored")
+    report = detect(training, hit_matrix(ruleset, table, rows), base, cfg.metrics)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(report.CSV_HEADER)

@@ -112,7 +112,7 @@ def _majority(votes_out: int, votes_total: int) -> bool:
 
 @dataclass(frozen=True)
 class Baselines:
-    """Per-metric closed [min, max] training envelopes.
+    """Per-metric closed [min, max] training envelopes, each a tuple of two numbers.
 
     Exactly one of ``wmi`` (single-split) and ``rbi`` (group) is present,
     and it decides ``mode``, ``n_op`` and ``metrics``; the norm intervals
@@ -132,7 +132,13 @@ class Baselines:
     def __post_init__(self) -> None:
         for name in ("l1", "l2", "wmi", "rbi"):
             iv = getattr(self, name)
-            if iv is not None and not (iv[0] <= iv[1]):
+            if iv is None:
+                continue
+            if not (isinstance(iv, tuple) and len(iv) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in iv
+            )):
+                raise DetectionError(f"{name} interval must be a pair of numbers, got {iv!r}")
+            if not iv[0] <= iv[1]:
                 raise DetectionError(f"{name} interval has min > max: {iv}")
         if (self.wmi is None) == (self.rbi is None):
             raise DetectionError("a baseline holds exactly one of a wmi and an rbi interval")
@@ -278,19 +284,6 @@ def compute_fingerprint(ruleset: Ruleset, config: Mapping[str, object]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def check_compatible(base: Baselines, training: HitMatrix) -> None:
-    """Structural fingerprint checks a detector can perform on its inputs."""
-    cfg = base.config
-    if "n_rules" in cfg and cfg["n_rules"] != training.n_rules:
-        raise FingerprintMismatchError(
-            f"baseline built for {cfg['n_rules']} rules, matrix has {training.n_rules}"
-        )
-    if "n_tr" in cfg and cfg["n_tr"] != training.n_splits:
-        raise FingerprintMismatchError(
-            f"baseline built from {cfg['n_tr']} training splits, matrix has {training.n_splits}"
-        )
-
-
 def check_request(
     training: HitMatrix,
     base: Baselines,
@@ -301,12 +294,21 @@ def check_request(
 ) -> Sequence[str]:
     """The metrics to score (``None``: ``base.metrics``) once the request checks out.
 
-    Rejects a baseline of another mode or training matrix, a unit whose
-    row count is not ``base.n_op`` (the group size the envelope was
-    calibrated for), operational counts of another rule count and a metric
-    name outside ``base.metrics``.
+    Rejects a baseline recorded for another rule count or number of
+    training splits (``FingerprintMismatchError``), a baseline of another
+    mode, a unit whose row count is not ``base.n_op`` (the group size the
+    envelope was calibrated for), operational counts of another rule count,
+    an empty metric selection and a metric name outside ``base.metrics``.
     """
-    check_compatible(base, training)
+    cfg = base.config
+    if "n_rules" in cfg and cfg["n_rules"] != training.n_rules:
+        raise FingerprintMismatchError(
+            f"baseline built for {cfg['n_rules']} rules, matrix has {training.n_rules}"
+        )
+    if "n_tr" in cfg and cfg["n_tr"] != training.n_splits:
+        raise FingerprintMismatchError(
+            f"baseline built from {cfg['n_tr']} training splits, matrix has {training.n_splits}"
+        )
     if base.mode != mode:
         raise DetectionError(
             "baseline has no reference partition (single-split mode)" if mode == GROUP
@@ -318,6 +320,8 @@ def check_request(
         raise MetricError(f"operational counts have {n_rules} rules, training {training.n_rules}")
     if metrics is None:
         return base.metrics
+    if not metrics:
+        raise DetectionError(f"no metric selected; {mode} metrics are {', '.join(base.metrics)}")
     for name in metrics:
         if name not in base.metrics:
             raise DetectionError(f"unknown {mode} metric {name!r}")

@@ -80,10 +80,8 @@ def _run_repetition(
     if cfg.mode == "single":
         base = single_split_baseline(training, config={"n_s": cfg.n_s})
     else:
-        n_op = cfg.resolved_n_op
         base = group_baseline(
-            training, n_op, sigma_floor=cfg.sigma_floor,
-            config={"n_s": cfg.n_s, "n_op": n_op},
+            training, cfg.resolved_n_op, sigma_floor=cfg.sigma_floor, config={"n_s": cfg.n_s}
         )
     reports = []
     for source in (in_source, ood_source):

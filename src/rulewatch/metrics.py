@@ -5,13 +5,13 @@ Two families:
 * Single-split metrics between hit-count vectors: the l1 and l2 norms and
   the value-frequency information metrics. ``SplitScorer`` scores one
   operational count vector against every row of a training count matrix
-  and keeps the kernel's integer state, so a changing vector moves only
-  the rules that changed. ``split_metrics`` is a fresh scorer, and the
-  scalar functions (``weighted_mutual_information``,
+  and keeps the information kernel's integer state, so a changing vector
+  moves only the rules that changed. ``split_metrics`` is a fresh scorer,
+  and the scalar functions (``weighted_mutual_information``,
   ``mutual_information``) are one-row scorers, so batch, stream and scalar
   values agree bit for bit. Norms are integer sums over exact count gaps,
-  divided once (``lp_norms``, which ``lp_norm`` calls). For the
-  information metrics each histogram is read as a multiset of exact values
+  divided once (``lp_norms``, which ``lp_norm`` and the scorer call). For
+  the information metrics each histogram is read as a multiset of exact values
   whose probability is multiplicity / n_rules, and the joint multiset
   counts exact value pairs per rule. An entropy term of a value of
   multiplicity m is -p*ln(p) with p = a*m/n_rules, so a whole entropy is
@@ -90,14 +90,10 @@ def lp_norms(
     """
     scale = math.lcm(a_size, b_size)
     gap = np.abs(a * (scale // a_size) - b * (scale // b_size))
-    if not _integer_sums_fit(scale, gap.shape[-1]):
+    # Each gap is at most ``scale``, so n_rules squared gaps fit in int64 below this.
+    if scale * scale * gap.shape[-1] >= 2**63:
         gap = gap.astype(np.float64)
     return gap.sum(axis=-1) / scale, np.sqrt((gap * gap).sum(axis=-1)) / scale
-
-
-def _integer_sums_fit(scale: int, n_rules: int) -> bool:
-    """Whether sums of n_rules squared gaps of at most ``scale`` fit in int64."""
-    return scale * scale * n_rules < 2**63
 
 
 def value_multiplicities(keys: np.ndarray) -> np.ndarray:
@@ -175,18 +171,15 @@ class SplitScorer:
 
     The scorer keeps the integer state of the last vector it scored:
     c_train, c_op and c_joint (the counts-of-multiplicities of the training
-    rows, of the vector and of each row's value pairs with it) and, per
-    training row, the l1 and l2 integer gap sums over the common
-    denominator of ``lp_norms``. ``score`` moves that state only for the
-    rules whose count changed since the last call, at O(n_tr) per changed
-    rule and per rule sharing its old or new count, then reduces it with
-    ``information``. Equal integers go through the same float operations,
-    so every result equals a fresh scorer's (``split_metrics``) on the same
+    rows, of the vector and of each row's value pairs with it). ``score``
+    moves that state only for the rules whose count changed since the last
+    call, at O(n_tr) per changed rule and per rule sharing its old or new
+    count, then reduces it with ``information``; l1 and l2 come from
+    ``lp_norms``. Equal integers go through the same float operations, so
+    every result equals a fresh scorer's (``split_metrics``) on the same
     input bit for bit, and nothing drifts. A first call, a new ``op_size`` or
-    more than ``MAX_UPDATES`` changed rules rebuild the state from scratch;
-    when the gap sums could overflow int64 the norms come from ``lp_norms``.
-    An unchanged vector returns the previous, read-only, arrays. Memory is
-    O(n_tr * n_rules). Single-writer state: one caller scores.
+    more than ``MAX_UPDATES`` changed rules rebuild the state from scratch.
+    Memory is O(n_tr * n_rules). Single-writer state: one caller scores.
     """
 
     # Past this many changed rules one rebuild (a sort of n_tr + 1 rows)
@@ -199,8 +192,6 @@ class SplitScorer:
         if self.train.ndim != 2:
             raise MetricError(f"training counts must be a 2-d array, got {self.train.shape}")
         self.train_size = train_size
-        # Rule-major copy: row r holds rule r's training counts.
-        self._columns = np.ascontiguousarray(self.train.T)
         n_tr, n = self.train.shape
         self._c_train = value_multiplicities(self.train)
         self._row_start = np.arange(n_tr) * (n + 1)  # row offsets into flat c_joint
@@ -217,13 +208,10 @@ class SplitScorer:
             raise MetricError(
                 f"training counts {self.train.shape} and operational counts {op.shape} do not pair up"
             )
-        if self._op is None or op_size != self._op_size:
-            changed = None
-        else:
-            changed = np.flatnonzero(op != self._op).tolist()
-            if not changed:
-                self.last_updated_rules = 0
-                return self._scores
+        changed = (
+            None if self._op is None or op_size != self._op_size
+            else np.flatnonzero(op != self._op).tolist()
+        )
         if changed is None or len(changed) > self.MAX_UPDATES:
             self._rebuild(op, op_size)
             self.last_updated_rules = len(op)
@@ -231,14 +219,11 @@ class SplitScorer:
             for r in changed:
                 self._move(r, op[r])
             self.last_updated_rules = len(changed)
-        if self._scaled is None:
-            l1, l2 = lp_norms(self.train, self.train_size, self._op, op_size)
-        else:
-            l1, l2 = self._gap1 / self._scale, np.sqrt(self._gap2) / self._scale
-        self._scores = SplitMetrics(self.information(l1 / len(op)), l1, l2)
-        for values in self._scores:
+        l1, l2 = lp_norms(self.train, self.train_size, self._op, op_size)
+        scores = SplitMetrics(self.information(l1 / len(op)), l1, l2)
+        for values in scores:
             values.setflags(write=False)
-        return self._scores
+        return scores
 
     def information(self, alpha: np.ndarray) -> np.ndarray:
         """Weighted information of every training row with the last scored vector at ``alpha``."""
@@ -251,18 +236,10 @@ class SplitScorer:
         mult = value_multiplicities(np.vstack([op[None, :], _joint_keys(self.train, op)]))
         self._c_op, self._c_joint = mult[0], mult[1:]
         self._joint_flat = self._c_joint.reshape(-1)  # a view: mult is contiguous
-        scale = math.lcm(self.train_size, op_size)
-        if not _integer_sums_fit(scale, len(op)):
-            self._scaled = None
-            return
-        self._scale, self._op_step = scale, scale // op_size
-        self._scaled = self._columns * (scale // self.train_size)
-        gap = np.abs(self._scaled - op[:, None] * self._op_step)
-        self._gap1, self._gap2 = gap.sum(axis=0), (gap * gap).sum(axis=0)
 
     def _move(self, r: int, new: np.int64) -> None:
-        """Set rule r's operational count to ``new`` and move every sum it enters."""
-        op, column = self._op, self._columns[r]
+        """Set rule r's operational count to ``new`` and move every count it enters."""
+        op, train = self._op, self.train
         old = op[r]
         # In each row, the pair (train[i, r], count) leaves the run of pairs
         # equal to (train[i, r], old), ``left`` long with it, and joins the
@@ -273,8 +250,8 @@ class SplitScorer:
         # A count held by rule r alone, moving to a count no rule holds,
         # leaves every multiset of values and of value pairs as it was.
         if len(holders_old) > 1 or len(holders_new) > 0:
-            left = (self._columns[holders_old] == column).sum(axis=0)
-            joined = (self._columns[holders_new] == column).sum(axis=0)
+            left = (train[:, holders_old] == train[:, r, None]).sum(axis=1)
+            joined = (train[:, holders_new] == train[:, r, None]).sum(axis=1)
             flat, start = self._joint_flat, self._row_start
             flat[start + left] -= 1
             flat[start + left - 1] += 1
@@ -287,11 +264,6 @@ class SplitScorer:
             c_op[n_new] -= 1
             c_op[n_new + 1] += 1
             c_op[0] = 0
-        if self._scaled is not None:
-            gap = np.abs(self._scaled[r] - np.array([[old], [new]]) * self._op_step)
-            self._gap1 += gap[1] - gap[0]
-            square = gap * gap
-            self._gap2 += square[1] - square[0]
 
 
 def lp_norm(a: HitHistogram, b: HitHistogram, p: int) -> float:

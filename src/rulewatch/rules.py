@@ -151,9 +151,6 @@ class Ruleset:
         if ids != list(range(1, len(ids) + 1)):
             raise RuleError(f"rule ids must be contiguous 1..{len(ids)}, got {ids}")
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     @property
     def n_rules(self) -> int:
         return len(self.rules)

@@ -719,6 +719,13 @@ _SMALL_EVAL = ["--ns", "100", "--ntr", "5", "--max-depth", "2", "--min-leaf", "1
 _GAUSSIAN = ["--synthetic", "gaussian", "--shift", "2:1"]
 _CSV_PAIR = ["--in-csv", "{w}/train.csv", "--op-csv", "{w}/op_in.csv"]
 _ONE_SOURCE = "eval takes one source: --in-csv with --op-csv, or --synthetic with --shift"
+# name: (the interval in the document, as the error message prints it)
+_BAD_INTERVALS = {
+    "l1-short": ([0.1], "(0.1,)"),
+    "l1-long": ([0.1, 0.2, 0.3], "(0.1, 0.2, 0.3)"),
+    "l1-text": ("ab", "('a', 'b')"),
+    "wmi-strings": (["0.1", "0.2"], "('0.1', '0.2')"),
+}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -759,11 +766,34 @@ _ONE_SOURCE = "eval takes one source: --in-csv with --op-csv, or --synthetic wit
     pytest.param(["stream", "{w}/op_in.csv", "--rules", "{w}/rules.txt",
                   "--baseline", "{w}/base.json", "--ns", "0", "-o", "{w}/ticks.csv"],
                  "capacity must be >= 1, got 0", id="stream-empty-window"),
+    # An empty selection scores nothing, in either command.
+    *(pytest.param([*command, "{w}/op_250.csv", "--rules", "{w}/rules.txt",
+                    "--baseline", "{w}/base.json", *selection],
+                   "no metric selected; single-split metrics are wmi, l1, l2",
+                   id=f"{command[0]}-{name}")
+      for command in (["stream", "-o", "{w}/ticks.csv"], ["detect"])
+      for name, selection in (("empty-metrics", ["--metrics", ""]),
+                              ("comma-metrics", ["--metrics", ","]),
+                              ("empty-metrics-in-config", ["--config", "{w}/nometrics.cfg"]))),
+    *(pytest.param(["detect", "{w}/op_250.csv", "--rules", "{w}/rules.txt",
+                    "--baseline", f"{{w}}/{name}.json"],
+                   f"malformed baseline document: {name.split('-')[0]} interval must be a pair "
+                   f"of numbers, got {got}", id=f"detect-{name}-interval")
+      for name, (_, got) in _BAD_INTERVALS.items()),
 ])
 def test_bad_input_exits_1_with_an_error_line(workdir, capsys, argv, message):
     (workdir / "reps.cfg").write_text("repetitions = 0\n")
-    if argv[0] == "stream":
+    (workdir / "nometrics.cfg").write_text("metrics =\n")
+    if argv[0] in ("stream", "detect"):
         assert main(_baseline_args(workdir)) == 0
+        # 250 rows: exactly one split, so detect warns of no trailing rows
+        lines = (workdir / "op_in.csv").read_text().splitlines(keepends=True)
+        (workdir / "op_250.csv").write_text("".join(lines[:251]))
+        doc = json.loads((workdir / "base.json").read_text())
+        for name, (interval, _) in _BAD_INTERVALS.items():
+            metric = name.split("-")[0]
+            bad = {**doc, "intervals": {**doc["intervals"], metric: interval}}
+            (workdir / f"{name}.json").write_text(json.dumps(bad))
     capsys.readouterr()
     assert main([arg.format(w=workdir) for arg in argv]) == 1
     captured = capsys.readouterr()

@@ -534,6 +534,16 @@ def test_fingerprint_binds_ruleset_and_config():
 def test_baselines_interval_validation():
     with pytest.raises(DetectionError):
         Baselines(l1=(1.0, 0.5), l2=(0.0, 1.0))
+    # any int or float, numpy's included, is a bound
+    assert Baselines(l1=(0, 1), l2=(0.0, 1.0), wmi=(np.float64(0.0), 1.0)).l1 == (0, 1)
+
+
+@pytest.mark.parametrize("interval", [
+    (0.1,), (0.1, 0.2, 0.3), ("a", "b"), ("0.1", "0.2"), (True, 1), [0.1, 0.2],
+])
+def test_baselines_reject_an_interval_that_is_not_a_pair_of_numbers(interval):
+    with pytest.raises(DetectionError, match="l1 interval must be a pair of numbers"):
+        Baselines(l1=interval, l2=(0.0, 1.0), wmi=(0.0, 1.0))
 
 
 def test_baselines_mode_comes_from_its_interval(rng):
@@ -584,6 +594,14 @@ def test_detect_split_rejects_a_group_baseline(rng):
     base = group_baseline(training, 3)
     with pytest.raises(DetectionError, match="group baseline"):
         detect_split(training, histograms(training)[0], base)
+
+
+@pytest.mark.parametrize("mode", [SINGLE_SPLIT, GROUP])
+def test_an_empty_metric_selection_is_rejected(rng, mode):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    base = group_baseline(training, 3) if mode == GROUP else single_split_baseline(training)
+    with pytest.raises(DetectionError, match=f"no metric selected; {mode} metrics are"):
+        detect(training, stack(histograms(training)[: base.n_op]), base, ())
 
 
 @pytest.mark.parametrize("mode", [SINGLE_SPLIT, GROUP])

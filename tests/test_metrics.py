@@ -350,7 +350,8 @@ def scorer_walks(draw):
 
     Counts come from a small pool plus values outside it, so values and
     value pairs repeat and op values no training row holds occur. Steps
-    change one rule, a few rules or all of them. The first training row may
+    change one rule, a few rules or all of them, and one step repeats the
+    vector before it unchanged. The first training row may
     be 0 or the full split at every rule, and the walk may end on its
     complement, an alpha == 1 row. Sizes are equal, unequal, or large and
     coprime, where the norms' integer sums could overflow int64.
@@ -378,6 +379,8 @@ def scorer_walks(draw):
         for r in rules:
             op[r] = draw(cell)
         walk.append(op)
+    at = draw(st.integers(1, len(walk)))
+    walk.insert(at, walk[at - 1].copy())
     if draw(st.booleans()):
         walk.append(np.where(full, 0, op_size))
     return train, train_size, op_size, walk
