@@ -25,6 +25,7 @@ from .detection import (
     DetectionError,
     DetectionReport,
     FingerprintMismatchError,
+    check_request,
     compute_fingerprint,
     detect,
     group_baseline,
@@ -136,6 +137,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset, bundle = _load_verified(args)
     base, training = bundle.baselines, bundle.training
+    # Refuse a bad request before reading a row, as stream does.
+    check_request(training, base, base.mode, ruleset.n_rules, base.n_op, cfg.metrics)
     table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False)
     rows = operational_splits(table, training.split_size, base.n_op)
     if table.n_rows > rows.size:

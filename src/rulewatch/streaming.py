@@ -8,16 +8,16 @@ score the window through a ``SplitScorer`` kept beside it, which moves its
 integer state only for the rules whose counts changed since the last tick
 and equals batch ``detect_split`` bit for bit. On top of that sits a
 monitor that ticks every push (or every ``detect_stride`` pushes) and, for
-a group baseline, keeps the last ``n_op`` window snapshots, taken every
-``capacity // n_op`` pushes, as the rows of the operational group's
-``HitMatrix``. The monitor scores only a unit that changed: batch
-``detect`` scores the group once per new snapshot, a single-split window
-is scored at the first tick after a push that moved its counts, and every
-other tick returns the last report. The mode, ``n_op``, the snapshot
-spacing and the default window length all come from the baseline and its
-training matrix. A tick is the
-``DetectionReport`` batch detection returns, not a copy of it; a caller
-that wants to key it by sample counts its own pushes.
+a group baseline, keeps a window snapshot every ``capacity`` pushes: its
+group is the last ``n_op`` disjoint windows, the unit batch ``detect``
+scores and the ``rbi`` envelope was calibrated on. The monitor scores only
+a unit that changed: ``detect`` scores the group once per new snapshot, a
+single-split window is scored at the first tick after a push that moved
+its counts, and every other tick returns the last report. The mode,
+``n_op`` and the default window length come from the baseline and its
+training matrix. A tick is the ``DetectionReport`` batch detection
+returns, not a copy of it; a caller that wants to key it by sample counts
+its own pushes.
 
 A separate accumulator provides rolling mean/variance/skewness/kurtosis for
 time-series feature extraction.
@@ -71,9 +71,6 @@ class SlidingHitWindow:
         self._head = 0
         self._fill = 0
         self._scorer: SplitScorer | None = None
-        # Instrumentation: per-rule elementary updates in the last push,
-        # for asserting the O(n_rules) per-push contract without clocks.
-        self.last_push_ops = 0
 
     @property
     def capacity(self) -> int:
@@ -103,17 +100,15 @@ class SlidingHitWindow:
         if self._fill < self._capacity:
             self._fill += 1
             self._counts += mask
-            moved, ops = True, 2 * self._n_rules  # evaluate, admit
+            moved = True
         else:
             evicted = self._masks[self._head]
             moved = bool((evicted != mask).any())
             if moved:
                 self._counts -= evicted
                 self._counts += mask
-            ops = 3 * self._n_rules  # evaluate, retire the evicted mask, admit
         self._masks[self._head] = mask
         self._head = (self._head + 1) % self._capacity
-        self.last_push_ops = ops
         return moved
 
     def histogram(self) -> HitHistogram:
@@ -170,16 +165,16 @@ class StreamMonitor:
     The baseline decides the mode (``base.mode``) and, for a group
     baseline, the group size (its config's ``n_op``); the window holds
     ``training.split_size`` samples unless ``capacity`` says otherwise. In
-    group mode the operational group is the window counts captured every
-    ``max(capacity // n_op, 1)`` pushes, one row each, and ticks start once
-    ``n_op`` snapshots exist. A tick scores its unit only if the unit
-    changed since the last report, and otherwise returns that report object
-    again: a group changes only when a snapshot is taken, a single-split
-    window only on a push whose evicted hit mask differs from the admitted
-    one (a push between two ticks counts too, so any ``detect_stride``
-    stays exact). The request (``check_request``: the training
-    matrix, the rule count and the metric names) is checked when the
-    monitor is built, before any sample is read.
+    group mode the group is the last ``n_op`` disjoint windows, as
+    ``operational_splits`` cuts them for batch ``detect``: one snapshot
+    every ``capacity`` pushes, and ticks from push ``n_op * capacity`` on.
+    A tick scores its unit only if the unit changed since the last report,
+    and otherwise returns that report object again: a group changes only
+    when a snapshot is taken, a single-split window only on a push whose
+    evicted hit mask differs from the admitted one (a push between two
+    ticks counts too, so any ``detect_stride`` stays exact). The request
+    (``check_request``: the training matrix, the rule count and the metric
+    names) is checked when the monitor is built, before any sample is read.
     """
 
     def __init__(
@@ -211,7 +206,6 @@ class StreamMonitor:
         self.metrics = metrics
         self.detect_stride = detect_stride
         self._pushes = 0
-        self._snapshot_every = max(capacity // self.n_op, 1)
         self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
         # The last tick's report; None once the scored unit has changed.
         self._report: DetectionReport | None = None
@@ -223,7 +217,7 @@ class StreamMonitor:
         if not self.window.is_full:
             return None
         if self.mode == GROUP:
-            if self._pushes % self._snapshot_every == 0:
+            if self._pushes % self.window.capacity == 0:
                 self._snapshots.append(self.window.histogram().counts)
                 self._report = None
         elif moved:

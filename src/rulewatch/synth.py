@@ -8,6 +8,8 @@ import numpy as np
 
 from .data import DataTable
 
+_LABELS = np.array(("0", "1"), dtype=object)
+
 
 def _feature_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
@@ -58,7 +60,7 @@ class GaussianMixtureSource(_Source):
             X[:, idx] += comp * self.class_sep
         if self.mean_shift:
             X += np.asarray(self.mean_shift)
-        labels = tuple(map(str, comp.tolist()))
+        labels = tuple(_LABELS[comp].tolist())
         X.setflags(write=False)  # a fresh sample, handed over uncopied
         return DataTable(_feature_names(self.n_features), X, labels)
 
@@ -80,7 +82,7 @@ class RuleAlignedSource(_Source):
         X = rng.random((n, self.n_features))
         below1 = X[:, 0] <= self.cut
         below2 = X[:, 1] <= self.cut if self.n_features > 1 else np.ones(n, bool)
-        labels = tuple(map(str, (below1 & below2).astype(np.int64).tolist()))
+        labels = tuple(_LABELS[(below1 & below2).astype(np.int64)].tolist())
         if self.mean_shift:
             X = X + np.asarray(self.mean_shift)
         X.setflags(write=False)  # a fresh sample, handed over uncopied

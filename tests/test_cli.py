@@ -651,7 +651,8 @@ def test_featurize_rejects_a_window_below_4_before_reading(tmp_path, capsys, win
 
 
 def test_snapshot_stride_is_not_a_config_key(tmp_path):
-    # The group stream spaces its snapshots capacity // n_op pushes apart.
+    # The group stream takes a snapshot every capacity pushes, so its group
+    # is the last n_op disjoint windows; no knob spaces them.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("snapshot_stride = 4\n")
     with pytest.raises(DataError, match="unknown config key 'snapshot_stride'"):
@@ -762,6 +763,9 @@ _BAD_INTERVALS = {
     pytest.param(["stream", "{w}/missing.csv", "--rules", "{w}/rules.txt",
                   "--baseline", "{w}/base.json", "--metrics", "bogus", "-o", "{w}/ticks.csv"],
                  "unknown single-split metric 'bogus'", id="stream-unknown-metric"),
+    pytest.param(["detect", "{w}/missing.csv", "--rules", "{w}/rules.txt",
+                  "--baseline", "{w}/base.json", "--metrics", "bogus"],
+                 "unknown single-split metric 'bogus'", id="detect-unknown-metric"),
     # An empty window is refused before the window-size warning could run.
     pytest.param(["stream", "{w}/op_in.csv", "--rules", "{w}/rules.txt",
                   "--baseline", "{w}/base.json", "--ns", "0", "-o", "{w}/ticks.csv"],

@@ -23,7 +23,9 @@ from rulewatch import (
 )
 from rulewatch.data import DataTable
 from rulewatch.detection import build_report
-from rulewatch.histogram import Split, hit_histogram, hit_matrix
+from rulewatch.histogram import Split, hit_histogram, hit_matrix, make_splits
+from rulewatch.inducer import induce_ruleset
+from rulewatch.synth import GaussianMixtureSource
 from tests.conftest import random_histogram, stack
 
 RULES = parse_ruleset(
@@ -98,18 +100,6 @@ def test_push_error_leaves_window_unchanged(rng):
     with pytest.raises(MissingFeatureError):
         w.push({"x1": 0.5})
     assert (w.fill, w.histogram().counts.tolist()) == snapshot
-
-
-def test_push_cost_independent_of_capacity(rng):
-    costs = set()
-    for capacity in (8, 64, 1024):
-        w = SlidingHitWindow(RULES, capacity=capacity)
-        for _ in range(capacity):
-            w.push(_record(rng))
-        w.push(_record(rng))  # steady-state push incl. eviction
-        costs.add(w.last_push_ops)
-        assert w.last_push_ops <= 4 * RULES.n_rules + 8
-    assert len(costs) == 1  # same cost at every capacity
 
 
 def test_empty_window_has_no_histogram():
@@ -270,18 +260,18 @@ def test_monitor_group_mode_snapshots(rng):
             first_tick, first_index = tick, i
             break
     assert first_tick is not None
-    # a snapshot every 12 // 3 = 4 pushes once full: pushes 12, 16, 20 ->
-    # 3rd snapshot on push 20
-    assert first_index == 19
+    # a snapshot every capacity = 12 pushes: pushes 12, 24, 36 -> 3rd
+    # snapshot, and so the first group of 3 disjoint windows, on push 36
+    assert first_index == 35
     assert "rbi" in first_tick.per_metric
 
 
 def test_group_stream_equals_batch_at_every_tick(rng):
-    # Each tick's group is the last n_op snapshots, taken at every
-    # n_s // n_op = 4th push once the window is full; recounting those
-    # windows in batch must give the tick's values, flags and verdict
-    # exactly, before and after drift.
-    n_s, n_op, stride = 12, 3, 4
+    # Each tick's group is the last n_op snapshots, taken at every n_s-th
+    # push: the last n_op disjoint windows. Recounting those windows in
+    # batch must give the tick's values, flags and verdict exactly, before
+    # and after drift.
+    n_s, n_op = 12, 3
     training = _random_matrix(rng, 8, n_s)
     base = group_baseline(training, n_op, config={"n_s": n_s, "n_op": n_op})
     monitor = StreamMonitor(RULES, base, training, capacity=n_s)
@@ -294,7 +284,7 @@ def test_group_stream_equals_batch_at_every_tick(rng):
         tick = monitor.push(s)
         if tick is None:
             continue
-        ends = [p for p in range(n_s, i + 2) if p % stride == 0][-n_op:]
+        ends = list(range(n_s, i + 2, n_s))[-n_op:]
         windows = np.array([np.arange(p - n_s, p) for p in ends])
         batch = detect_group(training, hit_matrix(RULES, _table(history), windows), base)
         # values, votes, distances and bounds of every metric
@@ -305,10 +295,10 @@ def test_group_stream_equals_batch_at_every_tick(rng):
 
 
 def test_group_stream_scores_once_per_snapshot(rng, monkeypatch):
-    # Snapshots land every 12 // 3 = 4 pushes once the window is full
-    # (pushes 12, 16, ..., 60) and ticks start with the 3rd one (push 20), so
-    # 60 pushes bring 11 groups and 41 ticks; the ticks between two
-    # snapshots return the report of the group they share.
+    # Snapshots land every capacity = 12 pushes (pushes 12, 24, ..., 120)
+    # and ticks start with the 3rd one (push 36), so 120 pushes bring 8
+    # groups and 85 ticks; the ticks between two snapshots return the
+    # report of the group they share.
     calls = []
 
     def counted_detect(*args, **kwargs):
@@ -319,15 +309,50 @@ def test_group_stream_scores_once_per_snapshot(rng, monkeypatch):
     training = _random_matrix(rng, 8, 12)
     monitor = StreamMonitor(RULES, group_baseline(training, 3), training)
     ticks = {}
-    for i in range(60):
+    for i in range(120):
         tick = monitor.push(_record(rng))
         if tick is not None:
             ticks[i + 1] = tick
-    assert sorted(ticks) == list(range(20, 61))
-    assert len(calls) == 11
+    assert sorted(ticks) == list(range(36, 121))
+    assert len(calls) == 8
     for push, tick in ticks.items():
-        if push % 4:
-            assert tick == ticks[push - push % 4]
+        if push % 12:
+            assert tick is ticks[push - push % 12]
+
+
+def test_in_distribution_group_stream_stays_quiet():
+    # The rbi envelope is calibrated on groups of n_op disjoint splits, so
+    # a group stream scored on such groups raises no more false alarms
+    # than batch detection. Per seed: induced rules, a group baseline and
+    # 7 windows of in-distribution feed. A monitor returns one report
+    # object until its group changes; each distinct one is kept alive, so
+    # that no two can share an id().
+    n_s, n_tr, n_op = 500, 20, 4
+    source = GaussianMixtureSource(n_features=6, informative=(0, 1, 2, 3), class_sep=1.5)
+    reports = []  # (report, pushes so far, the seed's rules, baseline, training and feed)
+    for seed in range(900, 910):
+        rng = np.random.default_rng(seed)
+        rules = induce_ruleset(source.sample(4000, rng), max_depth=4, min_leaf=50, warn=False)
+        train = source.sample(n_tr * n_s, rng)
+        splits = make_splits(train, n_s, n_tr, seed=int(rng.integers(2**31)))
+        training = hit_matrix(rules, train, splits)
+        base = group_baseline(training, n_op)
+        feed = source.sample(7 * n_s, rng)
+        monitor = StreamMonitor(rules, base, training)
+        for push, record in enumerate(feed.iter_records(), 1):
+            tick = monitor.push(record)
+            if tick is not None and (not reports or tick is not reports[-1][0]):
+                reports.append((tick, push, (rules, base, training, feed)))
+    n_ood = sum(report.is_ood for report, *_ in reports)
+    assert n_ood <= 0.05 * len(reports), f"{n_ood} of {len(reports)} distinct reports are OoD"
+    # one group per window from the n_op-th on, each batch detect on the
+    # last n_op disjoint windows of the feed
+    assert len(reports) == 10 * (7 - n_op + 1)
+    for report, push, (rules, base, training, feed) in reports:
+        windows = np.arange(push - n_op * n_s, push).reshape(n_op, n_s)
+        batch = detect_group(training, hit_matrix(rules, feed, windows), base)
+        assert report.per_metric == batch.per_metric
+        assert report.verdict == batch.verdict
 
 
 def test_stream_detect_rejects_a_group_baseline(rng):
