@@ -13,6 +13,7 @@ import sys
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -185,8 +186,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         metrics=cfg.metrics,
     )
     with _output(args.output) as out:
-        writer = csv.writer(out)
-        writer.writerow(("sample_index", *DetectionReport.CSV_HEADER))
+        csv.writer(out).writerow(("sample_index", *DetectionReport.CSV_HEADER))
         report = None
         for index, record in enumerate(_iter_stream_records(args.source)):
             tick = monitor.push(record)
@@ -194,11 +194,15 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 continue
             if tick is not report:
                 # A monitor returns its last report again until the unit
-                # changes; its cells are the str() that csv.writer writes
-                # for each float, int and str, formatted once.
+                # changes, so its rows are rendered once. csv.writer quotes
+                # each cell on its own and never quotes an int, so
+                # "{index}," before a rendered row is the line it writes
+                # for (index, *row).
                 report = tick
-                rows = [tuple(map(str, row)) for row in tick.csv_rows()]
-            writer.writerows((index, *row) for row in rows)
+                lines: list[str] = []
+                csv.writer(SimpleNamespace(write=lines.append)).writerows(tick.csv_rows())
+            for line in lines:
+                out.write(f"{index},{line}")
     return EXIT_OK
 
 

@@ -89,7 +89,12 @@ def lp_norms(
     the gaps summed as floats.
     """
     scale = math.lcm(a_size, b_size)
-    gap = np.abs(a * (scale // a_size) - b * (scale // b_size))
+    # A factor of 1 (the side whose split size is the lcm) skips a multiply.
+    if scale != a_size:
+        a = a * (scale // a_size)
+    if scale != b_size:
+        b = b * (scale // b_size)
+    gap = np.abs(a - b)
     # Each gap is at most ``scale``, so n_rules squared gaps fit in int64 below this.
     if scale * scale * gap.shape[-1] >= 2**63:
         gap = gap.astype(np.float64)

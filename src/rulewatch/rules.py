@@ -17,18 +17,23 @@ with exact binary floating-point semantics, so hit counts are deterministic
 for a given ruleset text.
 
 Tables (``Ruleset.hit_mask_table``, through the row-block kernel ``_hits``)
-and single samples (``ruleset_hits``, one gather of the sample's values)
-are evaluated against the same closed bounds ``lo <= v <= hi``, compiled
-once per ruleset (``Ruleset.bounds``); ``v > t`` becomes
-``v >= nextafter(t, +inf)``, exact for every non-NaN float64. Before any
-rule runs, the input must hold every feature some rule uses (else
-``MissingFeatureError``) as a non-NaN, non-bool number (else
-``NonNumericValueError``); other fields are ignored.
+and single samples (``ruleset_hits``) are evaluated against the same closed
+bounds ``lo <= v <= hi``, compiled once per ruleset (``Ruleset.bounds``);
+``v > t`` becomes ``v >= nextafter(t, +inf)``, exact for every non-NaN
+float64. A single sample goes through a per-feature lookup compiled from
+those bounds on the first ``ruleset_hits`` call: each value is placed among
+its feature's sorted pair ends by two bisections, which index a bitmask of
+the rules that hold there, and the hits are the AND of one bitmask per
+feature. Before any rule runs, the input must hold every feature some rule
+uses (else ``MissingFeatureError``) as a non-NaN, non-bool number (else
+``NonNumericValueError``); other fields are ignored. Each value is
+compared as ``float(value)``, the float64 a table would hold.
 """
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -188,6 +193,41 @@ class Ruleset:
             a.setflags(write=False)
         return arrays
 
+    @cached_property
+    def _sample_lookup(self) -> tuple[tuple[tuple[str, list[float], list[int]], ...], int, int]:
+        """``bounds`` compiled for one sample: ``(features, all_rules, n_rules)``.
+
+        Built on the first ``ruleset_hits`` call, in plain Python. Each
+        feature gets ``(name, edges, masks)``: ``edges`` are the sorted
+        distinct ends of its pairs with -inf and +inf, and a non-NaN ``v``
+        gets the code ``bisect_left(edges, v) + bisect_right(edges, v)``,
+        which is ``2i + 1`` when ``v == edges[i]`` and even between edges.
+        So ``lo <= v <= hi`` iff the code lies in ``[2 index(lo) + 1,
+        2 index(hi) + 1]`` (empty for the pair ``(inf, -inf)``), and
+        ``masks[code]`` sets bit ``j`` for each rule ``j + 1`` whose pair
+        holds there or that does not read the feature. A sample's hits are
+        the AND of one mask per feature, starting from ``all_rules``.
+        """
+        idx, lo, hi = (a.T.tolist() for a in self.bounds)
+        pairs: list[dict[int, tuple[float, float]]] = [{} for _ in self.feature_names]
+        for j in range(self.n_rules):
+            for f, rule_lo, rule_hi in zip(idx[j], lo[j], hi[j]):
+                pairs[f][j] = (rule_lo, rule_hi)
+        all_rules = (1 << self.n_rules) - 1
+        features = []
+        for name, rule_pairs in zip(self.feature_names, pairs):
+            # A set holds one of -0.0 and 0.0, and a dict finds either by the other.
+            ends = (end for pair in rule_pairs.values() for end in pair)
+            edges = sorted({-math.inf, math.inf, *ends})
+            position = {e: i for i, e in enumerate(edges)}
+            unread = all_rules & ~sum(1 << j for j in rule_pairs)
+            masks = [unread] * (2 * len(edges) + 1)
+            for j, (rule_lo, rule_hi) in rule_pairs.items():
+                for code in range(2 * position[rule_lo] + 1, 2 * position[rule_hi] + 2):
+                    masks[code] |= 1 << j
+            features.append((name, edges, masks))
+        return tuple(features), all_rules, self.n_rules
+
     def hit_mask_table(self, X: np.ndarray, columns: Sequence[str]) -> np.ndarray:
         """Boolean hit table of shape (n_samples, n_rules) for a feature matrix."""
         col_index = {name: i for i, name in enumerate(columns)}
@@ -224,22 +264,32 @@ def _hits(V: np.ndarray, gather: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
 
 def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> list[bool]:
     """Per-rule premise hits of one sample (consequences are ignored); any number may hit."""
-    row, nan = [], None
-    for name in ruleset.feature_names:
+    features, hits, n_rules = ruleset._sample_lookup
+    nan = None
+    for name, edges, masks in features:
         try:
             value = sample[name]
         except KeyError:
             raise MissingFeatureError(f"sample is missing feature {name!r}") from None
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise NonNumericValueError(f"feature {name!r} has non-numeric value {value!r}")
-        if value != value and nan is None:  # NaN, and only NaN, differs from itself
-            nan = name
-        row.append(value)
+        if value != value:  # NaN, and only NaN, differs from itself
+            if nan is None:
+                nan = name
+            continue
+        value = float(value)
+        hits &= masks[bisect_left(edges, value) + bisect_right(edges, value)]
     if nan is not None:
         raise NonNumericValueError(f"feature {nan!r} is NaN")
-    idx, lo, hi = ruleset.bounds
-    gathered = np.array(row, dtype=np.float64)[idx]
-    return ((lo <= gathered) & (gathered <= hi)).all(axis=0).tolist()
+    bits: list[bool] = []
+    for byte in hits.to_bytes((n_rules + 7) // 8, "little"):
+        bits += _BYTE_BITS[byte]
+    del bits[n_rules:]
+    return bits
+
+
+# The 8 bits of each byte value, least significant first.
+_BYTE_BITS = tuple(tuple(bool(byte >> i & 1) for i in range(8)) for byte in range(256))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,13 @@ class WindowSizeMismatchWarning(UserWarning):
 
 
 class SlidingHitWindow:
-    """Ring buffer of per-sample hit masks with exact running counts."""
+    """Ring buffer of per-sample hit masks with exact running counts.
+
+    Each slot holds its sample's mask as ``bytes`` (one 0/1 byte per rule),
+    so a push that admits the mask it evicts costs one bytes comparison and
+    leaves the counts alone; a push that moves them reads both masks as
+    bool arrays (``np.frombuffer``, no copy).
+    """
 
     def __init__(self, ruleset: Ruleset, capacity: int):
         if capacity < 1:
@@ -66,7 +72,7 @@ class SlidingHitWindow:
         self._ruleset = ruleset
         self._capacity = capacity
         self._n_rules = ruleset.n_rules
-        self._masks = np.zeros((capacity, self._n_rules), dtype=bool)
+        self._masks: list[bytes] = [b""] * capacity
         self._counts = np.zeros(self._n_rules, dtype=np.int64)
         self._head = 0
         self._fill = 0
@@ -96,17 +102,17 @@ class SlidingHitWindow:
         the admitted one keeps its counts and returns False. ``histogram``
         reads the counts.
         """
-        mask = np.asarray(ruleset_hits(self._ruleset, sample), dtype=bool)
+        mask = bytes(ruleset_hits(self._ruleset, sample))
         if self._fill < self._capacity:
             self._fill += 1
-            self._counts += mask
+            self._counts += np.frombuffer(mask, dtype=bool)
             moved = True
         else:
             evicted = self._masks[self._head]
-            moved = bool((evicted != mask).any())
+            moved = evicted != mask
             if moved:
-                self._counts -= evicted
-                self._counts += mask
+                self._counts -= np.frombuffer(evicted, dtype=bool)
+                self._counts += np.frombuffer(mask, dtype=bool)
         self._masks[self._head] = mask
         self._head = (self._head + 1) % self._capacity
         return moved

@@ -661,9 +661,11 @@ def test_snapshot_stride_is_not_a_config_key(tmp_path):
 
 @pytest.mark.parametrize("mode_args, stride", [((), 1), ((), 3), (_GROUP_ARGS, 1)])
 def test_stream_writes_every_tick_as_its_report_rows(workdir, tmp_path, mode_args, stride):
-    # stream formats a report's cells once and writes them again while the
-    # monitor returns the same report; the file must equal csv.writer over
-    # every tick's csv_rows(), ticks of a drifting stream included.
+    # stream renders a report's rows once and writes "{index}," before each
+    # rendered row on every tick that returns that report again; the file
+    # must equal csv.writer over (index, *row) for every tick's csv_rows(),
+    # on ticks that scored a new report and on ticks that reused one,
+    # across a verdict change.
     assert main(_baseline_args(workdir, extra=mode_args)) == 0
     shifted = (workdir / "op_out.csv").read_text().splitlines(keepends=True)[1:]
     (workdir / "drift.csv").write_text((workdir / "op_in.csv").read_text() + "".join(shifted))
@@ -678,15 +680,19 @@ def test_stream_writes_every_tick_as_its_report_rows(workdir, tmp_path, mode_arg
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(("sample_index", *_REPORT_COLUMNS))
+    report, scored, reused = None, 0, 0
     with open(workdir / "drift.csv", newline="") as fh:
         for index, record in enumerate(csv.DictReader(fh)):
             tick = monitor.push({name: float(cell) for name, cell in record.items()})
             if tick is not None:
+                scored, reused = scored + (tick is not report), reused + (tick is report)
+                report = tick
                 writer.writerows((index, *row) for row in tick.csv_rows())
     got = ticks.read_bytes().decode().splitlines(keepends=True)
     want = expected.getvalue().splitlines(keepends=True)
     assert len(got) == len(want)
     assert next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+    assert scored > 1 and reused > 0
     assert {line.rstrip().rsplit(",", 1)[1] for line in want[1:]} == {"in-distribution", "OoD"}
 
 

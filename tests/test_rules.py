@@ -355,6 +355,101 @@ def test_compiled_bounds_merge_and_pad():
     assert (lo[1, 1], hi[1, 1]) == (0.0, 2.0)
 
 
+# -- the per-feature lookup of ruleset_hits ------------------------------------
+# ruleset_hits codes each value by where it falls among its feature's pair
+# ends and ANDs one rule bitmask per feature. The examples pin the codes at
+# the ends of the float range, on and between edges, at signed zeros and for
+# pairs that hold for no value.
+
+_FEATURES = ("x1", "x2", "x3", "x4")
+_MAX = 1.7976931348623157e308
+
+
+@settings(max_examples=300, deadline=None)
+@given(rulesets(_WIDE_THRESHOLDS, max_conds=4),
+       st.lists(st.one_of(st.sampled_from(_THRESHOLDS), st.floats(allow_nan=False)),
+                min_size=4, max_size=4))
+@example(parse_ruleset(f"if x1 < -{_MAX!r} then a\n"), [-math.inf, 0.0, 0.0, 0.0])
+@example(parse_ruleset(f"if x1 < -{_MAX!r} then a\n"), [-_MAX, 0.0, 0.0, 0.0])
+@example(parse_ruleset(f"if x1 > {_MAX!r} then a\nif x1 >= {_MAX!r} then b\n"),
+         [math.inf, 0.0, 0.0, 0.0])
+@example(parse_ruleset(f"if x1 > {_MAX!r} then a\nif x1 >= {_MAX!r} then b\n"),
+         [_MAX, 0.0, 0.0, 0.0])
+@example(parse_ruleset("if x1 > 1e999 then a\nif x1 < -1e999 then b\nif x2 <= 1e999 then c\n"),
+         [math.inf, -math.inf, math.inf, 0.0])
+@example(parse_ruleset("if x1 > 1e999 then a\nif x1 < -1e999 then b\nif x2 <= 1e999 then c\n"),
+         [-math.inf, math.inf, -math.inf, 0.0])
+@example(parse_ruleset("if x1 > 3 and x1 < 1 then a\nif x1 in [1, 3] then b\n"),
+         [2.0, 0.0, 0.0, 0.0])
+@example(parse_ruleset("if x1 < 0 then a\nif x1 <= -0.0 then b\nif x1 > 0.0 then c\n"
+                       "if x1 == -0.0 then d\n"), [-0.0, 0.0, 0.0, 0.0])
+@example(parse_ruleset("if x1 < 0 then a\nif x1 <= -0.0 then b\nif x1 > 0.0 then c\n"
+                       "if x1 == -0.0 then d\n"), [0.0, 0.0, 0.0, 0.0])
+@example(parse_ruleset("if x1 < 0 then a\nif x1 <= -0.0 then b\nif x1 > 0.0 then c\n"
+                       "if x1 == -0.0 then d\n"), [5e-324, 0.0, 0.0, 0.0])
+@example(parse_ruleset("if x1 < 0 then a\nif x1 <= -0.0 then b\nif x1 > 0.0 then c\n"
+                       "if x1 == -0.0 then d\n"), [-5e-324, 0.0, 0.0, 0.0])
+@example(parse_ruleset("if x1 in (1, 2) then a\nif x1 in [1, 2] then b\nif x2 > 1 then c\n"),
+         [1.0, 1.0, 0.0, 0.0])
+@example(parse_ruleset("if x1 in (1, 2) then a\nif x1 in [1, 2] then b\nif x2 > 1 then c\n"),
+         [1.5, math.nextafter(1.0, math.inf), 0.0, 0.0])
+@example(parse_ruleset("if x1 in (1, 2) then a\nif x1 in [1, 2] then b\nif x2 > 1 then c\n"),
+         [math.nextafter(2.0, math.inf), 2.0, 0.0, 0.0])
+def test_sample_lookup_matches_oracle_and_table_row(rs, values):
+    sample = dict(zip(_FEATURES, values))
+    hits = ruleset_hits(rs, sample)
+    assert all(type(hit) is bool for hit in hits)
+    assert hits == _brute_force_hits(rs, sample)
+    assert hits == rs.hit_mask_table(np.array([values]), _FEATURES)[0].tolist()
+
+
+@pytest.mark.parametrize("n_rules", [1, 7, 8, 9, 16, 17, 64, 65, 130])
+def test_sample_lookup_spans_mask_bytes(n_rules):
+    # Rule k reads x1 > k and x2 <= n_rules - k, so hits run across every
+    # byte of the bitmask, including a short last byte.
+    rs = parse_ruleset("".join(
+        f"if x1 > {k} and x2 <= {n_rules - k} then r\n" for k in range(n_rules)
+    ))
+    for x1 in (-1.0, 0.0, 0.5, n_rules / 2, n_rules - 1.0, float(n_rules)):
+        for x2 in (0.0, n_rules / 3, float(n_rules), math.inf):
+            sample = {"x1": x1, "x2": x2}
+            hits = ruleset_hits(rs, sample)
+            assert len(hits) == n_rules
+            assert hits == _brute_force_hits(rs, sample)
+
+
+# Thresholds where float64 rounds integers above 2**53 and float32 values.
+_ROUNDING_THRESHOLDS = st.one_of(
+    st.sampled_from([float(2**53), float(2**53 + 2), 2.0**63, -(2.0**63), 2.0**64,
+                     0.1, float(np.float32(0.1)), -1.5, 0.0]),
+    st.integers(-(2**64), 2**64).map(float),
+    st.floats(width=32, allow_nan=False).map(float),
+)
+_OTHER_NUMBERS = st.one_of(
+    st.integers(2**53 - 4, 2**64 + 4),
+    st.integers(-(2**64) - 4, -(2**53) + 4),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rulesets(_ROUNDING_THRESHOLDS, max_conds=3),
+       st.lists(_OTHER_NUMBERS, min_size=4, max_size=4))
+@example(parse_ruleset("if x1 > 9007199254740992 then a\nif x1 == 9007199254740992 then b\n"),
+         [2**53 + 1, 0, 0, 0])
+@example(parse_ruleset("if x1 == 0.1 then a\nif x1 > 0.1 then b\n"),
+         [np.float32(0.1), np.int64(0), 0, 0])
+def test_sample_hits_of_ints_and_narrow_floats_equal_hits_of_their_float(rs, values):
+    # Today's np.array(..., float64) conversion is float(); the lookup must
+    # see the same values as the table kernel does.
+    sample = dict(zip(_FEATURES, values))
+    as_float = [float(v) for v in values]
+    hits = ruleset_hits(rs, sample)
+    assert hits == ruleset_hits(rs, dict(zip(_FEATURES, as_float)))
+    assert hits == rs.hit_mask_table(np.array([as_float]), _FEATURES)[0].tolist()
+
+
 # -- agreement with the token-based parser -----------------------------------
 # The tokenizer and recursive-descent line parser that the anchored patterns
 # in rulewatch.rules replaced, kept verbatim as the reference.
