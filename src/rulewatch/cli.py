@@ -13,7 +13,6 @@ import sys
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -29,8 +28,6 @@ from .detection import (
     check_request,
     compute_fingerprint,
     detect,
-    group_baseline,
-    single_split_baseline,
 )
 from .eval import run_eval
 from .histogram import hit_matrix, make_splits, operational_splits
@@ -120,13 +117,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     training = hit_matrix(ruleset, table, make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed))
     echo = _fingerprint_config(cfg)
     fingerprint = compute_fingerprint(ruleset, echo)
-    if cfg.mode == "group":
-        base = group_baseline(
-            training, cfg.resolved_n_op,
-            sigma_floor=cfg.sigma_floor, config=echo, fingerprint=fingerprint,
-        )
-    else:
-        base = single_split_baseline(training, config=echo, fingerprint=fingerprint)
+    base = cfg.build_baseline(training, config=echo, fingerprint=fingerprint)
     bundle = BaselineBundle(base, training)
     with _output(args.output) as out:
         out.write(bundle.to_document())
@@ -147,9 +138,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
                       f"{table.n_rows - rows.size} trailing rows ignored")
     report = detect(training, hit_matrix(ruleset, table, rows), base, cfg.metrics)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(report.CSV_HEADER)
-        writer.writerows(report.csv_rows())
+        csv.writer(sys.stdout).writerow(report.CSV_HEADER)
+        sys.stdout.writelines(report.csv_lines)
     else:
         sys.stdout.write(report.to_document())
     return EXIT_OOD if report.is_ood else EXIT_OK
@@ -187,22 +177,12 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     with _output(args.output) as out:
         csv.writer(out).writerow(("sample_index", *DetectionReport.CSV_HEADER))
-        report = None
         for index, record in enumerate(_iter_stream_records(args.source)):
             tick = monitor.push(record)
-            if tick is None:
-                continue
-            if tick is not report:
-                # A monitor returns its last report again until the unit
-                # changes, so its rows are rendered once. csv.writer quotes
-                # each cell on its own and never quotes an int, so
-                # "{index}," before a rendered row is the line it writes
-                # for (index, *row).
-                report = tick
-                lines: list[str] = []
-                csv.writer(SimpleNamespace(write=lines.append)).writerows(tick.csv_rows())
-            for line in lines:
-                out.write(f"{index},{line}")
+            if tick is not None:
+                # csv.writer never quotes an int: the line it writes for (index, *row)
+                for line in tick.csv_lines:
+                    out.write(f"{index},{line}")
     return EXIT_OK
 
 
@@ -254,17 +234,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ood_source = base_source.shifted(_parse_shift(args.shift, base_source.n_features))
         scenario = f"synthetic:{kind}:shift={args.shift}"
     summary = run_eval(in_source, ood_source, cfg, scenario=scenario)
-    if args.format == "csv":
-        lines = ["key,value"]
-        lines += [f"fpr,{summary.fpr}", f"fnr,{summary.fnr}",
-                  f"repetitions,{summary.repetitions}", f"mode,{summary.mode}"]
-        lines += [f"fp_rate_{k},{v}" for k, v in summary.per_metric_fp_rates.items()]
-        lines += [f"detect_rate_{k},{v}" for k, v in summary.per_metric_detect_rates.items()]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = summary.to_document()
     with _output(args.output) as out:
-        out.write(text)
+        out.write(summary.to_csv() if args.format == "csv" else summary.to_document())
     if args.output not in (None, "-"):
         print(f"FPR {summary.fpr:.4f}  FNR {summary.fnr:.4f}  ({summary.repetitions} repetitions)")
     return EXIT_OK
@@ -293,17 +264,20 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     window = args.window
     columns = [table.column_index[name] for name in names]
     accs = [MomentAccumulator(capacity=window) for _ in names]
+    # A window's label is that of its last row, so the output is a table
+    # that induce, baseline and detect read as they read their input.
+    labels = table.labels
     with _output(args.output) as out:
         writer = csv.writer(out)
-        header = ["sample_index"]
-        for name in names:
-            header += [f"{name}_mean", f"{name}_variance", f"{name}_skewness", f"{name}_kurtosis"]
-        writer.writerow(header)
+        header = [f"{name}_{moment}" for name in names
+                  for moment in ("mean", "variance", "skewness", "kurtosis")]
+        writer.writerow(header if labels is None else [*header, cfg.label_column])
         for i, row in enumerate(table.X):
             for acc, j in zip(accs, columns):
                 acc.push(row[j])
             if i + 1 >= window:  # the accumulators fill in lockstep
-                writer.writerow([i, *(m for acc in accs for m in acc.query())])
+                moments = [m for acc in accs for m in acc.query()]
+                writer.writerow(moments if labels is None else [*moments, labels[i]])
     return EXIT_OK
 
 
@@ -328,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="training CSV")
     p.add_argument("--rules", required=True)
     p.add_argument("-o", "--output", default="baseline.json")
-    _add_config_flags(p, "seed", "n_s", "n_tr", "n_op", "mode", "sigma_floor", "label_column")
+    _add_config_flags(p, "seed", "n_s", "n_tr", "n_op", "mode", "label_column")
     p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser("detect", help="score operational data against a baseline")
@@ -356,10 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", default=None, help="feature shifts POS:DELTA[,POS:DELTA...]")
     p.add_argument("--format", choices=("json-document", "csv"), default="json-document")
     p.add_argument("-o", "--output", default=None, help="summary (default stdout)")
-    _add_config_flags(
-        p, "seed", "n_s", "n_tr", "n_op", "mode", "sigma_floor", "label_column",
-        "repetitions", "max_depth", "min_leaf",
-    )
+    _add_config_flags(p, "seed", "n_s", "n_tr", "n_op", "mode", "label_column",
+                      "repetitions", "max_depth", "min_leaf")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("featurize", help="rolling moment features over CSV columns")

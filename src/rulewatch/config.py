@@ -5,6 +5,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import DataError
+from .detection import Baselines, group_baseline, single_split_baseline
+from .histogram import HitMatrix
+from .metrics import SIGMA_FLOOR_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -21,7 +24,6 @@ class RunConfig:
     n_tr: int = 50
     n_op: int | None = None
     seed: int = 0
-    sigma_floor: float = 1e-6
     metrics: tuple[str, ...] | None = None
     label_column: str = "label"
     stride: int = 1
@@ -51,7 +53,16 @@ class RunConfig:
                 value = list(value)
             out[f.name] = value
         out["n_op"] = self.resolved_n_op
+        out["sigma_floor"] = SIGMA_FLOOR_DEFAULT  # the one floor of every group bank
         return out
+
+    def build_baseline(
+        self, training: HitMatrix, config: dict | None = None, fingerprint: str = ""
+    ) -> Baselines:
+        """The baseline ``mode`` names: groups of ``resolved_n_op`` splits, or single splits."""
+        if self.mode == "single":
+            return single_split_baseline(training, config=config, fingerprint=fingerprint)
+        return group_baseline(training, self.resolved_n_op, config=config, fingerprint=fingerprint)
 
 
 def metric_list(raw: str) -> tuple[str, ...]:
@@ -68,7 +79,6 @@ CONFIG_FLAGS = {
     "n_op": ("--nop", {"type": int, "help": "number of operational splits"}),
     "mode": ("--mode", {"choices": ("single", "group")}),
     "stride": ("--stride", {"type": int, "help": "detection tick stride"}),
-    "sigma_floor": ("--sigma-floor", {"type": float}),
     "label_column": ("--label-column", {}),
     "metrics": ("--metrics", {"type": metric_list, "help": "comma list, e.g. wmi,l1,l2"}),
     "repetitions": ("--repetitions", {"type": int}),

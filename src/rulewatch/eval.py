@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .detection import DetectionReport, detect, group_baseline, single_split_baseline
+from .detection import DetectionReport, detect
 from .histogram import hit_matrix, make_splits, operational_splits
 from .inducer import induce_ruleset
 from .rules import Ruleset
@@ -53,6 +53,14 @@ class EvalSummary:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
+    def to_csv(self) -> str:
+        """``key,value`` lines: the rates, the repetitions and the mode."""
+        lines = ["key,value", f"fpr,{self.fpr}", f"fnr,{self.fnr}",
+                 f"repetitions,{self.repetitions}", f"mode,{self.mode}"]
+        lines += [f"fp_rate_{k},{v}" for k, v in self.per_metric_fp_rates.items()]
+        lines += [f"detect_rate_{k},{v}" for k, v in self.per_metric_detect_rates.items()]
+        return "\n".join(lines) + "\n"
+
 
 def _induce(in_source, cfg: RunConfig, rng: np.random.Generator) -> Ruleset:
     # Dedicated inducer sample: keeps tree adaptation noise out of the
@@ -77,12 +85,7 @@ def _run_repetition(
     train_table = in_source.sample(cfg.n_tr * cfg.n_s, rng)
     splits = make_splits(train_table, cfg.n_s, cfg.n_tr, seed=int(rng.integers(2**31)))
     training = hit_matrix(ruleset, train_table, splits)
-    if cfg.mode == "single":
-        base = single_split_baseline(training, config={"n_s": cfg.n_s})
-    else:
-        base = group_baseline(
-            training, cfg.resolved_n_op, sigma_floor=cfg.sigma_floor, config={"n_s": cfg.n_s}
-        )
+    base = cfg.build_baseline(training, config={"n_s": cfg.n_s})
     reports = []
     for source in (in_source, ood_source):
         op_table = source.sample(base.n_op * cfg.n_s, rng)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -181,10 +181,20 @@ def predict_tree(tree: TreeNode, sample: Mapping[str, float]) -> str:
     return node.label
 
 
+def _leaf_paths(
+    node: TreeNode, path: tuple[Condition, ...] = ()
+) -> Iterator[tuple[tuple[Condition, ...], TreeLeaf]]:
+    """Each leaf, left to right, with its path: ``feature <= t`` left, ``feature > t`` right."""
+    if isinstance(node, TreeLeaf):
+        yield path, node
+        return
+    yield from _leaf_paths(node.left, path + (Condition(node.feature, "<=", node.threshold),))
+    yield from _leaf_paths(node.right, path + (Condition(node.feature, ">", node.threshold),))
+
+
 def tree_to_rules(tree: TreeNode) -> Ruleset:
     """One rule per leaf: the conjunction of path conditions, left to right.
 
-    A left edge contributes ``feature <= t``, a right edge ``feature > t``.
     A tree with no split would yield an empty premise, which the rule model
     forbids, so it is rejected.
     """
@@ -192,17 +202,10 @@ def tree_to_rules(tree: TreeNode) -> Ruleset:
         raise InducerError(
             "tree has no splits; a single always-true rule cannot be expressed"
         )
-    rules: list[Rule] = []
-
-    def walk(node: TreeNode, path: tuple[Condition, ...]) -> None:
-        if isinstance(node, TreeLeaf):
-            rules.append(Rule(id=len(rules) + 1, premise=path, consequence=node.label))
-            return
-        walk(node.left, path + (Condition(node.feature, "<=", node.threshold),))
-        walk(node.right, path + (Condition(node.feature, ">", node.threshold),))
-
-    walk(tree, ())
-    return Ruleset(tuple(rules))
+    return Ruleset(tuple(
+        Rule(id=j, premise=path, consequence=leaf.label)
+        for j, (path, leaf) in enumerate(_leaf_paths(tree), start=1)
+    ))
 
 
 def induce_ruleset(
@@ -227,9 +230,9 @@ def induce_ruleset(
                 RuleQualityWarning,
                 stacklevel=2,
             )
-        mask = ruleset.hit_mask_table(dataset.X, dataset.columns)
-        rates = mask.mean(axis=0)
-        near_universal = [i + 1 for i, r in enumerate(rates) if r > 0.9]
+        # A rule holds for exactly its leaf's training rows.
+        supports = [leaf.support for _, leaf in _leaf_paths(tree)]
+        near_universal = [j + 1 for j, s in enumerate(supports) if s / dataset.n_rows > 0.9]
         if near_universal:
             warnings.warn(
                 f"rules {near_universal} are satisfied by >90% of training samples; "

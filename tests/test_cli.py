@@ -17,7 +17,7 @@ from rulewatch.data import DataError
 from rulewatch.detection import BaselineBundle
 from rulewatch.rules import parse_ruleset
 from rulewatch.streaming import StreamMonitor
-from rulewatch.synth import RuleAlignedSource
+from rulewatch.synth import GaussianMixtureSource, RuleAlignedSource
 
 
 @pytest.fixture
@@ -395,10 +395,33 @@ def test_featurize_rolling_moments(workdir, tmp_path, capsys):
     ])
     assert rc == 0
     rows = list(csv.reader((tmp_path / "features.csv").read_text().splitlines()))
-    assert rows[0][:5] == ["sample_index", "x1_mean", "x1_variance", "x1_skewness", "x1_kurtosis"]
+    assert rows[0][:4] == ["x1_mean", "x1_variance", "x1_skewness", "x1_kurtosis"]
     assert len(rows) - 1 == 400 - 50 + 1
     first = [float(v) for v in rows[1]]
-    assert 0.3 < first[1] < 0.7  # uniform [0,1] mean
+    assert 0.3 < first[0] < 0.7  # uniform [0,1] mean
+
+
+def test_featurize_output_feeds_induce_and_baseline(tmp_path, capsys):
+    # Labelled demo-style data: featurize carries each window's label (that
+    # of its last row) as the last column, so induce and baseline read the
+    # moment table as they read raw data.
+    source = GaussianMixtureSource(n_features=6, informative=(0, 1, 2, 3), class_sep=1.5)
+    raw = source.sample(3000, np.random.default_rng(8))
+    raw.to_csv(tmp_path / "train.csv")
+    features = tmp_path / "features.csv"
+    assert main(["featurize", str(tmp_path / "train.csv"), "--window", "20",
+                 "--columns", "x1,x2", "-o", str(features)]) == 0
+    rows = list(csv.reader(features.read_text().splitlines()))
+    assert rows[0] == [f"{x}_{m}" for x in ("x1", "x2")
+                       for m in ("mean", "variance", "skewness", "kurtosis")] + ["label"]
+    assert [r[-1] for r in rows[1:]] == list(raw.labels[19:])
+    rules = tmp_path / "rules.txt"
+    assert main(["induce", str(features), "-o", str(rules),
+                 "--max-depth", "3", "--min-leaf", "50"]) == 0
+    assert "_mean" in rules.read_text() or "_variance" in rules.read_text()
+    assert main(["baseline", str(features), "--rules", str(rules), "-o", str(tmp_path / "b.json"),
+                 "--ns", "200", "--ntr", "10", "--seed", "1"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_featurize_unknown_column(workdir):
@@ -437,10 +460,10 @@ def _subparsers():
     [
         ("induce", {"--config", "--label-column", "--max-depth", "--min-leaf"}),
         ("baseline", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode",
-                      "--sigma-floor", "--label-column"}),
+                      "--label-column"}),
         ("detect", {"--config", "--label-column", "--metrics"}),
         ("stream", {"--config", "--ns", "--stride", "--metrics"}),
-        ("eval", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode", "--sigma-floor",
+        ("eval", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode",
                   "--label-column", "--repetitions", "--max-depth", "--min-leaf"}),
         ("featurize", {"--config", "--label-column"}),
     ],
@@ -483,6 +506,19 @@ def test_unknown_or_unread_flag_is_a_usage_error(command, flag, capsys):
         main([*_VALID_ARGS[command], *flag])
     assert exc.value.code == 1
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["baseline", "eval"])
+def test_sigma_floor_is_neither_a_flag_nor_a_config_key(tmp_path, capsys, command):
+    # Every group bank is fitted with one fixed floor; baselines record it.
+    with pytest.raises(SystemExit) as exc:
+        main([*_VALID_ARGS[command], "--sigma-floor", "1e-3"])
+    assert exc.value.code == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_floor = 1e-6\n")
+    capsys.readouterr()
+    assert main([*_VALID_ARGS[command], "--config", str(cfg)]) == 1
+    assert "unknown config key 'sigma_floor'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"], ["eval", "--help"]])
@@ -578,6 +614,25 @@ def test_stream_tick_rows_keep_their_columns(workdir, tmp_path, mode_args, metri
     indices = [int(r[0]) for r in rows[1:]]
     assert indices == sorted(indices) and indices[-1] == 399  # the last of 400 rows
     assert len(rows) - 1 == len(set(indices)) * metrics
+
+
+@pytest.mark.parametrize("mode_args, unit_rows", [((), 250), (_GROUP_ARGS, 300)])
+def test_detect_csv_body_is_the_stream_tick_on_one_unit(workdir, tmp_path, capsys,
+                                                         mode_args, unit_rows):
+    # A file of exactly one unit (n_s rows, n_op * n_s in group mode) gives
+    # stream a single tick, at its last row, on the unit detect scores.
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    lines = (workdir / "op_out.csv").read_text().splitlines(keepends=True)
+    unit = workdir / "unit.csv"
+    unit.write_text("".join(lines[: unit_rows + 1]))
+    common = ["--rules", str(workdir / "rules.txt"), "--baseline", str(workdir / "base.json")]
+    capsys.readouterr()
+    assert main(["detect", str(unit), *common, "--format", "csv"]) in (0, 3)
+    detected = capsys.readouterr().out.splitlines()
+    assert main(["stream", str(unit), *common, "-o", str(tmp_path / "ticks.csv")]) == 0
+    streamed = (tmp_path / "ticks.csv").read_text().splitlines()
+    assert len(detected) == len(streamed) == 4
+    assert streamed[1:] == [f"{unit_rows - 1},{line}" for line in detected[1:]]
 
 
 # -- input policies ---------------------------------------------------------------

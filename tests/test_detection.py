@@ -38,7 +38,7 @@ from rulewatch.detection import (
     calibrated_rbi_interval,
     strict_majority,
 )
-from rulewatch.metrics import lp_norm
+from rulewatch.metrics import lp_norm, rule_based_information_batch
 from tests.conftest import histograms, random_histogram, stack
 from tests.test_metrics import oracle_fit, oracle_rbi
 
@@ -264,7 +264,7 @@ def test_group_baseline_matches_hand_loo_oracle(rng):
     # ROTATIONS seeded partitions of all 6 columns into 3 reference + 2 group
     tr1 = [random_histogram(rng, 2, 30) for _ in range(3)]
     tr2 = [random_histogram(rng, 2, 30) for _ in range(3)]
-    base = group_baseline(stack(tuple(tr1 + tr2)), 2, sigma_floor=1e-6)
+    base = group_baseline(stack(tuple(tr1 + tr2)), 2)
 
     def rbi(group, ref):
         rows = [(h.counts / h.split_size).tolist() for h in group]
@@ -292,7 +292,7 @@ def test_detect_group_rbi_equals_loo_row_bit_for_bit(rng):
     tr2 = [random_histogram(rng, 4, 40) for _ in range(4)]
     training = stack(tuple(tr1 + tr2))
     base = group_baseline(training, 3)
-    loo, _ = _calibration_scores(training.counts / 40, len(tr1), 1e-6)
+    loo, _ = _calibration_scores(training.counts / 40, len(tr1))
     for m in range(len(tr2)):
         fold = [tr2[i] for i in range(len(tr2)) if i != m]
         report = detect_group(training, stack(fold), base)
@@ -305,7 +305,7 @@ def test_reloaded_bundle_scores_every_loo_fold_bit_for_bit(rng):
     bundle = BaselineBundle.from_document(built.to_document())
     k = bundle.training.n_splits - bundle.baselines.config["n_op"] - 1
     assert k == 5
-    loo, _ = _calibration_scores(training.counts / 40, k, 1e-6)
+    loo, _ = _calibration_scores(training.counts / 40, k)
     tr2 = histograms(bundle.training)[k:]
     for m in range(len(tr2)):
         fold = [h for i, h in enumerate(tr2) if i != m]
@@ -399,6 +399,26 @@ def test_detect_group_far_shift_is_ood(rng):
     rbi_value = report.per_metric["rbi"].values[0]
     assert rbi_value < base.rbi[0]
     assert report.per_metric["l1"].flag
+    # rbi >= 0, so its distance below the envelope is at most lo / width
+    lo, hi = base.rbi
+    assert report.per_metric["rbi"].normalized_distance <= lo / max(hi - lo, sys.float_info.epsilon)
+
+
+def test_a_baseline_recording_another_sigma_floor_scores_with_it(rng):
+    # New baselines all record the fixed floor; detection reads the one a
+    # baseline records, so a baseline built with another floor scores as built.
+    m9 = stack(tuple(random_histogram(rng, 4, 40) for _ in range(9)))
+    doc = json.loads(BaselineBundle(group_baseline(m9, 3), m9).to_document())
+    assert doc["config"]["sigma_floor"] == 1e-6
+    doc["config"]["sigma_floor"] = 0.5
+    base = BaselineBundle.from_document(json.dumps(doc)).baselines
+    group = stack(histograms(m9)[6:])
+    rbi = detect_group(m9, group, base).per_metric["rbi"].values
+    expected = rule_based_information_batch(
+        (group.counts / 40)[None], (m9.counts[:5] / 40)[None], 0.5
+    )
+    assert rbi == tuple(expected.tolist())
+    assert rbi != detect_group(m9, group, group_baseline(m9, 3)).per_metric["rbi"].values
 
 
 def test_group_norms_match_explicit_pair_loops(rng):

@@ -10,6 +10,7 @@ from rulewatch import (
     DataTable,
     InducerError,
     RuleQualityWarning,
+    Ruleset,
     induce_ruleset,
     parse_ruleset,
     ruleset_hits,
@@ -171,6 +172,28 @@ def test_quality_warnings():
     y = [str(int(v > 0)) for v in X[:, 0]]
     with pytest.warns(RuleQualityWarning, match="rules"):
         induce_ruleset(_table(X, y), max_depth=1, min_leaf=5)
+
+
+def test_near_universal_check_reads_leaf_supports():
+    # Rule 1's leaf holds 95 of 100 rows; the check finds it without
+    # evaluating a rule over the training table.
+    table = _table([[float(i)] for i in range(100)], [0] * 95 + [1] * 5)
+    with mock.patch.object(Ruleset, "hit_mask_table", side_effect=AssertionError("evaluated")):
+        with pytest.warns(RuleQualityWarning) as record:
+            rs = induce_ruleset(table, max_depth=1, min_leaf=1)
+    assert any("rules [1] are satisfied by >90%" in str(w.message) for w in record)
+    assert rs.hit_mask_table(table.X, table.columns).mean(axis=0).tolist() == [0.95, 0.05]
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_leaf_support_share_is_the_rule_hit_rate(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, size=(997, 4))
+    y = [str(int(a > 0) + int(b > 0.5)) for a, b in X[:, :2]]
+    table = _table(X, y)
+    tree = induce_tree(table, max_depth=5, min_leaf=3)
+    rates = tree_to_rules(tree).hit_mask_table(table.X, table.columns).mean(axis=0)
+    assert [leaf.support / 997 for _, leaf in inducer._leaf_paths(tree)] == rates.tolist()
 
 
 def test_min_leaf_respected():
