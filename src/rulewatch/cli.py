@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import sys
 import warnings
 from contextlib import nullcontext
@@ -145,22 +147,26 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OOD if report.is_ood else EXIT_OK
 
 
-def _iter_stream_records(source: str) -> Iterator[dict[str, float | str]]:
+def _iter_stream_records(source: str, names: Sequence[str]) -> Iterator[dict[str, float | str]]:
     """One record per data row of ``source`` (``-``: stdin), read as it is asked for.
 
-    A cell that is not a number rides along as text: an error only where a
-    rule reads it.
+    A record holds only the columns in ``names`` that the header has (the
+    last of a name the header repeats); no other cell is converted. A cell
+    that is not a number rides along as text: an error only where a rule
+    reads it, as is a name the header lacks.
     """
     with nullcontext(sys.stdin) if source == "-" else open(source, newline="") as fh:
         rows = read_csv_rows(fh, source)
         _, header = next(rows)
+        position = {name: i for i, name in enumerate(header)}
+        columns = [(name, position[name]) for name in names if name in position]
         for _, cells in rows:
             record: dict[str, float | str] = {}
-            for name, cell in zip(header, cells):
+            for name, i in columns:
                 try:
-                    record[name] = float(cell)
+                    record[name] = float(cells[i])
                 except ValueError:
-                    record[name] = cell
+                    record[name] = cells[i]
             yield record
 
 
@@ -177,7 +183,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     with _output(args.output) as out:
         csv.writer(out).writerow(("sample_index", *DetectionReport.CSV_HEADER))
-        for index, record in enumerate(_iter_stream_records(args.source)):
+        for index, record in enumerate(_iter_stream_records(args.source, ruleset.feature_names)):
             tick = monitor.push(record)
             if tick is not None:
                 # csv.writer never quotes an int: the line it writes for (index, *row)
@@ -349,7 +355,35 @@ def _relay_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 4 MiB for this process.
+
+    glibc raises the threshold to the size of each large block freed, so a
+    later table of that size goes into whatever free heap space earlier
+    work left, or grows the heap past it: the memory a command touches, and
+    the peak resident size of a process that runs several commands, then
+    depend on what ran before (a 250k-row ``baseline`` after other commands
+    peaked either about 65 MB or about 80 MB). With the threshold fixed, a
+    table that size (12 MB) always gets its own mapping, returned to the
+    system when it is freed, while per-request buffers (a 5000-row
+    ``detect`` table, an ``eval`` repetition's data) stay in the heap for
+    reuse: at glibc's 128 KiB default, mapping those afresh made ``eval``
+    calls slower. Fixing the mmap threshold also fixes the trim threshold,
+    so that is set to 64 MiB, the most glibc would raise it to; trimming
+    the heap top at every 128 KiB free made ``eval`` 25% slower.
+    Elsewhere than glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _fix_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

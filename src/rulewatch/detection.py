@@ -102,11 +102,6 @@ class FingerprintMismatchError(DetectionError):
     """Baseline was built under a different ruleset or configuration."""
 
 
-def strict_majority(flags: Sequence[bool]) -> bool:
-    """True iff strictly more than half the flags are set; ties read false."""
-    return _majority(sum(bool(f) for f in flags), len(flags))
-
-
 def _majority(votes_out: int, votes_total: int) -> bool:
     if votes_total == 0:
         raise DetectionError("majority of an empty flag list is undefined")

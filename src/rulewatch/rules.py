@@ -23,8 +23,9 @@ bounds ``lo <= v <= hi``, compiled once per ruleset (``Ruleset.bounds``);
 float64. A single sample goes through a per-feature lookup compiled from
 those bounds on the first ``ruleset_hits`` call: each value is placed among
 its feature's sorted pair ends by two bisections, which index a bitmask of
-the rules that hold there, and the hits are the AND of one bitmask per
-feature. Before any rule runs, the input must hold every feature some rule
+the rules that hold there, and the sample's hits are the AND of one
+bitmask per feature, returned as that one int (bit ``j - 1`` for rule
+``j``). Before any rule runs, the input must hold every feature some rule
 uses (else ``MissingFeatureError``) as a non-NaN, non-bool number (else
 ``NonNumericValueError``); other fields are ignored. Each value is
 compared as ``float(value)``, the float64 a table would hold.
@@ -194,8 +195,8 @@ class Ruleset:
         return arrays
 
     @cached_property
-    def _sample_lookup(self) -> tuple[tuple[tuple[str, list[float], list[int]], ...], int, int]:
-        """``bounds`` compiled for one sample: ``(features, all_rules, n_rules)``.
+    def _sample_lookup(self) -> tuple[tuple[tuple[str, list[float], list[int]], ...], int]:
+        """``bounds`` compiled for one sample: ``(features, all_rules)``.
 
         Built on the first ``ruleset_hits`` call, in plain Python. Each
         feature gets ``(name, edges, masks)``: ``edges`` are the sorted
@@ -226,7 +227,7 @@ class Ruleset:
                 for code in range(2 * position[rule_lo] + 1, 2 * position[rule_hi] + 2):
                     masks[code] |= 1 << j
             features.append((name, edges, masks))
-        return tuple(features), all_rules, self.n_rules
+        return tuple(features), all_rules
 
     def hit_mask_table(self, X: np.ndarray, columns: Sequence[str]) -> np.ndarray:
         """Boolean hit table of shape (n_samples, n_rules) for a feature matrix."""
@@ -262,34 +263,34 @@ def _hits(V: np.ndarray, gather: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     return out.T
 
 
-def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> list[bool]:
-    """Per-rule premise hits of one sample (consequences are ignored); any number may hit."""
-    features, hits, n_rules = ruleset._sample_lookup
+# What a sample value may be; a bool is an int but no number here.
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> int:
+    """Per-rule premise hits of one sample as a bitmask: bit ``j - 1`` is set iff rule ``j`` hits.
+
+    Consequences are ignored; any number of rules may hit.
+    """
+    features, hits = ruleset._sample_lookup
     nan = None
     for name, edges, masks in features:
         try:
             value = sample[name]
         except KeyError:
             raise MissingFeatureError(f"sample is missing feature {name!r}") from None
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise NonNumericValueError(f"feature {name!r} has non-numeric value {value!r}")
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+                raise NonNumericValueError(f"feature {name!r} has non-numeric value {value!r}")
+            value = float(value)
         if value != value:  # NaN, and only NaN, differs from itself
             if nan is None:
                 nan = name
             continue
-        value = float(value)
         hits &= masks[bisect_left(edges, value) + bisect_right(edges, value)]
     if nan is not None:
         raise NonNumericValueError(f"feature {nan!r} is NaN")
-    bits: list[bool] = []
-    for byte in hits.to_bytes((n_rules + 7) // 8, "little"):
-        bits += _BYTE_BITS[byte]
-    del bits[n_rules:]
-    return bits
-
-
-# The 8 bits of each byte value, least significant first.
-_BYTE_BITS = tuple(tuple(bool(byte >> i & 1) for i in range(8)) for byte in range(256))
+    return hits
 
 
 # ---------------------------------------------------------------------------

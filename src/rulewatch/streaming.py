@@ -1,7 +1,8 @@
 """Incremental groupwise operation over sample streams.
 
-The window stores one hit mask per retained sample, not the sample itself,
-so evicting the oldest sample and admitting a new one both cost O(n_rules)
+The window stores one hit mask per retained sample (the int
+``ruleset_hits`` returns), not the sample itself, so evicting the oldest
+sample and admitting a new one both cost at most O(n_rules)
 regardless of window length; the running counts are integer-exact equal to
 a batch recount of the retained samples at every tick. Single-split ticks
 score the window through a ``SplitScorer`` kept beside it, which moves its
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,10 +61,12 @@ class WindowSizeMismatchWarning(UserWarning):
 class SlidingHitWindow:
     """Ring buffer of per-sample hit masks with exact running counts.
 
-    Each slot holds its sample's mask as ``bytes`` (one 0/1 byte per rule),
-    so a push that admits the mask it evicts costs one bytes comparison and
-    leaves the counts alone; a push that moves them reads both masks as
-    bool arrays (``np.frombuffer``, no copy).
+    Each slot holds its sample's mask as the int ``ruleset_hits`` returns
+    (bit ``j - 1`` for rule ``j``; 0 in a slot not yet filled), so a push
+    that admits the mask it evicts costs one int comparison and leaves the
+    counts alone; a push that moves them adds one to the count of each rule
+    only the admitted mask holds and takes one from each rule only the
+    evicted mask holds.
     """
 
     def __init__(self, ruleset: Ruleset, capacity: int):
@@ -72,7 +75,7 @@ class SlidingHitWindow:
         self._ruleset = ruleset
         self._capacity = capacity
         self._n_rules = ruleset.n_rules
-        self._masks: list[bytes] = [b""] * capacity
+        self._masks: list[int] = [0] * capacity
         self._counts = np.zeros(self._n_rules, dtype=np.int64)
         self._head = 0
         self._fill = 0
@@ -102,17 +105,19 @@ class SlidingHitWindow:
         the admitted one keeps its counts and returns False. ``histogram``
         reads the counts.
         """
-        mask = bytes(ruleset_hits(self._ruleset, sample))
+        mask = ruleset_hits(self._ruleset, sample)
+        evicted = self._masks[self._head]
         if self._fill < self._capacity:
             self._fill += 1
-            self._counts += np.frombuffer(mask, dtype=bool)
             moved = True
         else:
-            evicted = self._masks[self._head]
             moved = evicted != mask
-            if moved:
-                self._counts -= np.frombuffer(evicted, dtype=bool)
-                self._counts += np.frombuffer(mask, dtype=bool)
+        if evicted != mask:
+            counts = self._counts
+            for j in _set_bits(mask & ~evicted):
+                counts[j] += 1
+            for j in _set_bits(evicted & ~mask):
+                counts[j] -= 1
         self._masks[self._head] = mask
         self._head = (self._head + 1) % self._capacity
         return moved
@@ -142,6 +147,14 @@ class SlidingHitWindow:
         if self._fill == 0:
             raise StreamStateError("window is empty; no histogram yet")
         return self.scorer(training).score(self._counts, self._fill)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a non-negative ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def stream_detect(

@@ -32,3 +32,9 @@ def stack(histograms):
 def histograms(matrix):
     """The rows of ``matrix`` as histograms, in order."""
     return [HitHistogram(row, matrix.split_size) for row in matrix.counts]
+
+
+def hit_bits(mask, n_rules):
+    """``ruleset_hits``' bitmask as one bool per rule, rule 1 first; no bit beyond the rules."""
+    assert type(mask) is int and 0 <= mask < 1 << n_rules, mask
+    return [bool(mask >> j & 1) for j in range(n_rules)]

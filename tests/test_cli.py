@@ -864,3 +864,139 @@ def test_bad_input_exits_1_with_an_error_line(workdir, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == "" and not (workdir / "ticks.csv").exists()
+
+
+# -- the stream's record policy -------------------------------------------------
+# stream builds each record from the columns the rules read; a cell no rule
+# reads is never converted, and the output is what a record of every column
+# gave.
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _stream_stdout(workdir, capsys, name, rows):
+    """(exit code, stdout, stderr) of ``stream`` over ``rows`` written as a CSV file."""
+    (workdir / name).write_text(_csv_text(rows))
+    capsys.readouterr()
+    rc = main(["stream", str(workdir / name), "--rules", str(workdir / "rules.txt"),
+               "--baseline", str(workdir / "base.json")])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+_TICK_HEADER = "sample_index," + ",".join(_REPORT_COLUMNS) + "\r\n"
+
+
+@pytest.mark.parametrize("case", [
+    "text-in-unread-columns", "text-in-a-read-column", "repeated-name",
+    "missing-read-feature", "missing-read-feature-header-only",
+])
+def test_stream_record_policy(workdir, capsys, case):
+    # The rules read x1, x2 and x3; label and note are read by none.
+    assert main(_baseline_args(workdir)) == 0
+    rows = list(csv.reader((workdir / "op_in.csv").read_text().splitlines()))
+    header, body = rows[0], rows[1:]
+    assert header == ["x1", "x2", "x3", "label"]
+    clean = _stream_stdout(workdir, capsys, "clean.csv", rows)
+    assert clean[0] == 0 and clean[2] == "" and clean[1].count("\n") == 1 + 151 * 3
+    if case == "text-in-unread-columns":
+        edited = [header + ["note"]] + [[*r[:3], "n/a", "x y"] for r in body]
+        expected = clean
+    elif case == "text-in-a-read-column":
+        edited = [header] + [[*r[:1], "high", *r[2:]] if i == 299 else r
+                             for i, r in enumerate(body)]
+        kept = [line for line in clean[1].splitlines(keepends=True)[1:]
+                if int(line.split(",", 1)[0]) < 299]
+        expected = (1, _TICK_HEADER + "".join(kept),
+                    "error: feature 'x2' has non-numeric value 'high'\n")
+    elif case == "repeated-name":
+        # The last x2 column wins, as a dict built over the header would have it.
+        edited = [header + ["x2"]] + [r + [r[0]] for r in body]
+        expected = _stream_stdout(workdir, capsys, "last.csv",
+                                  [header] + [[r[0], r[0], *r[2:]] for r in body])
+        assert expected[0] == 0 and expected[1] != clean[1]
+    elif case == "missing-read-feature":
+        edited = [["x1", "x2", "label"]] + [[r[0], r[1], r[3]] for r in body]
+        expected = (1, _TICK_HEADER, "error: sample is missing feature 'x3'\n")
+    else:
+        edited = [["x1", "x2", "label"]]
+        expected = (0, _TICK_HEADER, "")
+    assert _stream_stdout(workdir, capsys, "edited.csv", edited) == expected
+
+
+class _WriteLog:
+    """Stand-in stdout that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("mode_args", [(), _GROUP_ARGS])
+def test_stream_writes_each_tick_row_with_its_own_write(workdir, tmp_path, monkeypatch,
+                                                        mode_args):
+    # A reader that takes stdout write by write (a timing harness stamping
+    # each write, say) parses every write as one CSV row, so a tick's rows
+    # must not share a write.
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    common = ["--rules", str(workdir / "rules.txt"), "--baseline", str(workdir / "base.json")]
+    ticks = tmp_path / "ticks.csv"
+    assert main(["stream", str(workdir / "op_in.csv"), *common, "-o", str(ticks)]) == 0
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdin", io.StringIO((workdir / "op_in.csv").read_text()))
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["stream", "-", *common]) == 0
+    monkeypatch.undo()
+    assert len(log.writes) > 1
+    assert all(text.endswith("\r\n") and text.count("\n") == 1 for text in log.writes)
+    assert all(len(list(csv.reader([text]))) == 1 for text in log.writes)
+    assert "".join(log.writes).encode() == ticks.read_bytes()
+
+
+_MMAP_PROBE = """
+import ctypes
+import numpy as np
+from rulewatch.cli import main
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    raise SystemExit(print("no mallinfo2"))
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc.mallinfo2.restype = MallInfo2
+main(["featurize", "missing.csv", "--window", "4"])
+big = np.ones(2 << 20)  # 16 MB, over any threshold: its own mapping
+del big  # glibc alone would now raise its threshold to 16 MB
+before = libc.mallinfo2().hblks
+table = np.ones(6 << 17)  # 6 MB
+print(libc.mallinfo2().hblks - before)
+small = [np.ones(1 << 13) for _ in range(64)]  # 4 MB of 64 KiB heap blocks
+grown = libc.mallinfo2().arena
+del small
+print(libc.mallinfo2().arena == grown)  # the freed heap top is kept for reuse
+"""
+
+
+def test_a_freed_large_buffer_leaves_later_ones_their_own_mapping(tmp_path):
+    # Under glibc's moving threshold the 6 MB table would go into the heap,
+    # and where a table lands would depend on what the process freed before.
+    # The heap's free top must still be kept: trimming it at glibc's 128 KiB
+    # default made eval repetitions 25% slower.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _MMAP_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "no mallinfo2":
+        pytest.skip("needs glibc 2.33 or later")
+    assert proc.stdout.split() == ["1", "True"]

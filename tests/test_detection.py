@@ -36,7 +36,6 @@ from rulewatch.detection import (
     _calibration_scores,
     _metric_report,
     calibrated_rbi_interval,
-    strict_majority,
 )
 from rulewatch.metrics import lp_norm, rule_based_information_batch
 from tests.conftest import histograms, random_histogram, stack
@@ -48,7 +47,16 @@ def _matrix(rng, n_tr=6, n_rules=4, n_s=50):
     return stack(cols)
 
 
-# -- majority ----------------------------------------------------------------
+# -- scalar oracle of the report builder -------------------------------------
+# A strict-majority vote over the flags, one membership test and one
+# distance per value, then ``statistics.median``.
+
+def strict_majority(flags):
+    """True iff strictly more than half the flags are set; ties read false."""
+    if not flags:
+        raise DetectionError("majority of an empty flag list is undefined")
+    return 2 * sum(bool(f) for f in flags) > len(flags)
+
 
 def test_strict_majority():
     assert strict_majority([True, True, False]) is True
@@ -57,9 +65,6 @@ def test_strict_majority():
     with pytest.raises(DetectionError):
         strict_majority([])
 
-
-# Scalar oracle of the report builder: one membership test and one
-# distance per value, then ``statistics.median``.
 
 def interval_contains(interval, value):
     lo, hi = interval

@@ -16,6 +16,7 @@ from rulewatch import (
     parse_ruleset,
 )
 from rulewatch.histogram import operational_splits
+from tests.conftest import hit_bits
 from tests.test_rules import rulesets
 
 
@@ -81,7 +82,7 @@ def test_hit_histogram_matches_double_loop(rng):
 
     expected = [0] * rs.n_rules
     for i in range(50):
-        mask = ruleset_hits(rs, {"x1": X[i, 0], "x2": X[i, 1]})
+        mask = hit_bits(ruleset_hits(rs, {"x1": X[i, 0], "x2": X[i, 1]}), rs.n_rules)
         for j, bit in enumerate(mask):
             expected[j] += int(bit)
     assert list(h.counts) == expected

@@ -17,6 +17,7 @@ from rulewatch import (
 )
 from rulewatch import inducer
 from rulewatch.inducer import TreeLeaf, TreeSplit, induce_tree, predict_tree, tree_to_rules
+from tests.conftest import hit_bits
 
 
 def _table(X, labels, columns=None):
@@ -137,7 +138,7 @@ def test_rules_partition_space_and_match_tree(seed):
     fresh = rng.normal(0, 1, size=(100, 4))
     for row in fresh:
         sample = {f"x{i + 1}": float(v) for i, v in enumerate(row)}
-        mask = ruleset_hits(rs, sample)
+        mask = hit_bits(ruleset_hits(rs, sample), rs.n_rules)
         assert sum(mask) == 1  # leaves partition the space
         hit_rule = rs.rules[mask.index(True)]
         assert hit_rule.consequence == predict_tree(tree, sample)

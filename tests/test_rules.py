@@ -22,6 +22,7 @@ from rulewatch import (
     ruleset_hits,
 )
 from rulewatch.rules import Interval
+from tests.conftest import hit_bits
 
 
 def test_parse_simple_rule():
@@ -97,9 +98,12 @@ def test_ruleset_requires_a_rule():
 
 
 def test_ruleset_hits_boundaries(two_rule_set):
-    assert ruleset_hits(two_rule_set, {"x1": 3.0, "x2": 0.7})[0] is True
-    assert ruleset_hits(two_rule_set, {"x1": 3.0, "x2": 0.5})[0] is False  # strict >
-    assert ruleset_hits(two_rule_set, {"x1": 3.2, "x2": 0.7})[0] is True   # <= includes boundary
+    def rule_1(sample):
+        return hit_bits(ruleset_hits(two_rule_set, sample), 2)[0]
+
+    assert rule_1({"x1": 3.0, "x2": 0.7}) is True
+    assert rule_1({"x1": 3.0, "x2": 0.5}) is False  # strict >
+    assert rule_1({"x1": 3.2, "x2": 0.7}) is True   # <= includes boundary
 
 
 def test_ruleset_hits_missing_feature(two_rule_set):
@@ -133,19 +137,19 @@ def test_nan_in_a_used_feature_is_rejected(two_rule_set):
 
 def test_hits_ignore_consequence_and_extra_fields(two_rule_set):
     sample = {"x1": 3.0, "x2": 0.7, "label": 999.0}
-    assert ruleset_hits(two_rule_set, sample) == [True, False]
+    assert ruleset_hits(two_rule_set, sample) == 0b01  # rule 1 only
 
 
 def test_mutually_exclusive_rules_hit_at_most_one():
     rs = parse_ruleset("if x1 <= 0 then a\nif x1 > 0 then b\n")
     for v in (-1.0, 0.0, 1.0):
-        assert sum(ruleset_hits(rs, {"x1": v})) == 1
+        assert sum(hit_bits(ruleset_hits(rs, {"x1": v}), 2)) == 1
 
 
 def test_duplicated_rule_gives_equal_bits():
     rs = parse_ruleset("if x1 <= 0.5 then a\nif x1 <= 0.5 then a\n")
     for v in (0.0, 1.0):
-        mask = ruleset_hits(rs, {"x1": v})
+        mask = hit_bits(ruleset_hits(rs, {"x1": v}), 2)
         assert mask[0] == mask[1]
 
 
@@ -249,7 +253,7 @@ def test_hits_match_per_condition_loop(rs, raw_values):
         with pytest.raises(NonNumericValueError):
             ruleset_hits(rs, sample)
         return
-    assert ruleset_hits(rs, sample) == _brute_force_hits(rs, sample)
+    assert hit_bits(ruleset_hits(rs, sample), rs.n_rules) == _brute_force_hits(rs, sample)
 
 
 _SAMPLE_COLUMNS = ("x3", "x1", "x5", "x4", "x2")  # no rule reads x5
@@ -281,7 +285,7 @@ def test_sample_hits_equal_hit_mask_table_rows(rs, rows):
             rs.hit_mask_table(X, _SAMPLE_COLUMNS)
     keep = [i for i in range(len(rows)) if i not in nan_rows]
     table = rs.hit_mask_table(X[keep], _SAMPLE_COLUMNS)
-    assert [ruleset_hits(rs, samples[i]) for i in keep] == table.tolist()
+    assert [hit_bits(ruleset_hits(rs, samples[i]), rs.n_rules) for i in keep] == table.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,8 +304,9 @@ def test_rule_permutation_permutes_mask(rs, raw_values, rand):
         Rule(i + 1, rs.rules[order[i]].premise, rs.rules[order[i]].consequence)
         for i in range(rs.n_rules)
     ))
-    base = ruleset_hits(rs, sample)
-    assert ruleset_hits(permuted, sample) == [base[order[i]] for i in range(rs.n_rules)]
+    base = hit_bits(ruleset_hits(rs, sample), rs.n_rules)
+    permuted_hits = hit_bits(ruleset_hits(permuted, sample), rs.n_rules)
+    assert permuted_hits == [base[order[i]] for i in range(rs.n_rules)]
 
 
 def test_mask_table_matches_per_sample_loop(rng, two_rule_set):
@@ -309,7 +314,7 @@ def test_mask_table_matches_per_sample_loop(rng, two_rule_set):
     table_mask = two_rule_set.hit_mask_table(X, ("x1", "x2"))
     for i in range(40):
         sample = {"x1": X[i, 0], "x2": X[i, 1]}
-        assert list(table_mask[i]) == ruleset_hits(two_rule_set, sample)
+        assert list(table_mask[i]) == hit_bits(ruleset_hits(two_rule_set, sample), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -397,8 +402,7 @@ _MAX = 1.7976931348623157e308
          [math.nextafter(2.0, math.inf), 2.0, 0.0, 0.0])
 def test_sample_lookup_matches_oracle_and_table_row(rs, values):
     sample = dict(zip(_FEATURES, values))
-    hits = ruleset_hits(rs, sample)
-    assert all(type(hit) is bool for hit in hits)
+    hits = hit_bits(ruleset_hits(rs, sample), rs.n_rules)
     assert hits == _brute_force_hits(rs, sample)
     assert hits == rs.hit_mask_table(np.array([values]), _FEATURES)[0].tolist()
 
@@ -413,9 +417,7 @@ def test_sample_lookup_spans_mask_bytes(n_rules):
     for x1 in (-1.0, 0.0, 0.5, n_rules / 2, n_rules - 1.0, float(n_rules)):
         for x2 in (0.0, n_rules / 3, float(n_rules), math.inf):
             sample = {"x1": x1, "x2": x2}
-            hits = ruleset_hits(rs, sample)
-            assert len(hits) == n_rules
-            assert hits == _brute_force_hits(rs, sample)
+            assert hit_bits(ruleset_hits(rs, sample), n_rules) == _brute_force_hits(rs, sample)
 
 
 # Thresholds where float64 rounds integers above 2**53 and float32 values.
@@ -447,7 +449,54 @@ def test_sample_hits_of_ints_and_narrow_floats_equal_hits_of_their_float(rs, val
     as_float = [float(v) for v in values]
     hits = ruleset_hits(rs, sample)
     assert hits == ruleset_hits(rs, dict(zip(_FEATURES, as_float)))
-    assert hits == rs.hit_mask_table(np.array([as_float]), _FEATURES)[0].tolist()
+    table_row = rs.hit_mask_table(np.array([as_float]), _FEATURES)[0]
+    assert hit_bits(hits, rs.n_rules) == table_row.tolist()
+
+
+# A Python float skips the type checks; every other number is checked and
+# compared as float(value), so each must hit exactly where its float does.
+_NUMBERS_OF_EVERY_TYPE = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rulesets(_WIDE_THRESHOLDS, max_conds=4),
+       st.lists(_NUMBERS_OF_EVERY_TYPE, min_size=4, max_size=4))
+@example(parse_ruleset("if x1 <= 0 and x2 > 0.5 then a\nif x3 == 2 and x4 >= -1 then b\n"),
+         [0, np.float32(0.5), np.float64(2.0), np.int64(-1)])
+def test_float_fast_path_hits_like_every_other_number_type(rs, values):
+    sample = dict(zip(_FEATURES, values))
+    as_float = {name: float(v) for name, v in sample.items()}
+    hits = ruleset_hits(rs, sample)
+    assert hits == ruleset_hits(rs, as_float)
+    assert hit_bits(hits, rs.n_rules) == _brute_force_hits(rs, as_float)
+
+
+@pytest.mark.parametrize("x1, x2, error, message", [
+    (3.0, True, NonNumericValueError, "feature 'x2' has non-numeric value True"),
+    (3.0, False, NonNumericValueError, "feature 'x2' has non-numeric value False"),
+    (3.0, "0.7", NonNumericValueError, "feature 'x2' has non-numeric value '0.7'"),
+    (3.0, math.nan, NonNumericValueError, "feature 'x2' is NaN"),
+    (3.0, np.float32("nan"), NonNumericValueError, "feature 'x2' is NaN"),
+    (3.0, np.float64("nan"), NonNumericValueError, "feature 'x2' is NaN"),
+    # A NaN is reported after every feature has been read, so a later
+    # missing or non-numeric feature is the error; the first NaN is named.
+    (math.nan, "high", NonNumericValueError, "feature 'x2' has non-numeric value 'high'"),
+    (math.nan, None, MissingFeatureError, "sample is missing feature 'x2'"),
+    (np.float32("nan"), math.nan, NonNumericValueError, "feature 'x1' is NaN"),
+    ("high", math.nan, NonNumericValueError, "feature 'x1' has non-numeric value 'high'"),
+    (True, None, NonNumericValueError, "feature 'x1' has non-numeric value True"),
+])
+def test_sample_checks_keep_their_order_and_messages(two_rule_set, x1, x2, error, message):
+    sample = {"x1": x1} if x2 is None else {"x1": x1, "x2": x2}
+    with pytest.raises(error) as exc:
+        ruleset_hits(two_rule_set, sample)
+    assert str(exc.value) == message
 
 
 # -- agreement with the token-based parser -----------------------------------

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulewatch import (
     DetectionError,
@@ -26,7 +28,7 @@ from rulewatch.detection import build_report
 from rulewatch.histogram import Split, hit_histogram, hit_matrix, make_splits
 from rulewatch.inducer import induce_ruleset
 from rulewatch.synth import GaussianMixtureSource
-from tests.conftest import random_histogram, stack
+from tests.conftest import hit_bits, random_histogram, stack
 
 RULES = parse_ruleset(
     "if x1 <= 0.5 then a\n"
@@ -78,6 +80,38 @@ def test_window_matches_batch_recount_every_push(rng):
         assert h.split_size == expected.split_size
 
 
+def _overlapping_rules(n_rules):
+    # Rule k reads x1 above one of 5 thresholds and x2 below one of 7, so a
+    # sample hits many rules at once and masks span more than 64 bits.
+    return parse_ruleset("".join(
+        f"if x1 > {(k % 5) / 5} and x2 <= {(k % 7 + 1) / 7} then r\n" for k in range(n_rules)
+    ))
+
+
+_GRID = st.sampled_from([0.0, 0.1, 0.2, 0.5, 0.6, 0.9, 1.0])
+
+
+@pytest.mark.parametrize("n_rules", [65, 130])
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 9),
+       points=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=60))
+def test_wide_overlapping_window_equals_batch_recount_after_every_push(n_rules, capacity, points):
+    rules = _overlapping_rules(n_rules)
+    w = SlidingHitWindow(rules, capacity)
+    history = []
+    for x1, x2 in points:
+        before = w.histogram().counts.tolist() if w.fill else None
+        history.append({"x1": x1, "x2": x2})
+        moved = w.push(history[-1])
+        retained = history[-capacity:]
+        expected = hit_histogram(rules, Split(_table(retained)))
+        counts = w.histogram().counts.tolist()
+        assert counts == expected.counts.tolist()
+        assert w.fill == len(retained)
+        # A push moves the window iff it grew or its counts changed.
+        assert moved == (before is None or len(history) <= capacity or counts != before)
+
+
 def test_eviction_removes_exactly_oldest(rng):
     w = SlidingHitWindow(RULES, capacity=8)
     samples = [_record(rng) for _ in range(9)]
@@ -88,8 +122,8 @@ def test_eviction_removes_exactly_oldest(rng):
     after = w.histogram().counts.tolist()
     from rulewatch import ruleset_hits
 
-    oldest = np.array(ruleset_hits(RULES, samples[0]), dtype=int)
-    newest = np.array(ruleset_hits(RULES, samples[8]), dtype=int)
+    oldest = np.array(hit_bits(ruleset_hits(RULES, samples[0]), RULES.n_rules), dtype=int)
+    newest = np.array(hit_bits(ruleset_hits(RULES, samples[8]), RULES.n_rules), dtype=int)
     assert (np.array(before) - oldest + newest).tolist() == after
 
 
