@@ -115,7 +115,8 @@ def _print_intervals(bundle: BaselineBundle) -> None:
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset = parse_ruleset(Path(args.rules).read_text())
-    table = DataTable.from_csv(args.data, cfg.label_column, label_required=False)
+    table = DataTable.from_csv(args.data, cfg.label_column, label_required=False,
+                               columns=ruleset.feature_names)
     training = hit_matrix(ruleset, table, make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed))
     echo = _fingerprint_config(cfg)
     fingerprint = compute_fingerprint(ruleset, echo)
@@ -133,7 +134,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     base, training = bundle.baselines, bundle.training
     # Refuse a bad request before reading a row, as stream does.
     check_request(training, base, base.mode, ruleset.n_rules, base.n_op, cfg.metrics)
-    table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False)
+    table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False,
+                               columns=ruleset.feature_names)
     rows = operational_splits(table, training.split_size, base.n_op)
     if table.n_rows > rows.size:
         warnings.warn(f"scored the first {rows.size} of {table.n_rows} rows; "

@@ -155,14 +155,18 @@ def operational_splits(table: DataTable, n_s: int, count: int) -> np.ndarray:
 
 def hit_histogram(ruleset: Ruleset, split: Split) -> HitHistogram:
     """The hit histogram of one split."""
-    counts = ruleset.hit_mask_table(split.table.X, split.table.columns).sum(axis=0)
+    counts = ruleset.hit_counts(split.table.X, split.table.columns)[0]
     return HitHistogram(counts, split.size)
 
 
 def hit_matrix(ruleset: Ruleset, table: DataTable, splits: np.ndarray) -> HitMatrix:
-    """Hit counts per split, one per row of indices in ``splits``; other rows are never read."""
+    """Hit counts per split, one per row of indices in ``splits``; other rows are never read.
+
+    Every split is counted in one pass through the ruleset's lookup
+    (``Ruleset.hit_counts``); a NaN a rule reads is an error naming its
+    row within the first split that holds one.
+    """
     rows = np.asarray(splits)  # a ragged nested sequence raises ValueError here
     if rows.ndim != 2 or rows.size == 0 or rows.dtype.kind not in "iu":
         raise ValueError(f"splits must be a non-empty 2-D integer array, got {rows.shape}")
-    counts = [ruleset.hit_mask_table(table.X[r], table.columns).sum(axis=0) for r in rows]
-    return HitMatrix(np.array(counts), rows.shape[1])
+    return HitMatrix(ruleset.hit_counts(table.X, table.columns, rows), rows.shape[1])

@@ -16,25 +16,26 @@ or a number; whitespace between tokens is optional. Thresholds are compared
 with exact binary floating-point semantics, so hit counts are deterministic
 for a given ruleset text.
 
-Tables (``Ruleset.hit_mask_table``, through the row-block kernel ``_hits``)
-and single samples (``ruleset_hits``) are evaluated against the same closed
-bounds ``lo <= v <= hi``, compiled once per ruleset (``Ruleset.bounds``);
+Tables (``Ruleset.hit_mask_table``, ``Ruleset.hit_counts``) and single
+samples (``ruleset_hits``) go through one per-feature lookup, compiled once
+per ruleset from the closed bounds ``lo <= v <= hi`` (``Ruleset.bounds``);
 ``v > t`` becomes ``v >= nextafter(t, +inf)``, exact for every non-NaN
-float64. A single sample goes through a per-feature lookup compiled from
-those bounds on the first ``ruleset_hits`` call: each value is placed among
-its feature's sorted pair ends by two bisections, which index a bitmask of
-the rules that hold there, and the sample's hits are the AND of one
-bitmask per feature, returned as that one int (bit ``j - 1`` for rule
-``j``). Before any rule runs, the input must hold every feature some rule
-uses (else ``MissingFeatureError``) as a non-NaN, non-bool number (else
-``NonNumericValueError``); other fields are ignored. Each value is
-compared as ``float(value)``, the float64 a table would hold.
+float64. Each value is coded by where it falls among its feature's sorted
+pair ends, and the code indexes a bitmask of the rules that hold there: a
+row's hits are the AND of one bitmask per feature. A table codes each
+feature column with one ``np.searchsorted`` and ANDs packed uint64 masks;
+a sample bisects Python lists and ANDs Python ints, and its hits are that
+one int (bit ``j - 1`` for rule ``j``). Before any rule runs, the input
+must hold every feature some rule uses (else ``MissingFeatureError``) as a
+non-NaN, non-bool number (else ``NonNumericValueError``); other fields are
+ignored. Each sample value is compared as ``float(value)``, the float64 a
+table would hold.
 """
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -195,72 +196,122 @@ class Ruleset:
         return arrays
 
     @cached_property
-    def _sample_lookup(self) -> tuple[tuple[tuple[str, list[float], list[int]], ...], int]:
-        """``bounds`` compiled for one sample: ``(features, all_rules)``.
+    def _lookup(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``bounds`` compiled per feature, in ``feature_names`` order: ``(probes, masks)``.
 
-        Built on the first ``ruleset_hits`` call, in plain Python. Each
-        feature gets ``(name, edges, masks)``: ``edges`` are the sorted
-        distinct ends of its pairs with -inf and +inf, and a non-NaN ``v``
-        gets the code ``bisect_left(edges, v) + bisect_right(edges, v)``,
-        which is ``2i + 1`` when ``v == edges[i]`` and even between edges.
-        So ``lo <= v <= hi`` iff the code lies in ``[2 index(lo) + 1,
-        2 index(hi) + 1]`` (empty for the pair ``(inf, -inf)``), and
-        ``masks[code]`` sets bit ``j`` for each rule ``j + 1`` whose pair
-        holds there or that does not read the feature. A sample's hits are
-        the AND of one mask per feature, starting from ``all_rules``.
+        A feature's ``edges`` are the sorted distinct ends of its pairs with
+        -inf and +inf. A non-NaN ``v`` gets the code ``bisect_left(edges, v)
+        + bisect_right(edges, v)``, which is ``2i + 1`` when ``v == edges[i]``
+        and even between edges; so ``lo <= v <= hi`` iff the code lies in
+        ``[2 index(lo) + 1, 2 index(hi) + 1]`` (empty for the pair
+        ``(inf, -inf)``). ``probes`` puts ``nextafter(edge, +inf)`` after
+        each edge but +inf, so the code is also the one search
+        ``searchsorted(probes, v, side="right")``. Row ``code`` of ``masks``
+        holds one bit per rule, little-endian in uint64 words (rule ``j + 1``
+        is bit ``j % 64`` of word ``j // 64``), set where the rule's pair
+        holds or where the rule does not read the feature.
         """
-        idx, lo, hi = (a.T.tolist() for a in self.bounds)
-        pairs: list[dict[int, tuple[float, float]]] = [{} for _ in self.feature_names]
-        for j in range(self.n_rules):
-            for f, rule_lo, rule_hi in zip(idx[j], lo[j], hi[j]):
-                pairs[f][j] = (rule_lo, rule_hi)
-        all_rules = (1 << self.n_rules) - 1
-        features = []
-        for name, rule_pairs in zip(self.feature_names, pairs):
-            # A set holds one of -0.0 and 0.0, and a dict finds either by the other.
-            ends = (end for pair in rule_pairs.values() for end in pair)
-            edges = sorted({-math.inf, math.inf, *ends})
-            position = {e: i for i, e in enumerate(edges)}
-            unread = all_rules & ~sum(1 << j for j in rule_pairs)
-            masks = [unread] * (2 * len(edges) + 1)
-            for j, (rule_lo, rule_hi) in rule_pairs.items():
-                for code in range(2 * position[rule_lo] + 1, 2 * position[rule_hi] + 2):
-                    masks[code] |= 1 << j
-            features.append((name, edges, masks))
-        return tuple(features), all_rules
+        idx, lo, hi = self.bounds
+        n_rules = self.n_rules
+        rules = np.arange(n_rules)
+        lookup = []
+        for f in range(len(self.feature_names)):
+            reads = idx == f
+            edges = np.unique(np.concatenate([lo[reads], hi[reads], [-np.inf, np.inf]]))
+            # Every slot of a rule that reads f holds the same merged pair.
+            slot, reader = reads.argmax(axis=0), reads.any(axis=0)
+            first = 2 * np.searchsorted(edges, lo[slot, rules]) + 1
+            last = 2 * np.searchsorted(edges, hi[slot, rules]) + 1
+            codes = np.arange(2 * len(edges) + 1)[:, None]
+            holds = ~reader | ((codes >= first) & (codes <= last))
+            masks = np.zeros((len(codes), -(-n_rules // 64) * 8), dtype=np.uint8)
+            masks[:, : -(-n_rules // 8)] = np.packbits(holds, axis=1, bitorder="little")
+            probes = np.empty(2 * len(edges) - 1)
+            with np.errstate(over="ignore"):  # the largest float's successor is +inf
+                probes[0::2], probes[1::2] = edges, np.nextafter(edges[:-1], np.inf)
+            masks = masks.view("<u8")
+            probes.setflags(write=False)
+            masks.setflags(write=False)
+            lookup.append((probes, masks))
+        return tuple(lookup)
 
-    def hit_mask_table(self, X: np.ndarray, columns: Sequence[str]) -> np.ndarray:
-        """Boolean hit table of shape (n_samples, n_rules) for a feature matrix."""
+    @cached_property
+    def _sample_lookup(self) -> tuple[tuple[tuple[str, list[float], list[int]], ...], int]:
+        """``_lookup`` as Python lists for one sample: ``(features, all_rules)``.
+
+        Each feature gets ``(name, probes, masks)``, each mask one int; a
+        sample's hits are ``all_rules`` ANDed with
+        ``masks[bisect_right(probes, v)]`` for each feature.
+        """
+        features = tuple(
+            (name, probes.tolist(), [int.from_bytes(row.tobytes(), "little") for row in masks])
+            for name, (probes, masks) in zip(self.feature_names, self._lookup)
+        )
+        return features, (1 << self.n_rules) - 1
+
+    def _packed_hits(self, X: np.ndarray, columns: Sequence[str],
+                     splits: np.ndarray | None = None) -> np.ndarray:
+        """Hits of the rows of ``X`` that ``splits`` lists, split by split (all rows when None).
+
+        Returns ``(n, words)`` packed as ``_lookup``'s masks are. Only the
+        listed rows are read. A NaN in a feature some rule reads is an
+        error naming the first such row, by its index within its split, and
+        feature.
+        """
         col_index = {name: i for i, name in enumerate(columns)}
         missing = [name for name in self.feature_names if name not in col_index]
         if missing:
             raise MissingFeatureError(f"feature {missing[0]!r} not in columns {list(columns)}")
-        cols = [col_index[name] for name in self.feature_names]
-        if np.isnan(X).any() and np.isnan(X[:, cols]).any():
-            row, f = np.argwhere(np.isnan(X[:, cols]))[0]
-            raise NonNumericValueError(f"row {row}: feature {self.feature_names[f]!r} is NaN")
-        idx, lo, hi = self.bounds
-        return _hits(X, np.asarray(cols, dtype=np.intp)[idx], lo, hi)
+        rows = None if splits is None else splits.ravel()
+        hits, nan = None, None
+        for name, (probes, masks) in zip(self.feature_names, self._lookup):
+            j = col_index[name]
+            values = X[:, j] if rows is None else X[rows, j]
+            is_nan = np.isnan(values)
+            if is_nan.any():
+                at = int(is_nan.argmax())
+                if nan is None or at < nan[0]:
+                    nan = (at, name)
+            if nan is None:
+                found = masks.take(np.searchsorted(probes, values, side="right"), axis=0)
+                if hits is None:
+                    hits = found
+                else:
+                    hits &= found
+        if nan is not None:
+            at, name = nan
+            row = at if splits is None else at % splits.shape[1]
+            raise NonNumericValueError(f"row {row}: feature {name!r} is NaN")
+        return hits
+
+    def hit_mask_table(self, X: np.ndarray, columns: Sequence[str]) -> np.ndarray:
+        """Boolean hit table of shape (n_samples, n_rules) for a feature matrix."""
+        hits = self._packed_hits(X, columns).view(np.uint8)
+        return np.unpackbits(hits, axis=1, count=self.n_rules, bitorder="little").view(bool)
+
+    def hit_counts(self, X: np.ndarray, columns: Sequence[str],
+                   splits: np.ndarray | None = None) -> np.ndarray:
+        """Per-rule hit counts, int64 ``(n_splits, n_rules)``: one row per row of ``splits``.
+
+        A row of ``splits`` lists row indices of ``X``; only those rows are
+        read. None counts all of ``X`` as one split. Every split is counted
+        in one pass: one ``np.bincount`` per mask byte, keyed by split,
+        times the bits of each byte value.
+        """
+        hits = self._packed_hits(X, columns, splits).view(np.uint8)
+        n_splits, split_size = (1, len(hits)) if splits is None else splits.shape
+        n_bytes = -(-self.n_rules // 8)
+        keys = np.repeat(np.arange(n_splits) * 256, split_size)
+        hist = np.empty((n_splits, n_bytes, 256), dtype=np.int64)
+        for b in range(n_bytes):
+            hist[:, b] = np.bincount(keys + hits[:, b], minlength=256 * n_splits).reshape(-1, 256)
+        return (hist @ _BYTE_BITS).reshape(n_splits, 8 * n_bytes)[:, : self.n_rules]
 
 
-_BLOCK_VALUES = 1 << 16  # upper bound on the values gathered per kernel block
-
-
-def _hits(V: np.ndarray, gather: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(n, n_rules) hits: ``lo[k, j] <= V[i, gather[k, j]] <= hi[k, j]`` for every ``k``.
-
-    Row blocks gather at most ``_BLOCK_VALUES`` values, slot-major, so each
-    comparison runs along a block of rows.
-    """
-    n, (k, n_rules) = V.shape[0], lo.shape
-    out = np.empty((n_rules, n), dtype=bool)
-    step = max(1, _BLOCK_VALUES // max(lo.size, 1))
-    slots, lo, hi = gather.ravel(), lo.reshape(-1, 1), hi.reshape(-1, 1)
-    for start in range(0, n, step):
-        G = V.T[slots, start : start + step]
-        hit = (G >= lo) & (G <= hi)
-        hit.reshape(k, n_rules, G.shape[1]).all(axis=0, out=out[:, start : start + step])
-    return out.T
+# Row ``b`` holds the bits of the byte value ``b``, lowest first.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int64)
 
 
 # What a sample value may be; a bool is an int but no number here.
@@ -274,7 +325,7 @@ def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> int:
     """
     features, hits = ruleset._sample_lookup
     nan = None
-    for name, edges, masks in features:
+    for name, probes, masks in features:
         try:
             value = sample[name]
         except KeyError:
@@ -287,7 +338,7 @@ def ruleset_hits(ruleset: Ruleset, sample: Mapping[str, float]) -> int:
             if nan is None:
                 nan = name
             continue
-        hits &= masks[bisect_left(edges, value) + bisect_right(edges, value)]
+        hits &= masks[bisect_right(probes, value)]
     if nan is not None:
         raise NonNumericValueError(f"feature {nan!r} is NaN")
     return hits

@@ -1000,3 +1000,77 @@ def test_a_freed_large_buffer_leaves_later_ones_their_own_mapping(tmp_path):
     if proc.stdout.strip() == "no mallinfo2":
         pytest.skip("needs glibc 2.33 or later")
     assert proc.stdout.split() == ["1", "True"]
+
+
+def _with_note_column(src, dst, note):
+    """``src`` with a ``note`` column after the others; ``note(i)`` is data row i's cell."""
+    lines = src.read_text().splitlines()
+    rows = [lines[0] + ",note"] + [f"{line},{note(i)}" for i, line in enumerate(lines[1:])]
+    dst.write_text("\n".join(rows) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("note", [
+    lambda i: "",
+    lambda i: f"text {i}",
+    lambda i: 'say "hi"' if i % 2 else '"quoted, with a comma"',
+])
+def test_detect_and_baseline_never_convert_a_column_no_rule_reads(workdir, capsys, note):
+    # Text, empty cells and quote characters in a column no rule reads are
+    # never converted, so every output is byte for byte the plain file's.
+    def run(train, op, fmt):
+        base = workdir / f"base-{train.stem}.json"
+        args = _baseline_args(workdir, out=base.name)
+        args[1] = str(train)
+        outputs = [main(args), capsys.readouterr(), base.read_bytes()]
+        outputs += [main(["detect", str(op), "--rules", str(workdir / "rules.txt"),
+                          "--baseline", str(base), "--format", fmt]), capsys.readouterr()]
+        return outputs
+
+    train = _with_note_column(workdir / "train.csv", workdir / "train_note.csv", note)
+    for op_name in ("op_in.csv", "op_out.csv"):
+        op = _with_note_column(workdir / op_name, workdir / f"note_{op_name}", note)
+        for fmt in ("json-document", "csv"):
+            assert run(train, op, fmt) == run(workdir / "train.csv", workdir / op_name, fmt)
+
+
+def test_a_header_without_a_rule_read_feature_exits_1(workdir, capsys):
+    (workdir / "rules9.txt").write_text("if x1 <= 0.5 then 1\nif x9 > 0.5 then 0\n")
+    args = _baseline_args(workdir)
+    args[3] = str(workdir / "rules9.txt")
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: feature 'x9' not in columns ['x1', 'x2', 'x3']\n"
+    )
+    assert main(_baseline_args(workdir)) == 0
+    lines = (workdir / "op_in.csv").read_text().splitlines()
+    cut = [",".join(line.split(",")[:2] + line.split(",")[3:]) for line in lines]
+    (workdir / "no_x3.csv").write_text("\n".join(cut) + "\n")
+    capsys.readouterr()
+    assert main(["detect", str(workdir / "no_x3.csv"), "--rules", str(workdir / "rules.txt"),
+                 "--baseline", str(workdir / "base.json")]) == 1
+    assert capsys.readouterr().err == (
+        "warning: scored the first 250 of 400 rows; 150 trailing rows ignored\n"
+        "error: feature 'x3' not in columns ['x1', 'x2']\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["baseline", "detect"])
+def test_a_ragged_row_exits_1_even_in_columns_no_rule_reads(workdir, capsys, command):
+    # A column no rule reads is still counted: a row one cell short is an error.
+    assert main(_baseline_args(workdir)) == 0
+    name = "train.csv" if command == "baseline" else "op_in.csv"
+    lines = (workdir / name).read_text().splitlines(keepends=True)
+    lines[300] = lines[300].rsplit(",", 1)[0] + "\r\n"  # drops the label cell
+    (workdir / "ragged.csv").write_text("".join(lines))
+    if command == "baseline":
+        args = _baseline_args(workdir, out="never.json")
+        args[1] = str(workdir / "ragged.csv")
+    else:
+        args = ["detect", str(workdir / "ragged.csv"), "--rules", str(workdir / "rules.txt"),
+                "--baseline", str(workdir / "base.json")]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / 'ragged.csv'}: row 301 has 3 cells, expected 4\n"
+    )

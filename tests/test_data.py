@@ -5,12 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulewatch import CsvFormatError, DataError, DataTable
 from rulewatch.config import RunConfig, build_config, load_config_file
-from rulewatch.data import _drop_column, _read_csv_numpy, _read_csv_python
+from rulewatch.data import _kept_fields, _read_csv_numpy, _read_csv_python
 
 
 def test_from_csv_with_labels(tmp_path):
@@ -212,9 +212,15 @@ def test_numpy_reader_takes_a_plain_labeled_file(tmp_path):
 
 @pytest.mark.parametrize("j", [0, 2, 4])
 def test_drop_column_equals_np_delete_across_blocks(j):
+    # Column j is read as a one-byte field, as an unread column or the label is.
     X = np.random.default_rng(j).normal(size=(2 * 4096 + 5, 5))
+    fields = [(f"f{i}", np.float64 if i != j else "S1") for i in range(5)]
+    A = np.empty(len(X), dtype=fields)
+    for i in range(5):
+        if i != j:
+            A[f"f{i}"] = X[:, i]
     expected = np.delete(X, j, axis=1)
-    assert _drop_column(X, j).tobytes() == expected.tobytes()
+    assert _kept_fields(A, [i for i in range(5) if i != j]).tobytes() == expected.tobytes()
 
 
 _NUMBERS = (
@@ -228,50 +234,67 @@ _BLANK_LINES = ("", " ", "\t", "\xa0")
 _ENDINGS = ("\n", "\r\n", "\r")
 
 
+_TEXT = ("abc", "", " ", "x y", "\xe9", '1"5')
+
+
 @st.composite
 def csv_files(draw):
     """CSV text mixing valid rows with every cell and line the readers treat apart.
 
-    Half the files hold only numbers, unquoted names and empty lines, so
-    numpy's reader keeps its table for them and the comparison is not only
-    of the fallback with itself.
+    Half the files hold only numbers in the columns a table keeps, text in
+    the others, unquoted names and empty lines, so numpy's reader keeps its
+    table for them and the comparison is not only of the fallback with
+    itself. ``columns`` is None, or names the header may repeat, lack or
+    hold as its label.
     """
     clean = draw(st.booleans())
-    cells = st.sampled_from(_NUMBERS if clean else _NUMBERS + _HAZARDS)
     names = st.sampled_from(_NAMES if clean else _NAMES + _HAZARD_NAMES)
     header = draw(st.lists(names, min_size=1, max_size=4))
+    label_column = draw(st.sampled_from((None, "label")))
+    stripped = [h.strip() for h in header]
+    columns = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(stripped), min_size=1, max_size=4),
+        st.lists(st.sampled_from(stripped + ["zz"]), max_size=4),
+    ))
+    kept = [(columns is None or h in columns) and h != label_column for h in stripped]
+    numbers = st.sampled_from(_NUMBERS if clean else _NUMBERS + _HAZARDS)
+    text = st.sampled_from(_TEXT if clean else _TEXT + _HAZARDS)
     lines = [",".join(header)]
     kinds = ("row", "row", "row", "blank") if clean else ("row", "row", "ragged", "blank")
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             lines.append(draw(st.sampled_from(_BLANK_LINES[:1] if clean else _BLANK_LINES)))
-            continue
-        n = len(header) if kind == "row" else draw(st.integers(1, len(header) + 2))
-        lines.append(",".join(draw(st.lists(cells, min_size=n, max_size=n))))
+        elif kind == "row":
+            lines.append(",".join(draw(numbers if k else text) for k in kept))
+        else:
+            n = draw(st.integers(1, len(header) + 2))
+            lines.append(",".join(draw(st.lists(numbers, min_size=n, max_size=n))))
     text = "".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    label_column = draw(st.sampled_from((None, "label")))
-    return text, label_column
+    return text, label_column, columns
 
 
-def _outcome(read, path, label_column):
+def _outcome(read, path, label_column, columns):
     try:
-        return read(path, label_column)
+        return read(path, label_column, columns=columns)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
 
 
 @settings(max_examples=500, deadline=None)
 @given(csv_files())
+@example(('a,b,a,label\n1,"x",2,y\n3,,4,"z"\n', "label", ["a"]))
+@example(("a,b\n1,\x00\n", None, ["a"]))
 def test_from_csv_equals_the_python_reader(case):
-    text, label_column = case
+    text, label_column, columns = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(text.encode("utf-8"))
-        expected = _outcome(_read_csv_python, path, label_column)
-        got = _outcome(DataTable.from_csv, path, label_column)
+        expected = _outcome(_read_csv_python, path, label_column, columns)
+        got = _outcome(DataTable.from_csv, path, label_column, columns)
     if isinstance(expected[0], type):
         assert got == expected
         return
@@ -280,6 +303,24 @@ def test_from_csv_equals_the_python_reader(case):
     assert got.columns == names and got.labels == labels
     assert got.X.shape == X.shape
     assert got.X.tobytes() == X.tobytes()  # bit for bit: NaNs and the sign of -0.0 too
+
+
+def test_numpy_reader_converts_only_the_kept_columns(tmp_path):
+    # Text, empty cells and a quote inside an unread cell pass; the label
+    # is unread too. A repeated name keeps its last column.
+    p = tmp_path / "d.csv"
+    p.write_text('a,b,a,label,c\n1,x y,2,p,\n3,,4,q,5"6\n')
+    fast = _read_csv_numpy(p, "label", columns=("a",))
+    assert fast is not None
+    names, X, labels = fast
+    assert (names, X.tolist(), labels) == (("a",), [[2.0], [4.0]], None)
+    # A name the header lacks: every column is read, and b's text is the error.
+    with pytest.raises(CsvFormatError) as info:
+        DataTable.from_csv(p, "label", columns=("a", "zz"))
+    assert str(info.value) == f"{p}: row 2, column 'b': not a number: 'x y'"
+    p.write_text('a,b\n1,"x"\n')  # csv unquotes a cell that starts with a quote
+    assert _read_csv_numpy(p, None, columns=("a",)) is None
+    assert DataTable.from_csv(p, columns=("a",)).X.tolist() == [[1.0]]
 
 
 # -- run configuration --------------------------------------------------------

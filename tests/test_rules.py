@@ -1,14 +1,13 @@
 import math
 import re
+import warnings
 from dataclasses import dataclass
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rulewatch import rules as rules_module
 from rulewatch import (
     Condition,
     MissingFeatureError,
@@ -21,6 +20,8 @@ from rulewatch import (
     parse_ruleset,
     ruleset_hits,
 )
+from rulewatch.data import DataTable
+from rulewatch.histogram import hit_matrix
 from rulewatch.rules import Interval
 from tests.conftest import hit_bits
 
@@ -173,6 +174,7 @@ def test_interval_syntax_preserved():
 # -- randomized agreement with a brute-force evaluator ----------------------
 
 _OPERATORS = ("<", "<=", ">", ">=", "==")
+_MAX_FLOAT = 1.7976931348623157e308
 
 
 @st.composite
@@ -317,33 +319,153 @@ def test_mask_table_matches_per_sample_loop(rng, two_rule_set):
         assert list(table_mask[i]) == hit_bits(ruleset_hits(two_rule_set, sample), 2)
 
 
+# -- the table lookup against the bounds-compare kernel ---------------------
+# Tables were once evaluated by comparing every row with each rule's
+# compiled bounds, in row blocks. That kernel is the reference the
+# per-feature lookup must reproduce, bit for bit.
+
+def _reference_hits(V, gather, lo, hi, block_values=1 << 16):
+    """(n, n_rules) hits: ``lo[k, j] <= V[i, gather[k, j]] <= hi[k, j]`` for every ``k``.
+
+    Row blocks gather at most ``block_values`` values, slot-major, so each
+    comparison runs along a block of rows.
+    """
+    n, (k, n_rules) = V.shape[0], lo.shape
+    out = np.empty((n_rules, n), dtype=bool)
+    step = max(1, block_values // max(lo.size, 1))
+    slots, lo, hi = gather.ravel(), lo.reshape(-1, 1), hi.reshape(-1, 1)
+    for start in range(0, n, step):
+        G = V.T[slots, start : start + step]
+        hit = (G >= lo) & (G <= hi)
+        hit.reshape(k, n_rules, G.shape[1]).all(axis=0, out=out[:, start : start + step])
+    return out.T
+
+
+def _reference_table(rs, X, columns, block_values=1 << 16):
+    col_index = {name: i for i, name in enumerate(columns)}
+    cols = np.asarray([col_index[name] for name in rs.feature_names], dtype=np.intp)
+    idx, lo, hi = rs.bounds
+    return _reference_hits(X, cols[idx], lo, hi, block_values)
+
+
 @settings(max_examples=40, deadline=None)
 @given(rulesets(_WIDE_THRESHOLDS, max_conds=4), st.integers(1, 120), st.integers(1, 64),
        st.integers(0, 2**32 - 1))
-def test_mask_table_across_kernel_blocks_matches_brute_force(rs, n_rows, block_values, seed):
-    # A small block cap makes a short table span many kernel blocks,
-    # including blocks of one row and a short last block.
+def test_mask_table_of_random_rows_matches_brute_force(rs, n_rows, block_values, seed):
+    # A small block cap makes the reference span many blocks, including
+    # blocks of one row and a short last block.
     rng = np.random.default_rng(seed)
     pool = np.array(_THRESHOLDS)
     X = np.where(rng.random((n_rows, 4)) < 0.5, rng.choice(pool, (n_rows, 4)),
                  rng.normal(0.0, 3.0, (n_rows, 4)))
     columns = ("x4", "x2", "x1", "x3")
-    with mock.patch.object(rules_module, "_BLOCK_VALUES", block_values):
-        table = rs.hit_mask_table(X, columns)
+    table = rs.hit_mask_table(X, columns)
+    assert table.tolist() == _reference_table(rs, X, columns, block_values).tolist()
     for i in range(n_rows):
         sample = dict(zip(columns, X[i].tolist()))
         assert table[i].tolist() == _brute_force_hits(rs, sample)
 
 
-def test_mask_table_with_default_blocks_matches_brute_force(rng, two_rule_set):
+def test_mask_table_of_many_rows_matches_brute_force(rng, two_rule_set):
     idx, lo, hi = two_rule_set.bounds
-    n = 2 * (rules_module._BLOCK_VALUES // lo.size) + 7  # three blocks, the last one short
+    n = 2 * ((1 << 16) // lo.size) + 7  # three reference blocks, the last one short
     X = rng.normal(2.5, 2.0, size=(n, 2))
     table = two_rule_set.hit_mask_table(X, ("x1", "x2"))
+    assert table.tolist() == _reference_table(two_rule_set, X, ("x1", "x2")).tolist()
     for i in range(n):
         assert table[i].tolist() == _brute_force_hits(
             two_rule_set, {"x1": X[i, 0], "x2": X[i, 1]}
         )
+
+
+# Ends shared by many rules, signed zeros, infinities, the largest finite
+# floats and subnormals, each with its float neighbours.
+_KERNEL_EDGES = sorted({
+    e for t in (-_MAX_FLOAT, -2.5, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, _MAX_FLOAT,
+                math.inf, -math.inf)
+    for e in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))
+})
+
+
+@st.composite
+def wide_rulesets(draw):
+    """Up to 140 rules over x1..x3, so masks span several bytes and words."""
+    ends = st.sampled_from(_KERNEL_EDGES)
+    rules = []
+    for rid in range(1, draw(st.integers(1, 140)) + 1):
+        conds = []
+        for _ in range(draw(st.integers(1, 3))):
+            feat = draw(st.sampled_from(("x1", "x2", "x3")))
+            if draw(st.booleans()):
+                lo, hi = sorted((draw(ends), draw(ends)))
+                interval = Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+                conds.append(Condition(feat, "in", interval=interval))
+            else:
+                conds.append(Condition(feat, draw(st.sampled_from(_OPERATORS)), draw(ends)))
+        rules.append(Rule(rid, tuple(conds), "r"))
+    return Ruleset(tuple(rules))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rulesets(), st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(parse_ruleset("".join(f"if x1 > {k} and x2 <= {70 - k} then r\n" for k in range(70))),
+         30, 3, 0)
+def test_table_lookup_equals_bounds_kernel_and_brute_force(rs, n_rows, n_splits, seed):
+    rng = np.random.default_rng(seed)
+    columns = ("x3", "x4", "x1", "x2")  # no rule reads x4
+    pool = np.array(_KERNEL_EDGES)
+    X = np.where(rng.random((n_rows, 4)) < 0.6, rng.choice(pool, (n_rows, 4)),
+                 rng.normal(0.0, 40.0, (n_rows, 4)))
+    nan_rows = rng.random(n_rows) < 0.2
+    X[nan_rows, rng.integers(0, 4, n_rows)[nan_rows]] = math.nan
+    read = [columns.index(name) for name in rs.feature_names]
+    clean = ~np.isnan(X[:, read]).any(axis=1)
+    expected = _reference_table(rs, X[clean], columns)
+    table = rs.hit_mask_table(X[clean], columns)
+    assert table.tolist() == expected.tolist()
+    for row, hits in zip(X[clean], table.tolist()):
+        assert hits == _brute_force_hits(rs, dict(zip(columns, row.tolist())))
+    # Splits skip the rows holding a NaN a rule reads; those rows are never read.
+    rows = rng.permutation(np.flatnonzero(clean))
+    n_s = len(rows) // n_splits
+    if n_s:
+        splits = rows[: n_s * n_splits].reshape(n_splits, n_s)
+        counts = hit_matrix(rs, DataTable(columns, X), splits).counts
+        full = _reference_table(rs, np.where(np.isnan(X), 0.0, X), columns)
+        assert counts.tolist() == full[splits].sum(axis=1).tolist()
+    if not clean.all():
+        # The error names the first NaN row by its index within its split.
+        splits = rng.permutation(n_rows).reshape(1, n_rows)
+        at = int(np.argmax(~clean[splits[0]]))
+        with pytest.raises(NonNumericValueError, match=f"^row {at}: feature "):
+            hit_matrix(rs, DataTable(columns, X), splits)
+
+
+def test_table_lookup_repeats_the_sample_lookup():
+    # One build serves both: the sample lookup is the table lookup as lists.
+    rs = parse_ruleset("if x1 <= -1 and x2 in (1, 3] then a\nif x1 >= 0 then b\n"
+                       "if x2 > 1e999 then c\nif x1 in [0, 0] then d\n")
+    features, all_rules = rs._sample_lookup
+    assert all_rules == 0b1111
+    for (name, probes, masks), (table_probes, table_masks) in zip(features, rs._lookup):
+        assert probes == table_probes.tolist()
+        assert masks == [int.from_bytes(row.tobytes(), "little") for row in table_masks]
+    _, x1_probes, x1_masks = features[0]
+    assert x1_probes == [-math.inf, -_MAX_FLOAT, -1.0, math.nextafter(-1.0, 0.0), 0.0, 5e-324,
+                         math.inf]
+    # Code 2i + 1 is edges[i] (-inf, -1, 0, +inf), an even code lies between
+    # edges; codes 0 and 8 never occur. Rule c does not read x1.
+    assert x1_masks == [0b0100, 0b0101, 0b0101, 0b0101, 0b0100, 0b1110, 0b0110, 0b0110, 0b0100]
+
+
+def test_lookup_of_the_largest_floats_warns_about_nothing():
+    # The successor of the largest finite float is +inf: no overflow
+    # warning may reach the CLI's warning relay.
+    rs = parse_ruleset(f"if x1 >= {_MAX_FLOAT!r} then a\nif x1 < -{_MAX_FLOAT!r} then b\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = rs.hit_mask_table(np.array([[_MAX_FLOAT], [math.inf], [-_MAX_FLOAT]]), ("x1",))
+    assert table.tolist() == [[True, False], [True, False], [False, False]]
 
 
 def test_compiled_bounds_merge_and_pad():
@@ -367,19 +489,18 @@ def test_compiled_bounds_merge_and_pad():
 # pairs that hold for no value.
 
 _FEATURES = ("x1", "x2", "x3", "x4")
-_MAX = 1.7976931348623157e308
 
 
 @settings(max_examples=300, deadline=None)
 @given(rulesets(_WIDE_THRESHOLDS, max_conds=4),
        st.lists(st.one_of(st.sampled_from(_THRESHOLDS), st.floats(allow_nan=False)),
                 min_size=4, max_size=4))
-@example(parse_ruleset(f"if x1 < -{_MAX!r} then a\n"), [-math.inf, 0.0, 0.0, 0.0])
-@example(parse_ruleset(f"if x1 < -{_MAX!r} then a\n"), [-_MAX, 0.0, 0.0, 0.0])
-@example(parse_ruleset(f"if x1 > {_MAX!r} then a\nif x1 >= {_MAX!r} then b\n"),
+@example(parse_ruleset(f"if x1 < -{_MAX_FLOAT!r} then a\n"), [-math.inf, 0.0, 0.0, 0.0])
+@example(parse_ruleset(f"if x1 < -{_MAX_FLOAT!r} then a\n"), [-_MAX_FLOAT, 0.0, 0.0, 0.0])
+@example(parse_ruleset(f"if x1 > {_MAX_FLOAT!r} then a\nif x1 >= {_MAX_FLOAT!r} then b\n"),
          [math.inf, 0.0, 0.0, 0.0])
-@example(parse_ruleset(f"if x1 > {_MAX!r} then a\nif x1 >= {_MAX!r} then b\n"),
-         [_MAX, 0.0, 0.0, 0.0])
+@example(parse_ruleset(f"if x1 > {_MAX_FLOAT!r} then a\nif x1 >= {_MAX_FLOAT!r} then b\n"),
+         [_MAX_FLOAT, 0.0, 0.0, 0.0])
 @example(parse_ruleset("if x1 > 1e999 then a\nif x1 < -1e999 then b\nif x2 <= 1e999 then c\n"),
          [math.inf, -math.inf, math.inf, 0.0])
 @example(parse_ruleset("if x1 > 1e999 then a\nif x1 < -1e999 then b\nif x2 <= 1e999 then c\n"),
