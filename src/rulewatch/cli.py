@@ -133,7 +133,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     ruleset, bundle = _load_verified(args)
     base, training = bundle.baselines, bundle.training
     # Refuse a bad request before reading a row, as stream does.
-    check_request(training, base, base.mode, ruleset.n_rules, base.n_op, cfg.metrics)
+    check_request(training, base, ruleset.n_rules, base.n_op, cfg.metrics)
     table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False,
                                columns=ruleset.feature_names)
     rows = operational_splits(table, training.split_size, base.n_op)

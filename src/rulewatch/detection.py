@@ -12,24 +12,23 @@ normalised distance, and the median is stored once as a Python float.
 
 The baseline names the mode: ``Baselines.mode``, ``.n_op`` (operational
 splits per unit) and ``.metrics`` follow from the interval it holds, and
-``detect(training, unit, base)`` scores a unit of ``n_op`` rows in that
-mode. Both modes share one request checker and one report builder, whose
-report is also the stream tick; a group stream calls ``detect`` once per
-new window snapshot.
+``detect(training, unit, base)``, the one scoring body, checks the request
+once and scores a unit of ``n_op`` rows in that mode; its report is also
+the stream tick. ``detect_split`` and ``detect_group`` reject a baseline of
+the other mode, then call ``detect``. A group stream calls ``detect`` once
+per new window snapshot.
 
 Two modes:
 
 * single-split: weighted mutual information + l1/l2 norms against one
-  operational histogram. Scoring (``split_metrics``, a fresh
-  ``SplitScorer``, or a stream's long-lived one) and the report builder
-  are separate, so batch and stream detection share every step after the
-  scores;
+  operational histogram, scored by ``split_metrics`` (a fresh
+  ``SplitScorer``);
 * group: rule-based information over a group of operational histograms
   + l1/l2 norms over all column pairs. Both ``group_baseline`` and
-  ``detect_group`` take the training ``HitMatrix``, and the group is a
+  ``detect`` take the training ``HitMatrix``, and the group is a
   ``HitMatrix`` too, one row per member. ``group_baseline(training, n_op)``
   records ``n_op`` and ``n_tr`` in the baseline config; the reference part
-  is the first ``k = n_tr - n_op - 1`` columns, and ``detect_group``
+  is the first ``k = n_tr - n_op - 1`` columns, and ``detect``
   derives ``k`` from those two recorded values and scores only groups of
   ``n_op`` rows, the size the envelope was calibrated for. The ``rbi``
   envelope is calibrated over the leave-one-out folds of the calibration
@@ -296,7 +295,6 @@ def compute_fingerprint(ruleset: Ruleset, config: Mapping[str, object]) -> str:
 def check_request(
     training: HitMatrix,
     base: Baselines,
-    mode: str,
     n_rules: int,
     n_rows: int,
     metrics: Sequence[str] | None,
@@ -304,12 +302,12 @@ def check_request(
     """The metrics to score (``None``: ``base.metrics``) once the request checks out.
 
     Rejects a baseline recorded for another rule count or number of
-    training splits (``FingerprintMismatchError``), a baseline of another
-    mode, a unit whose row count is not ``base.n_op`` (the group size the
-    envelope was calibrated for), operational counts of another rule count,
-    an empty metric selection and a metric name outside ``base.metrics``.
+    training splits (``FingerprintMismatchError``), a unit whose row count
+    is not ``base.n_op`` (the group size the envelope was calibrated for),
+    operational counts of another rule count, an empty metric selection and
+    a metric name outside ``base.metrics``. The mode is ``base.mode``.
     """
-    cfg = base.config
+    cfg, mode = base.config, base.mode
     if "n_rules" in cfg and cfg["n_rules"] != training.n_rules:
         raise FingerprintMismatchError(
             f"baseline built for {cfg['n_rules']} rules, matrix has {training.n_rules}"
@@ -317,11 +315,6 @@ def check_request(
     if "n_tr" in cfg and cfg["n_tr"] != training.n_splits:
         raise FingerprintMismatchError(
             f"baseline built from {cfg['n_tr']} training splits, matrix has {training.n_splits}"
-        )
-    if base.mode != mode:
-        raise DetectionError(
-            "baseline has no reference partition (single-split mode)" if mode == GROUP
-            else "baseline is a group baseline; it scores groups, not single splits"
         )
     if n_rows != base.n_op:
         raise DetectionError(f"a {mode} unit has {base.n_op} operational split(s), got {n_rows}")
@@ -395,14 +388,12 @@ def detect_split(
     """Compare one operational histogram against every training column.
 
     Each metric votes once per training column; a strict majority of
-    out-of-envelope votes raises that metric's flag. One ``split_metrics``
-    call scores the histogram against all training columns, and
-    ``build_report`` turns the scores into votes. ``metrics`` defaults to
-    ``base.metrics``; a group baseline is rejected.
+    out-of-envelope votes raises that metric's flag. A group baseline is
+    rejected; ``detect`` scores the histogram as a unit of one row.
     """
-    metrics = check_request(training, base, SINGLE_SPLIT, op.n_rules, 1, metrics)
-    scores = split_metrics(training.counts, training.split_size, op.counts, op.split_size)
-    return build_report(base, scores._asdict(), metrics)
+    if base.mode != SINGLE_SPLIT:
+        raise DetectionError("baseline is a group baseline; it scores groups, not single splits")
+    return detect(training, HitMatrix(op.counts[None], op.split_size), base, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -543,33 +534,15 @@ def detect_group(
     """Score an operational group against the reference part of training.
 
     ``op_group`` holds one row per group member, ``n_op`` rows as
-    ``group_baseline`` recorded it. The reference part is the first
-    ``k = n_tr - n_op - 1`` training rows; a single-split baseline or a
-    group of another size is rejected, and ``metrics`` defaults to
-    ``base.metrics``. Rule-based information casts a single vote, scored as
-    a batch of one through ``rule_based_information_batch``, the kernel
-    that calibrated the envelope; the norms vote once per (training
-    row, group member) pair, in that order, computed in one broadcast. Norm
-    votes run over ALL training rows, matching the envelopes built by
-    ``group_baseline``.
+    ``group_baseline`` recorded it, and ``detect`` scores it. The reference
+    part is the first ``k = n_tr - n_op - 1`` training rows. Rule-based
+    information casts a single vote; the norms vote once per (training row,
+    group member) pair, over ALL training rows, matching the envelopes
+    built by ``group_baseline``. A single-split baseline is rejected.
     """
-    metrics = check_request(training, base, GROUP, op_group.n_rules, op_group.n_splits, metrics)
-    op_counts, op_size = op_group.counts, op_group.split_size
-    values: dict[str, np.ndarray] = {}
-    if "rbi" in metrics:
-        k = training.n_splits - base.n_op - 1
-        values["rbi"] = rule_based_information_batch(
-            (op_counts / op_size)[None],
-            (training.counts[:k] / training.split_size)[None],
-            float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT)),
-        )
-    if "l1" in metrics or "l2" in metrics:
-        norms = lp_norms(
-            training.counts[:, None, :], training.split_size,
-            op_counts[None, :, :], op_size,
-        )
-        values["l1"], values["l2"] = (v.ravel() for v in norms)
-    return build_report(base, values, metrics)
+    if base.mode != GROUP:
+        raise DetectionError("baseline has no reference partition (single-split mode)")
+    return detect(training, op_group, base, metrics)
 
 
 def detect(
@@ -578,15 +551,32 @@ def detect(
     base: Baselines,
     metrics: Sequence[str] | None = None,
 ) -> DetectionReport:
-    """Score one operational unit of ``base.n_op`` rows in ``base.mode``.
+    """Score one operational unit of ``base.n_op`` rows in ``base.mode``: the one scoring body.
 
-    ``detect_split`` scores a single-split unit, ``detect_group`` a group;
-    ``check_request`` rejects a unit of another size.
+    ``check_request`` checks the request once (``metrics`` defaults to
+    ``base.metrics``). A single split is scored by ``split_metrics``
+    against every training row. A group's ``rbi`` is one batch through
+    ``rule_based_information_batch``, the kernel that calibrated the
+    envelope, against the first ``k = n_tr - n_op - 1`` training rows; its
+    norms vote per (training row, member) pair, in that order.
     """
-    if base.mode == GROUP:
-        return detect_group(training, unit, base, metrics)
-    check_request(training, base, SINGLE_SPLIT, unit.n_rules, unit.n_splits, metrics)
-    return detect_split(training, HitHistogram(unit.counts[0], unit.split_size), base, metrics)
+    metrics = check_request(training, base, unit.n_rules, unit.n_splits, metrics)
+    counts, n_s = training.counts, training.split_size
+    if base.mode == SINGLE_SPLIT:
+        scores = split_metrics(counts, n_s, unit.counts[0], unit.split_size)
+        return build_report(base, scores._asdict(), metrics)
+    values: dict[str, np.ndarray] = {}
+    if "rbi" in metrics:
+        k = training.n_splits - base.n_op - 1
+        values["rbi"] = rule_based_information_batch(
+            (unit.counts / unit.split_size)[None],
+            (counts[:k] / n_s)[None],
+            float(base.config.get("sigma_floor", SIGMA_FLOOR_DEFAULT)),
+        )
+    if "l1" in metrics or "l2" in metrics:
+        norms = lp_norms(counts[:, None, :], n_s, unit.counts[None, :, :], unit.split_size)
+        values["l1"], values["l2"] = (v.ravel() for v in norms)
+    return build_report(base, values, metrics)
 
 
 # ---------------------------------------------------------------------------

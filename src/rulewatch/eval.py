@@ -6,7 +6,7 @@ flagged) and one out-of-distribution unit (false negative if not flagged).
 Held-out units never enter baseline construction. Both modes share one
 repetition runner: the configured mode picks the baseline builder, and the
 baseline then sizes each unit (``base.n_op``) and scores it with
-``detect``; in group mode ``group_baseline`` and ``detect_group`` own the
+``detect``; in group mode ``group_baseline`` and ``detect`` own the
 reference partition. All randomness descends from the single master seed;
 repetitions are independent and aggregation is deterministic.
 """

@@ -4,12 +4,14 @@ The window stores one hit mask per retained sample (the int
 ``ruleset_hits`` returns), not the sample itself, so evicting the oldest
 sample and admitting a new one both cost at most O(n_rules)
 regardless of window length; the running counts are integer-exact equal to
-a batch recount of the retained samples at every tick. Single-split ticks
-score the window through a ``SplitScorer`` kept beside it, which moves its
+a batch recount of the retained samples at every tick; the window keeps
+counts and nothing else. ``stream_detect`` scores one full window by
+``detect_split`` of its histogram. On top of that sits a monitor that
+ticks every push (or every ``detect_stride`` pushes). A single-split
+monitor owns one ``SplitScorer`` of its window's counts, which moves its
 integer state only for the rules whose counts changed since the last tick
-and equals batch ``detect_split`` bit for bit. On top of that sits a
-monitor that ticks every push (or every ``detect_stride`` pushes) and, for
-a group baseline, keeps a window snapshot every ``capacity`` pushes: its
+and equals batch ``detect_split`` bit for bit. For a group baseline the
+monitor keeps a window snapshot every ``capacity`` pushes: its
 group is the last ``n_op`` disjoint windows, the unit batch ``detect``
 scores and the ``rbi`` envelope was calibrated on. The monitor scores only
 a unit that changed: ``detect`` scores the group once per new snapshot, a
@@ -34,15 +36,15 @@ import numpy as np
 
 from .detection import (
     GROUP,
-    SINGLE_SPLIT,
     Baselines,
     DetectionReport,
     build_report,
     check_request,
     detect,
+    detect_split,
 )
 from .histogram import HitHistogram, HitMatrix
-from .metrics import SplitMetrics, SplitScorer
+from .metrics import SplitScorer
 from .rules import Ruleset, ruleset_hits
 
 
@@ -66,7 +68,8 @@ class SlidingHitWindow:
     that admits the mask it evicts costs one int comparison and leaves the
     counts alone; a push that moves them adds one to the count of each rule
     only the admitted mask holds and takes one from each rule only the
-    evicted mask holds.
+    evicted mask holds. ``counts`` shows the running counts without a
+    copy, and ``histogram`` copies them.
     """
 
     def __init__(self, ruleset: Ruleset, capacity: int):
@@ -77,9 +80,10 @@ class SlidingHitWindow:
         self._n_rules = ruleset.n_rules
         self._masks: list[int] = [0] * capacity
         self._counts = np.zeros(self._n_rules, dtype=np.int64)
+        self._view = self._counts.view()
+        self._view.setflags(write=False)
         self._head = 0
         self._fill = 0
-        self._scorer: SplitScorer | None = None
 
     @property
     def capacity(self) -> int:
@@ -97,13 +101,17 @@ class SlidingHitWindow:
     def n_rules(self) -> int:
         return self._n_rules
 
+    @property
+    def counts(self) -> np.ndarray:
+        """The running counts, a read-only view: later pushes move what it shows."""
+        return self._view
+
     def push(self, sample: Mapping[str, float]) -> bool:
         """Admit one sample, evicting the oldest when full; True if the counts or the fill moved.
 
         Evaluation happens before any mutation, so an evaluation error
         leaves the window unchanged. A full window whose evicted mask equals
-        the admitted one keeps its counts and returns False. ``histogram``
-        reads the counts.
+        the admitted one keeps its counts and returns False.
         """
         mask = ruleset_hits(self._ruleset, sample)
         evicted = self._masks[self._head]
@@ -128,26 +136,6 @@ class SlidingHitWindow:
             raise StreamStateError("window is empty; no histogram yet")
         return HitHistogram(self._counts, self._fill)
 
-    def scorer(self, training: HitMatrix) -> SplitScorer:
-        """The single-split scorer of this window's counts against ``training``.
-
-        Built on the first call for a training matrix and kept with the
-        window, so consecutive ticks move only the rules whose counts
-        changed between them. The scorer is stream state beside the window,
-        so scoring belongs to the window's single writer; ``training`` is
-        only read.
-        """
-        counts = training.counts
-        if self._scorer is None or self._scorer.train is not counts:
-            self._scorer = SplitScorer(counts, training.split_size)
-        return self._scorer
-
-    def scores(self, training: HitMatrix) -> SplitMetrics:
-        """``split_metrics`` of the window histogram against ``training``."""
-        if self._fill == 0:
-            raise StreamStateError("window is empty; no histogram yet")
-        return self.scorer(training).score(self._counts, self._fill)
-
 
 def _set_bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of a non-negative ``mask``, lowest first."""
@@ -165,16 +153,16 @@ def stream_detect(
 ) -> DetectionReport:
     """Run one single-split detection tick on the current window state.
 
-    The window is scored through its scorer, and the report is the one
-    ``detect_split`` builds for the same counts; a group baseline is
-    rejected. Every call checks the request and builds a new report.
+    The report is ``detect_split`` of the window's histogram: every call
+    checks the request and scores through a fresh scorer, and a group
+    baseline is rejected. ``StreamMonitor`` keeps its scorer across ticks
+    instead.
     """
     if not window.is_full:
         raise StreamStateError(
             f"window holds {window.fill} of {window.capacity} samples; detection needs a full window"
         )
-    metrics = check_request(training, base, SINGLE_SPLIT, window.n_rules, 1, metrics)
-    return build_report(base, window.scores(training)._asdict(), metrics)
+    return detect_split(training, window.histogram(), base, metrics)
 
 
 class StreamMonitor:
@@ -193,7 +181,11 @@ class StreamMonitor:
     evicted hit mask differs from the admitted one (a push between two
     ticks counts too, so any ``detect_stride`` stays exact). The request
     (``check_request``: the training matrix, the rule count and the metric
-    names) is checked when the monitor is built, before any sample is read.
+    names) is checked once, when the monitor is built, before any sample is
+    read; ``metrics`` holds the names it resolved. A single-split monitor
+    scores its window through ``scorer``, built here once and moved by
+    every scored tick (``None`` in group mode), and builds the report with
+    no further check.
     """
 
     def __init__(
@@ -207,7 +199,7 @@ class StreamMonitor:
     ):
         if detect_stride < 1:
             raise ValueError("detect_stride must be >= 1")
-        check_request(training, base, base.mode, ruleset.n_rules, base.n_op, metrics)
+        self.metrics = check_request(training, base, ruleset.n_rules, base.n_op, metrics)
         if capacity is None:
             capacity = training.split_size
         self.window = SlidingHitWindow(ruleset, capacity)
@@ -222,7 +214,11 @@ class StreamMonitor:
         self.training = training
         self.mode = base.mode
         self.n_op = base.n_op
-        self.metrics = metrics
+        # The single-split scorer, built once: each tick moves its state
+        # only for the rules whose counts changed since the last score.
+        self.scorer = (
+            None if self.mode == GROUP else SplitScorer(training.counts, training.split_size)
+        )
         self.detect_stride = detect_stride
         self._pushes = 0
         self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
@@ -244,8 +240,9 @@ class StreamMonitor:
         if (self._pushes - self.window.capacity) % self.detect_stride != 0:
             return None
         if self._report is None:
-            if self.mode == SINGLE_SPLIT:
-                self._report = stream_detect(self.window, self.base, self.training, self.metrics)
+            if self.scorer is not None:
+                scores = self.scorer.score(self.window.counts, self.window.capacity)
+                self._report = build_report(self.base, scores._asdict(), self.metrics)
             elif len(self._snapshots) == self.n_op:
                 group = HitMatrix(list(self._snapshots), self.window.capacity)
                 self._report = detect(self.training, group, self.base, self.metrics)
@@ -262,7 +259,8 @@ class MomentAccumulator:
     Keeps power sums of values centered on the window's first retained
     value, re-anchoring (full recompute) every ``REANCHOR_INTERVAL``
     updates so floating drift from long add/subtract chains stays far below
-    the 1e-9 agreement target against batch recomputation. Variance is the
+    the 1e-9 agreement target against batch recomputation, and after an
+    eviction that leaves a power sum NaN or infinite. Variance is the
     population (divide-by-n) variant; skewness and kurtosis are the usual
     standardized third and fourth moments, defined as 0 for a zero-variance
     window.
@@ -314,7 +312,9 @@ class MomentAccumulator:
         self._s3 += sign * d2 * d
         self._s4 += sign * d2 * d2
         self._updates += 1
-        if self._updates >= self.REANCHOR_INTERVAL:
+        # A NaN, an infinity or a value whose powers overflow leaves a sum no
+        # subtraction restores; s4 (a sum of d**4 >= 0) is then non-finite.
+        if self._updates >= self.REANCHOR_INTERVAL or (sign < 0 and not math.isfinite(self._s4)):
             self._reanchor()
 
     def _reanchor(self) -> None:

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from rulewatch import HitHistogram, HitMatrix, parse_ruleset
+from rulewatch.detection import check_request
 
 
 @pytest.fixture
@@ -15,6 +18,22 @@ def two_rule_set():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def request_checks(monkeypatch):
+    """The arguments of every ``check_request`` call, through any module's reference to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_request(*args, **kwargs)
+
+    modules = [m for n, m in sys.modules.items() if n.partition(".")[0] == "rulewatch"]
+    for module in modules:
+        if getattr(module, "check_request", None) is check_request:
+            monkeypatch.setattr(module, "check_request", counted)
+    return calls
 
 
 def random_histogram(rng, n_rules, split_size):

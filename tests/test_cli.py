@@ -602,6 +602,15 @@ def test_detect_csv_rows_follow_the_json_report(workdir, capsys, mode_args, metr
         assert float(value) == statistics.median(float(v) for v in m["values"])
 
 
+@pytest.mark.parametrize("mode_args", [(), _GROUP_ARGS])
+def test_detect_checks_the_request_before_reading_and_once_to_score(workdir, capsys,
+                                                                     request_checks, mode_args):
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    assert main(["detect", str(workdir / "op_out.csv"), "--rules", str(workdir / "rules.txt"),
+                 "--baseline", str(workdir / "base.json")]) in (0, 3)
+    assert len(request_checks) == 2
+
+
 @pytest.mark.parametrize("mode_args, metrics", [((), 3), (_GROUP_ARGS, 3)])
 def test_stream_tick_rows_keep_their_columns(workdir, tmp_path, mode_args, metrics):
     assert main(_baseline_args(workdir, extra=mode_args)) == 0

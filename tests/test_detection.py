@@ -614,6 +614,22 @@ def test_detect_rejects_a_unit_of_another_size(rng):
             detect(training, unit, base)
 
 
+@pytest.mark.parametrize("entry", ["detect single-split", "detect group", "detect_split",
+                                   "detect_group"])
+def test_each_detection_checks_its_request_once(rng, request_checks, entry):
+    training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
+    single, group = single_split_baseline(training), group_baseline(training, 3)
+    members = [random_histogram(rng, 3, 40) for _ in range(3)]
+    call = {
+        "detect single-split": lambda: detect(training, stack(members[:1]), single),
+        "detect group": lambda: detect(training, stack(members), group),
+        "detect_split": lambda: detect_split(training, members[0], single),
+        "detect_group": lambda: detect_group(training, stack(members), group),
+    }[entry]
+    call()
+    assert len(request_checks) == 1
+
+
 def test_detect_split_rejects_a_group_baseline(rng):
     training = stack(tuple(random_histogram(rng, 3, 40) for _ in range(8)))
     base = group_baseline(training, 3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -27,8 +28,9 @@ from rulewatch.data import DataTable
 from rulewatch.detection import build_report
 from rulewatch.histogram import Split, hit_histogram, hit_matrix, make_splits
 from rulewatch.inducer import induce_ruleset
-from rulewatch.synth import GaussianMixtureSource
+from rulewatch.synth import GaussianMixtureSource, RuleAlignedSource
 from tests.conftest import hit_bits, random_histogram, stack
+from tests.test_acceptance import STREAM_RULES
 
 RULES = parse_ruleset(
     "if x1 <= 0.5 then a\n"
@@ -78,6 +80,11 @@ def test_window_matches_batch_recount_every_push(rng):
         expected = _batch_histogram(history[-16:])
         assert h.counts.tolist() == expected.counts.tolist()
         assert h.split_size == expected.split_size
+        # the live counts, without a copy and read-only
+        assert not w.counts.flags.writeable
+        assert np.array_equal(w.counts, h.counts)
+    with pytest.raises(ValueError):
+        w.counts[0] = 0
 
 
 def _overlapping_rules(n_rules):
@@ -200,18 +207,47 @@ def test_tick_updates_only_the_rules_that_changed(rng):
         updated = []
         for _ in range(64):
             assert monitor.push(_record(rng)) is not None
-            updated.append(monitor.window.scorer(matrix).last_updated_rules)
+            updated.append(monitor.scorer.last_updated_rules)
         most.add(max(updated))
     assert most == {2}  # same work at every capacity
 
 
-@pytest.mark.parametrize("stride", [1, 3])
-def test_single_split_monitor_scores_only_a_moved_window(rng, monkeypatch, stride):
+def _uniform_stream(rng):
     # RULES overlap: rule 3 shares samples with rules 1 and 2, so the
-    # window's masks do not partition it. A tick scores the window (one
-    # build_report) only if some push since the last tick moved the counts
-    # or the fill, and otherwise returns the last tick's report object;
-    # either way the tick equals detect_split on a batch recount.
+    # window's masks do not partition it.
+    matrix, base = _training_setup(rng, n_s=8)
+    feed = [_record(rng) for _ in range(300)]
+    for s in feed[150:]:  # drift: x1 collapses toward 0
+        s["x1"] *= 0.2
+    return RULES, matrix, base, feed
+
+
+def _criterion_3_stream(rng):
+    # Acceptance criterion 3's setting: its 6 overlapping rules over 4
+    # uniform features, n_s 500 and n_tr 5, and one stream of 5000 samples
+    # whose first two features shift by 0.5 at half stream.
+    n_s, n_tr, length = 500, 5, 5000
+    src = RuleAlignedSource(n_features=4)
+    train = src.sample(n_tr * n_s, np.random.default_rng(42))
+    matrix = hit_matrix(STREAM_RULES, train, make_splits(train, n_s, n_tr, seed=13))
+    base = single_split_baseline(matrix, config={"n_s": n_s})
+    feed_rng = np.random.default_rng(1001)
+    feed = [
+        *itertools.islice(src.stream(feed_rng), length // 2),
+        *itertools.islice(src.shifted({0: 0.5, 1: 0.5}).stream(feed_rng), length - length // 2),
+    ]
+    return STREAM_RULES, matrix, base, feed
+
+
+@pytest.mark.parametrize("setting, stride", [
+    (_uniform_stream, 1), (_uniform_stream, 3), (_criterion_3_stream, 1),
+], ids=["1", "3", "criterion-3"])  # a uniform input is named by its stride
+def test_single_split_monitor_scores_only_a_moved_window(rng, monkeypatch, setting, stride):
+    # A tick scores the window (one build_report) only if some push since
+    # the last tick moved the counts or the fill, and otherwise returns the
+    # last tick's report object; either way the tick equals detect_split on
+    # a batch recount. The monitor's one scorer moves its state across the
+    # whole stream, rule by rule where few counts changed.
     built = []
 
     def counted_build_report(*args, **kwargs):
@@ -219,17 +255,14 @@ def test_single_split_monitor_scores_only_a_moved_window(rng, monkeypatch, strid
         return built[-1]
 
     monkeypatch.setattr("rulewatch.streaming.build_report", counted_build_report)
-    n_s = 8
-    matrix, base = _training_setup(rng, n_s=n_s)
-    monitor = StreamMonitor(RULES, base, matrix, detect_stride=stride)
-    history, last, state, moved = [], None, None, False
-    outcomes, verdicts = {"scored": 0, "reused": 0}, set()
-    for i in range(300):
-        s = _record(rng)
-        if i >= 150:  # drift: x1 collapses toward 0
-            s["x1"] *= 0.2
-        history.append(s)
-        recount = _batch_histogram(history[-n_s:])
+    rules, matrix, base, feed = setting(rng)
+    n_s, columns = matrix.split_size, rules.feature_names
+    X = np.array([[s[c] for c in columns] for s in feed])
+    monitor = StreamMonitor(rules, base, matrix, detect_stride=stride)
+    last, state, moved = None, None, False
+    outcomes, verdicts, updated = {"scored": 0, "reused": 0}, set(), []
+    for i, s in enumerate(feed):
+        recount = hit_histogram(rules, Split(DataTable(columns, X[max(0, i + 1 - n_s) : i + 1])))
         now = (recount.counts.tolist(), recount.split_size)
         moved |= now != state
         state = now
@@ -240,6 +273,7 @@ def test_single_split_monitor_scores_only_a_moved_window(rng, monkeypatch, strid
         if moved:
             assert len(built) == n_built + 1 and tick is built[-1]
             outcomes["scored"] += 1
+            updated.append(monitor.scorer.last_updated_rules)
         else:
             assert len(built) == n_built and tick is last
             outcomes["reused"] += 1
@@ -248,8 +282,26 @@ def test_single_split_monitor_scores_only_a_moved_window(rng, monkeypatch, strid
         assert tick.verdict == batch.verdict
         verdicts.add(tick.verdict)
         last, moved = tick, False
-    assert sum(outcomes.values()) == len(range(n_s - 1, 300, stride))
+    assert sum(outcomes.values()) == len(range(n_s - 1, len(feed), stride))
     assert min(outcomes.values()) > 0 and len(verdicts) == 2
+    assert min(updated) < rules.n_rules  # some tick moved its rules one at a time
+
+
+def test_stream_checks_each_request_once(rng, request_checks):
+    # stream_detect checks its request on every call; a monitor checks its
+    # own once, when it is built, and a single-split tick checks nothing.
+    matrix, base = _training_setup(rng, n_s=8)
+    window = SlidingHitWindow(RULES, capacity=8)
+    for _ in range(8):
+        window.push(_record(rng))
+    stream_detect(window, base, matrix)
+    assert len(request_checks) == 1
+    del request_checks[:]
+    monitor = StreamMonitor(RULES, base, matrix)
+    assert len(request_checks) == 1
+    ticks = [monitor.push(_record(rng)) for _ in range(100)]
+    assert sum(t is not None for t in ticks) == 100 - 7
+    assert len(request_checks) == 1
 
 
 def test_monitor_warns_on_window_size_mismatch(rng):
@@ -505,6 +557,15 @@ def test_moments_never_nan(rng):
         acc.push(float(rng.random()))
         if acc.count >= 4:
             assert all(not math.isnan(v) for v in acc.query())
+    # A NaN, an infinity or a value whose powers overflow counts no more
+    # once it has left the window.
+    for bad in (math.nan, math.inf, 1e200):
+        acc = MomentAccumulator(capacity=4)
+        for v in (1, bad, 2, 3, 4, 5, 6, 7, 8, 9):
+            acc.push(v)
+        got = acc.query()
+        assert all(not math.isnan(v) for v in got), (bad, got)
+        assert got == pytest.approx(_batch_moments([6, 7, 8, 9]), rel=1e-9, abs=1e-9)
 
 
 def test_evict_empty_accumulator():
