@@ -149,27 +149,30 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OOD if report.is_ood else EXIT_OK
 
 
-def _iter_stream_records(source: str, names: Sequence[str]) -> Iterator[dict[str, float | str]]:
-    """One record per data row of ``source`` (``-``: stdin), read as it is asked for.
+def _iter_stream_records(
+    source: str, names: Sequence[str]
+) -> Iterator[tuple[int, dict[str, float | str]]]:
+    """``(row number, record)`` per data row of ``source`` (``-``: stdin), read as asked for.
 
-    A record holds only the columns in ``names`` that the header has (the
-    last of a name the header repeats); no other cell is converted. A cell
-    that is not a number rides along as text: an error only where a rule
-    reads it, as is a name the header lacks.
+    Rows are numbered as ``read_csv_rows`` numbers them (the header is row
+    1). A record holds only the columns in ``names`` that the header has
+    (the last of a name the header repeats); no other cell is converted. A
+    cell that is not a number rides along as text: an error only where a
+    rule reads it, as is a name the header lacks.
     """
     with nullcontext(sys.stdin) if source == "-" else open(source, newline="") as fh:
         rows = read_csv_rows(fh, source)
         _, header = next(rows)
         position = {name: i for i, name in enumerate(header)}
         columns = [(name, position[name]) for name in names if name in position]
-        for _, cells in rows:
+        for rownum, cells in rows:
             record: dict[str, float | str] = {}
             for name, i in columns:
                 try:
                     record[name] = float(cells[i])
                 except ValueError:
                     record[name] = cells[i]
-            yield record
+            yield rownum, record
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
@@ -183,14 +186,18 @@ def cmd_stream(args: argparse.Namespace) -> int:
         detect_stride=cfg.stride,
         metrics=cfg.metrics,
     )
+    records = _iter_stream_records(args.source, ruleset.feature_names)
     with _output(args.output) as out:
         csv.writer(out).writerow(("sample_index", *DetectionReport.CSV_HEADER))
-        for index, record in enumerate(_iter_stream_records(args.source, ruleset.feature_names)):
-            tick = monitor.push(record)
-            if tick is not None:
-                # csv.writer never quotes an int: the line it writes for (index, *row)
-                for line in tick.csv_lines:
-                    out.write(f"{index},{line}")
+        try:
+            for index, (rownum, record) in enumerate(records):
+                tick = monitor.push(record)
+                if tick is not None:
+                    # csv.writer never quotes an int: the line it writes for (index, *row)
+                    for line in tick.csv_lines:
+                        out.write(f"{index},{line}")
+        except RuleError as exc:  # a record a rule cannot read: name its row, as detect does
+            raise type(exc)(f"{args.source}: row {rownum}: {exc}") from None
     return EXIT_OK
 
 
@@ -271,6 +278,10 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             raise DataError(f"column {name!r} is named twice in --columns")
     window = args.window
     columns = [table.column_index[name] for name in names]
+    nan = np.isnan(table.X[:, columns])
+    if nan.any():  # refused before any row is written, as induce refuses it
+        row, f = np.argwhere(nan)[0]
+        raise DataError(f"row {row}: feature {names[f]!r} is NaN")
     accs = [MomentAccumulator(capacity=window) for _ in names]
     # A window's label is that of its last row, so the output is a table
     # that induce, baseline and detect read as they read their input.

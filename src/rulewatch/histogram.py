@@ -155,7 +155,8 @@ def operational_splits(table: DataTable, n_s: int, count: int) -> np.ndarray:
 
 def hit_histogram(ruleset: Ruleset, split: Split) -> HitHistogram:
     """The hit histogram of one split."""
-    counts = ruleset.hit_counts(split.table.X, split.table.columns)[0]
+    rows = np.arange(split.size)[None]  # all rows, as one split
+    counts = ruleset.hit_counts(split.table.X, split.table.columns, rows)[0]
     return HitHistogram(counts, split.size)
 
 
@@ -163,8 +164,8 @@ def hit_matrix(ruleset: Ruleset, table: DataTable, splits: np.ndarray) -> HitMat
     """Hit counts per split, one per row of indices in ``splits``; other rows are never read.
 
     Every split is counted in one pass through the ruleset's lookup
-    (``Ruleset.hit_counts``); a NaN a rule reads is an error naming its
-    row within the first split that holds one.
+    (``Ruleset.hit_counts``); a NaN a rule reads is an error naming the
+    lowest table row (0-based) that holds one.
     """
     rows = np.asarray(splits)  # a ragged nested sequence raises ValueError here
     if rows.ndim != 2 or rows.size == 0 or rows.dtype.kind not in "iu":

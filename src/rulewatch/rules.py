@@ -18,18 +18,19 @@ for a given ruleset text.
 
 Tables (``Ruleset.hit_mask_table``, ``Ruleset.hit_counts``) and single
 samples (``ruleset_hits``) go through one per-feature lookup, compiled once
-per ruleset from the closed bounds ``lo <= v <= hi`` (``Ruleset.bounds``);
-``v > t`` becomes ``v >= nextafter(t, +inf)``, exact for every non-NaN
-float64. Each value is coded by where it falls among its feature's sorted
-pair ends, and the code indexes a bitmask of the rules that hold there: a
-row's hits are the AND of one bitmask per feature. A table codes each
-feature column with one ``np.searchsorted`` and ANDs packed uint64 masks;
-a sample bisects Python lists and ANDs Python ints, and its hits are that
-one int (bit ``j - 1`` for rule ``j``). Before any rule runs, the input
-must hold every feature some rule uses (else ``MissingFeatureError``) as a
-non-NaN, non-bool number (else ``NonNumericValueError``); other fields are
-ignored. Each sample value is compared as ``float(value)``, the float64 a
-table would hold.
+per ruleset from each rule's conditions on that feature, merged into one
+closed pair ``lo <= v <= hi`` (``Condition.bounds()``); ``v > t`` becomes
+``v >= nextafter(t, +inf)``, exact for every non-NaN float64. Each value is
+coded by where it falls among its feature's sorted pair ends, and the code
+indexes a bitmask of the rules that hold there: a row's hits are the AND of
+one bitmask per feature. A table codes each feature column with one
+``np.searchsorted`` and ANDs packed uint64 masks; a sample bisects Python
+lists and ANDs Python ints, and its hits are that one int (bit ``j - 1``
+for rule ``j``). Before any rule runs, the input must hold every feature
+some rule uses (else ``MissingFeatureError``) as a non-NaN, non-bool number
+(else ``NonNumericValueError``, naming a table's lowest such row, 0-based);
+other fields are ignored. Each sample value is compared as
+``float(value)``, the float64 a table would hold.
 """
 from __future__ import annotations
 
@@ -171,59 +172,42 @@ class Ruleset:
         return tuple(seen)
 
     @cached_property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compiled premises: read-only ``(idx, lo, hi)``, each ``(K, n_rules)``.
-
-        Rule ``j`` hits a row ``v`` (in ``feature_names`` order) iff
-        ``lo[:, j] <= v[idx[:, j]] <= hi[:, j]``: one merged pair per feature
-        it uses, padded to ``K`` with its first pair (AND is idempotent).
-        """
-        position = {name: i for i, name in enumerate(self.feature_names)}
-        merged = []
-        for rule in self.rules:
-            pairs: dict[int, tuple[float, float]] = {}
-            for cond in rule.premise:
-                f, (lo, hi) = position[cond.feature], cond.bounds()
-                old_lo, old_hi = pairs.get(f, (lo, hi))
-                pairs[f] = (max(old_lo, lo), min(old_hi, hi))
-            merged.append([(f, lo, hi) for f, (lo, hi) in pairs.items()])
-        width = max(map(len, merged), default=0)
-        padded = [m + m[:1] * (width - len(m)) for m in merged]
-        idx, lo, hi = np.array(padded, dtype=np.float64).reshape(len(padded), width, 3).T
-        arrays = (idx.astype(np.intp), lo.copy(), hi.copy())
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
-
-    @cached_property
     def _lookup(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``bounds`` compiled per feature, in ``feature_names`` order: ``(probes, masks)``.
+        """The premises compiled per feature, in ``feature_names`` order: ``(probes, masks)``.
 
-        A feature's ``edges`` are the sorted distinct ends of its pairs with
-        -inf and +inf. A non-NaN ``v`` gets the code ``bisect_left(edges, v)
-        + bisect_right(edges, v)``, which is ``2i + 1`` when ``v == edges[i]``
-        and even between edges; so ``lo <= v <= hi`` iff the code lies in
-        ``[2 index(lo) + 1, 2 index(hi) + 1]`` (empty for the pair
-        ``(inf, -inf)``). ``probes`` puts ``nextafter(edge, +inf)`` after
-        each edge but +inf, so the code is also the one search
-        ``searchsorted(probes, v, side="right")``. Row ``code`` of ``masks``
-        holds one bit per rule, little-endian in uint64 words (rule ``j + 1``
-        is bit ``j % 64`` of word ``j // 64``), set where the rule's pair
-        holds or where the rule does not read the feature.
+        Each rule reads a feature through one closed pair ``lo <= v <= hi``,
+        its conditions' ``Condition.bounds()`` merged (the largest ``lo``,
+        the smallest ``hi``). A feature's ``edges`` are the sorted distinct
+        ends of its pairs with -inf and +inf. A non-NaN ``v`` gets the code
+        ``bisect_left(edges, v) + bisect_right(edges, v)``, which is ``2i +
+        1`` when ``v == edges[i]`` and even between edges; so ``lo <= v <=
+        hi`` iff the code lies in ``[2 index(lo) + 1, 2 index(hi) + 1]``
+        (empty for the pair ``(inf, -inf)``). ``probes`` puts
+        ``nextafter(edge, +inf)`` after each edge but +inf, so the code is
+        also the one search ``searchsorted(probes, v, side="right")``. Row
+        ``code`` of ``masks`` holds one bit per rule, little-endian in
+        uint64 words (rule ``j + 1`` is bit ``j % 64`` of word ``j // 64``),
+        set where the rule's pair holds or where the rule does not read the
+        feature.
         """
-        idx, lo, hi = self.bounds
+        pairs: dict[str, dict[int, tuple[float, float]]] = {}
+        for j, rule in enumerate(self.rules):
+            for cond in rule.premise:
+                lo, hi = cond.bounds()
+                merged = pairs.setdefault(cond.feature, {})
+                old_lo, old_hi = merged.get(j, (lo, hi))
+                merged[j] = (max(old_lo, lo), min(old_hi, hi))
         n_rules = self.n_rules
-        rules = np.arange(n_rules)
         lookup = []
-        for f in range(len(self.feature_names)):
-            reads = idx == f
-            edges = np.unique(np.concatenate([lo[reads], hi[reads], [-np.inf, np.inf]]))
-            # Every slot of a rule that reads f holds the same merged pair.
-            slot, reader = reads.argmax(axis=0), reads.any(axis=0)
-            first = 2 * np.searchsorted(edges, lo[slot, rules]) + 1
-            last = 2 * np.searchsorted(edges, hi[slot, rules]) + 1
+        for name in self.feature_names:
+            readers = np.fromiter(pairs[name], dtype=np.intp)
+            lo, hi = np.array(list(pairs[name].values())).T
+            edges = np.unique(np.concatenate([lo, hi, [-np.inf, np.inf]]))
+            first = 2 * np.searchsorted(edges, lo) + 1
+            last = 2 * np.searchsorted(edges, hi) + 1
             codes = np.arange(2 * len(edges) + 1)[:, None]
-            holds = ~reader | ((codes >= first) & (codes <= last))
+            holds = np.ones((len(codes), n_rules), dtype=bool)
+            holds[:, readers] = (codes >= first) & (codes <= last)
             masks = np.zeros((len(codes), -(-n_rules // 64) * 8), dtype=np.uint8)
             masks[:, : -(-n_rules // 8)] = np.packbits(holds, axis=1, bitorder="little")
             probes = np.empty(2 * len(edges) - 1)
@@ -249,29 +233,25 @@ class Ruleset:
         )
         return features, (1 << self.n_rules) - 1
 
-    def _packed_hits(self, X: np.ndarray, columns: Sequence[str],
-                     splits: np.ndarray | None = None) -> np.ndarray:
-        """Hits of the rows of ``X`` that ``splits`` lists, split by split (all rows when None).
+    def _packed_hits(self, X: np.ndarray, columns: Sequence[str], rows: np.ndarray) -> np.ndarray:
+        """Hits of the rows of ``X`` that the index array ``rows`` lists, in its order.
 
-        Returns ``(n, words)`` packed as ``_lookup``'s masks are. Only the
-        listed rows are read. A NaN in a feature some rule reads is an
-        error naming the first such row, by its index within its split, and
-        feature.
+        Returns ``(len(rows), words)`` packed as ``_lookup``'s masks are.
+        Only the listed rows are read. A NaN in a feature some rule reads is
+        an error naming the lowest such row of ``X`` and its feature.
         """
         col_index = {name: i for i, name in enumerate(columns)}
         missing = [name for name in self.feature_names if name not in col_index]
         if missing:
             raise MissingFeatureError(f"feature {missing[0]!r} not in columns {list(columns)}")
-        rows = None if splits is None else splits.ravel()
         hits, nan = None, None
         for name, (probes, masks) in zip(self.feature_names, self._lookup):
-            j = col_index[name]
-            values = X[:, j] if rows is None else X[rows, j]
+            values = X[rows, col_index[name]]
             is_nan = np.isnan(values)
             if is_nan.any():
-                at = int(is_nan.argmax())
-                if nan is None or at < nan[0]:
-                    nan = (at, name)
+                row = int(rows[is_nan].min())
+                if nan is None or row < nan[0]:
+                    nan = (row, name)
             if nan is None:
                 found = masks.take(np.searchsorted(probes, values, side="right"), axis=0)
                 if hits is None:
@@ -279,27 +259,23 @@ class Ruleset:
                 else:
                     hits &= found
         if nan is not None:
-            at, name = nan
-            row = at if splits is None else at % splits.shape[1]
-            raise NonNumericValueError(f"row {row}: feature {name!r} is NaN")
+            raise NonNumericValueError(f"row {nan[0]}: feature {nan[1]!r} is NaN")
         return hits
 
     def hit_mask_table(self, X: np.ndarray, columns: Sequence[str]) -> np.ndarray:
         """Boolean hit table of shape (n_samples, n_rules) for a feature matrix."""
-        hits = self._packed_hits(X, columns).view(np.uint8)
+        hits = self._packed_hits(X, columns, np.arange(len(X))).view(np.uint8)
         return np.unpackbits(hits, axis=1, count=self.n_rules, bitorder="little").view(bool)
 
-    def hit_counts(self, X: np.ndarray, columns: Sequence[str],
-                   splits: np.ndarray | None = None) -> np.ndarray:
+    def hit_counts(self, X: np.ndarray, columns: Sequence[str], splits: np.ndarray) -> np.ndarray:
         """Per-rule hit counts, int64 ``(n_splits, n_rules)``: one row per row of ``splits``.
 
         A row of ``splits`` lists row indices of ``X``; only those rows are
-        read. None counts all of ``X`` as one split. Every split is counted
-        in one pass: one ``np.bincount`` per mask byte, keyed by split,
-        times the bits of each byte value.
+        read. Every split is counted in one pass: one ``np.bincount`` per
+        mask byte, keyed by split, times the bits of each byte value.
         """
-        hits = self._packed_hits(X, columns, splits).view(np.uint8)
-        n_splits, split_size = (1, len(hits)) if splits is None else splits.shape
+        hits = self._packed_hits(X, columns, splits.ravel()).view(np.uint8)
+        n_splits, split_size = splits.shape
         n_bytes = -(-self.n_rules // 8)
         keys = np.repeat(np.arange(n_splits) * 256, split_size)
         hist = np.empty((n_splits, n_bytes, 256), dtype=np.int64)

@@ -448,6 +448,28 @@ def test_nan_input_exits_1(workdir, capsys):
     assert capsys.readouterr().err.count("is NaN") == 4
 
 
+def test_nan_errors_name_the_data_row_that_holds_it(workdir, capsys):
+    # baseline shuffles rows into splits, yet names the NaN by its 0-based
+    # data row, as induce and featurize do; featurize writes nothing.
+    lines = (workdir / "train.csv").read_text().splitlines(keepends=True)
+    assert lines[0].startswith("x1,x2,")
+    lines[100] = "nan," + lines[100].split(",", 1)[1]  # data row 99
+    nan_csv = workdir / "nan_train.csv"
+    nan_csv.write_text("".join(lines))
+    features = workdir / "features.csv"
+    capsys.readouterr()
+    assert main(["baseline", str(nan_csv), "--rules", str(workdir / "rules.txt"),
+                 "-o", str(workdir / "b.json"), "--ns", "250", "--ntr", "12", "--seed", "5"]) == 1
+    assert main(["induce", str(nan_csv), "-o", str(workdir / "r.txt")]) == 1
+    assert main(["featurize", str(nan_csv), "--window", "20", "-o", str(features)]) == 1
+    assert capsys.readouterr().err == "error: row 99: feature 'x1' is NaN\n" * 3
+    assert not features.exists() and not (workdir / "b.json").exists()
+    # A NaN in a column featurize does not read is no error.
+    assert main(["featurize", str(nan_csv), "--window", "20", "--columns", "x2,x3",
+                 "-o", str(features)]) == 0
+    assert len(features.read_text().splitlines()) == 1 + 4000 - 19
+
+
 def _subparsers():
     from rulewatch.cli import build_parser
 
@@ -900,8 +922,8 @@ _TICK_HEADER = "sample_index," + ",".join(_REPORT_COLUMNS) + "\r\n"
 
 
 @pytest.mark.parametrize("case", [
-    "text-in-unread-columns", "text-in-a-read-column", "repeated-name",
-    "missing-read-feature", "missing-read-feature-header-only",
+    "text-in-unread-columns", "text-in-a-read-column", "nan-in-a-read-column",
+    "repeated-name", "missing-read-feature", "missing-read-feature-header-only",
 ])
 def test_stream_record_policy(workdir, capsys, case):
     # The rules read x1, x2 and x3; label and note are read by none.
@@ -914,13 +936,16 @@ def test_stream_record_policy(workdir, capsys, case):
     if case == "text-in-unread-columns":
         edited = [header + ["note"]] + [[*r[:3], "n/a", "x y"] for r in body]
         expected = clean
-    elif case == "text-in-a-read-column":
-        edited = [header] + [[*r[:1], "high", *r[2:]] if i == 299 else r
+    elif case in ("text-in-a-read-column", "nan-in-a-read-column"):
+        # Sample 299 is file row 301 (the header is row 1).
+        cell = "high" if case == "text-in-a-read-column" else "nan"
+        edited = [header] + [[*r[:1], cell, *r[2:]] if i == 299 else r
                              for i, r in enumerate(body)]
         kept = [line for line in clean[1].splitlines(keepends=True)[1:]
                 if int(line.split(",", 1)[0]) < 299]
+        problem = "has non-numeric value 'high'" if cell == "high" else "is NaN"
         expected = (1, _TICK_HEADER + "".join(kept),
-                    "error: feature 'x2' has non-numeric value 'high'\n")
+                    f"error: {workdir / 'edited.csv'}: row 301: feature 'x2' {problem}\n")
     elif case == "repeated-name":
         # The last x2 column wins, as a dict built over the header would have it.
         edited = [header + ["x2"]] + [r + [r[0]] for r in body]
@@ -929,7 +954,8 @@ def test_stream_record_policy(workdir, capsys, case):
         assert expected[0] == 0 and expected[1] != clean[1]
     elif case == "missing-read-feature":
         edited = [["x1", "x2", "label"]] + [[r[0], r[1], r[3]] for r in body]
-        expected = (1, _TICK_HEADER, "error: sample is missing feature 'x3'\n")
+        expected = (1, _TICK_HEADER,
+                    f"error: {workdir / 'edited.csv'}: row 2: sample is missing feature 'x3'\n")
     else:
         edited = [["x1", "x2", "label"]]
         expected = (0, _TICK_HEADER, "")

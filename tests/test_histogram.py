@@ -9,6 +9,7 @@ from rulewatch import (
     HitHistogram,
     HitMatrix,
     InsufficientDataError,
+    NonNumericValueError,
     Split,
     hit_histogram,
     hit_matrix,
@@ -158,6 +159,21 @@ def test_hit_matrix_rejects_bad_partitions(splits):
     rs = parse_ruleset("if x1 <= 0 then a\nif x2 > 0 then b\n")
     with pytest.raises(ValueError):
         hit_matrix(rs, _table([[0, 0]] * 9), splits)
+
+
+def test_hit_matrix_names_the_lowest_table_row_holding_a_nan():
+    # The shuffled splits list row 7 first, but row 3 is the lowest row
+    # holding a NaN a rule reads; in it, x1 comes before x2 among the
+    # ruleset's features. Row 1 is in no split and x3 is read by no rule.
+    rs = parse_ruleset("if x1 <= 0 then a\nif x2 > 0 then b\n")
+    X = np.zeros((12, 3))
+    X[7, 0] = X[3, 1] = X[3, 0] = X[1, 0] = X[0, 2] = np.nan
+    table = _table(X, ("x2", "x1", "x3"))
+    splits = np.array([[7, 0, 5, 9], [2, 11, 3, 4]])
+    with pytest.raises(NonNumericValueError, match=r"^row 3: feature 'x1' is NaN$"):
+        hit_matrix(rs, table, splits)
+    with pytest.raises(NonNumericValueError, match=r"^row 3: feature 'x1' is NaN$"):
+        hit_matrix(rs, table, splits[::-1, ::-1])
 
 
 @settings(max_examples=200, deadline=None)

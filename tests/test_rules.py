@@ -270,9 +270,9 @@ _SAMPLE_COLUMNS = ("x3", "x1", "x5", "x4", "x2")  # no rule reads x5
     [[-0.0, math.inf, math.nan, 5e-324, -math.inf], [0.0, -math.inf, 1.0, -0.0, math.inf]],
 )
 def test_sample_hits_equal_hit_mask_table_rows(rs, rows):
-    # ruleset_hits gathers one sample and hit_mask_table evaluates row
-    # blocks; both read Ruleset.bounds and must agree row for row, and a
-    # NaN in a feature some rule reads is an error on both paths.
+    # ruleset_hits bisects one sample and hit_mask_table searches whole
+    # columns; both read the ruleset's one lookup and must agree row for
+    # row, and a NaN in a feature some rule reads is an error on both paths.
     samples = [dict(zip(_SAMPLE_COLUMNS, row)) for row in rows]
     nan_rows = [
         i for i, sample in enumerate(samples)
@@ -321,8 +321,56 @@ def test_mask_table_matches_per_sample_loop(rng, two_rule_set):
 
 # -- the table lookup against the bounds-compare kernel ---------------------
 # Tables were once evaluated by comparing every row with each rule's
-# compiled bounds, in row blocks. That kernel is the reference the
-# per-feature lookup must reproduce, bit for bit.
+# compiled bounds, padded to one ``(K, n_rules)`` array each, in row blocks.
+# That kernel is the reference the per-feature lookup must reproduce, bit
+# for bit; its bounds are built here from ``Condition.bounds()``, apart
+# from the lookup's own compile.
+
+def _reference_bounds(rs):
+    """``(idx, lo, hi)``, each ``(K, n_rules)``: rule ``j`` hits ``v`` iff every
+    ``lo[k, j] <= v[idx[k, j]] <= hi[k, j]``, ``v`` in ``feature_names`` order.
+
+    One merged pair per feature a rule reads, padded to ``K`` with its
+    first pair (AND is idempotent).
+    """
+    position = {name: i for i, name in enumerate(rs.feature_names)}
+    merged = []
+    for rule in rs.rules:
+        pairs = {}
+        for cond in rule.premise:
+            f, (lo, hi) = position[cond.feature], cond.bounds()
+            old_lo, old_hi = pairs.get(f, (lo, hi))
+            pairs[f] = (max(old_lo, lo), min(old_hi, hi))
+        merged.append([(f, lo, hi) for f, (lo, hi) in pairs.items()])
+    width = max(map(len, merged))
+    padded = [m + m[:1] * (width - len(m)) for m in merged]
+    idx, lo, hi = np.array(padded, dtype=np.float64).reshape(len(padded), width, 3).T
+    return idx.astype(np.intp), lo, hi
+
+
+def _reference_lookup(rs):
+    """``Ruleset._lookup`` compiled from ``_reference_bounds``: ``(probes, masks)`` per feature."""
+    idx, lo, hi = _reference_bounds(rs)
+    lookup = []
+    for f in range(len(rs.feature_names)):
+        reads = idx == f
+        edges = np.unique(np.concatenate([lo[reads], hi[reads], [-np.inf, np.inf]]))
+        codes = np.arange(2 * len(edges) + 1)[:, None]
+        holds = np.ones((len(codes), rs.n_rules), dtype=bool)
+        for k in range(idx.shape[0]):  # a padded slot repeats a pair: AND is idempotent
+            first = 2 * np.searchsorted(edges, lo[k]) + 1
+            last = 2 * np.searchsorted(edges, hi[k]) + 1
+            holds &= ~reads[k] | ((codes >= first) & (codes <= last))
+        words = -(-rs.n_rules // 64)
+        bits = np.zeros((len(codes), 64 * words), dtype=bool)
+        bits[:, : rs.n_rules] = holds
+        masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        probes = np.empty(2 * len(edges) - 1)
+        with np.errstate(over="ignore"):
+            probes[0::2], probes[1::2] = edges, np.nextafter(edges[:-1], np.inf)
+        lookup.append((probes, masks))
+    return lookup
+
 
 def _reference_hits(V, gather, lo, hi, block_values=1 << 16):
     """(n, n_rules) hits: ``lo[k, j] <= V[i, gather[k, j]] <= hi[k, j]`` for every ``k``.
@@ -344,7 +392,7 @@ def _reference_hits(V, gather, lo, hi, block_values=1 << 16):
 def _reference_table(rs, X, columns, block_values=1 << 16):
     col_index = {name: i for i, name in enumerate(columns)}
     cols = np.asarray([col_index[name] for name in rs.feature_names], dtype=np.intp)
-    idx, lo, hi = rs.bounds
+    idx, lo, hi = _reference_bounds(rs)
     return _reference_hits(X, cols[idx], lo, hi, block_values)
 
 
@@ -367,7 +415,7 @@ def test_mask_table_of_random_rows_matches_brute_force(rs, n_rows, block_values,
 
 
 def test_mask_table_of_many_rows_matches_brute_force(rng, two_rule_set):
-    idx, lo, hi = two_rule_set.bounds
+    idx, lo, hi = _reference_bounds(two_rule_set)
     n = 2 * ((1 << 16) // lo.size) + 7  # three reference blocks, the last one short
     X = rng.normal(2.5, 2.0, size=(n, 2))
     table = two_rule_set.hit_mask_table(X, ("x1", "x2"))
@@ -434,11 +482,26 @@ def test_table_lookup_equals_bounds_kernel_and_brute_force(rs, n_rows, n_splits,
         full = _reference_table(rs, np.where(np.isnan(X), 0.0, X), columns)
         assert counts.tolist() == full[splits].sum(axis=1).tolist()
     if not clean.all():
-        # The error names the first NaN row by its index within its split.
+        # The error names the lowest table row holding a NaN, wherever the
+        # shuffle put it.
         splits = rng.permutation(n_rows).reshape(1, n_rows)
-        at = int(np.argmax(~clean[splits[0]]))
+        at = int(np.flatnonzero(~clean)[0])
         with pytest.raises(NonNumericValueError, match=f"^row {at}: feature "):
             hit_matrix(rs, DataTable(columns, X), splits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rulesets())
+@example(parse_ruleset("if x1 > 3 and x1 < 1 and x1 in [0, 5] then a\nif x2 > 1e999 then b\n"
+                       "if x1 <= 2 and x1 >= -0.0 and x1 in (0.0, 2] then c\n"))
+def test_lookup_equals_the_one_compiled_from_padded_bounds(rs):
+    lookup = rs._lookup
+    assert len(lookup) == len(rs.feature_names)
+    for (probes, masks), (ref_probes, ref_masks) in zip(lookup, _reference_lookup(rs)):
+        # Equal as floats: a zero end may carry either sign, which no
+        # comparison sees.
+        assert probes.tolist() == ref_probes.tolist()
+        assert masks.dtype == ref_masks.dtype and masks.tobytes() == ref_masks.tobytes()
 
 
 def test_table_lookup_repeats_the_sample_lookup():
@@ -468,18 +531,24 @@ def test_lookup_of_the_largest_floats_warns_about_nothing():
     assert table.tolist() == [[True, False], [True, False], [False, False]]
 
 
-def test_compiled_bounds_merge_and_pad():
+def test_merged_pairs_hold_exactly_where_every_condition_holds():
+    # Conditions on one feature merge into one pair: a contradiction and
+    # x2 > +inf never hit, and x1 <= 2 and x1 >= 0 hits exactly [0, 2].
     rs = parse_ruleset(
         "if x1 > 3 and x1 < 1 then a\n"
-        "if x2 > 1e999 and x1 <= 2 and x1 >= 0 then b\n"
+        "if x2 > 1e999 then b\n"
+        "if x1 <= 2 and x1 >= 0 then c\n"
     )
-    idx, lo, hi = rs.bounds
-    assert idx.shape == lo.shape == hi.shape == (2, 2)  # x1 merged, rule 1 padded
-    assert idx.T.tolist() == [[0, 0], [1, 0]]
-    assert lo[:, 0].tolist() == [math.nextafter(3.0, math.inf)] * 2
-    assert hi[:, 0].tolist() == [math.nextafter(1.0, -math.inf)] * 2
-    assert (lo[0, 1], hi[0, 1]) == (math.inf, -math.inf)  # x2 > +inf never holds
-    assert (lo[1, 1], hi[1, 1]) == (0.0, 2.0)
+    (_, x1_masks), (_, x2_masks) = rs._lookup
+    assert not (x1_masks & 0b001).any() and not (x2_masks & 0b010).any()
+    values = sorted({e for t in (-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, _MAX_FLOAT, math.inf)
+                     for e in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))})
+    X = np.array([(v, w) for v in values for w in values])
+    table = rs.hit_mask_table(X, ("x1", "x2"))
+    assert not table[:, :2].any()
+    assert table[:, 2].tolist() == [0.0 <= v <= 2.0 for v in X[:, 0]]
+    for row, hits in zip(X.tolist(), table.tolist()):
+        assert hits == _brute_force_hits(rs, {"x1": row[0], "x2": row[1]})
 
 
 # -- the per-feature lookup of ruleset_hits ------------------------------------
