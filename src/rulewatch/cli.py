@@ -11,6 +11,7 @@ import argparse
 import csv
 import ctypes
 import functools
+import math
 import sys
 import warnings
 from contextlib import nullcontext
@@ -278,10 +279,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             raise DataError(f"column {name!r} is named twice in --columns")
     window = args.window
     columns = [table.column_index[name] for name in names]
-    nan = np.isnan(table.X[:, columns])
-    if nan.any():  # refused before any row is written, as induce refuses it
-        row, f = np.argwhere(nan)[0]
-        raise DataError(f"row {row}: feature {names[f]!r} is NaN")
+    bad = ~np.isfinite(table.X[:, columns])
+    if bad.any():  # refused before any row is written, as induce refuses a NaN
+        row, f = np.argwhere(bad)[0]
+        what = "NaN" if np.isnan(table.X[row, columns[f]]) else "infinite"
+        raise DataError(f"row {row}: feature {names[f]!r} is {what}")
     accs = [MomentAccumulator(capacity=window) for _ in names]
     # A window's label is that of its last row, so the output is a table
     # that induce, baseline and detect read as they read their input.
@@ -296,6 +298,10 @@ def cmd_featurize(args: argparse.Namespace) -> int:
                 acc.push(row[j])
             if i + 1 >= window:  # the accumulators fill in lockstep
                 moments = [m for acc in accs for m in acc.query()]
+                if not all(map(math.isfinite, moments)):
+                    k = next(k for k, m in enumerate(moments) if not math.isfinite(m))
+                    raise DataError(f"row {i}: feature {names[k // 4]!r}: "
+                                    f"the moments of its window overflow")
                 writer.writerow(moments if labels is None else [*moments, labels[i]])
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import csv
-import sys
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,16 +113,17 @@ class DataTable:
         without it is an error unless ``label_required`` is false, in which
         case the table has no labels. With ``columns``, the table holds only
         the header's columns named there, in header order (the last of a
-        name the header repeats), and no labels; if the header lacks one of
-        them, ``columns`` is ignored, so that whatever reads the missing name
-        names it among all the columns. Each cell of a column the table
+        name the header repeats), and no labels; a name the header lacks is
+        a ``DataError`` naming the header's columns but the label, raised
+        before any cell is converted. Each cell of a column the table
         holds must parse as Python ``float()`` parses it; a non-numeric or
         empty cell is a hard error. No other cell is converted, but every
         row must still have the header's number of cells
         (``read_csv_rows``). The header is read once, so a pipe loads
-        too. numpy's C reader is tried first and its table is kept only when
-        the Python reader would build the same one; any other file is read
-        again by the Python reader, which owns every error message.
+        too. numpy's C reader reads a file on which ``csv`` splits every
+        line at every comma (``_read_csv_numpy``); any other file, or one
+        it fails on, is read by the Python reader, which owns every error
+        message.
         """
         path = Path(path)
         names, X, labels = (_read_csv_numpy(path, label_column, label_required, columns)
@@ -188,15 +189,18 @@ def _kept_columns(
 ) -> tuple[list[int], int | None]:
     """Header positions of the columns a table holds, and of its labels (None: no labels).
 
-    When ``columns`` names only columns the header has, the table holds
-    those, in header order (a name the header repeats at its last
-    position), and no labels. Otherwise it holds every column but the
-    label, and the labels.
+    Without ``columns`` the table holds every column but the label, and the
+    labels. With it, those columns, in header order (a name the header
+    repeats at its last position), and no labels; a name the header lacks,
+    or has only as its label, is an error.
     """
     features = [i for i in range(len(header)) if i != label_idx]
-    last = {header[i]: i for i in features}
-    if columns is None or any(name not in last for name in columns):
+    if columns is None:
         return features, label_idx
+    last = {header[i]: i for i in features}
+    for name in columns:
+        if name not in last:
+            raise DataError(f"feature {name!r} not in columns {[header[i] for i in features]}")
     return sorted({last[name] for name in columns}), None
 
 
@@ -240,15 +244,31 @@ def _read_csv_python(
     return names, X, tuple(labels) if label_idx is not None else None
 
 
-# Before Python 3.11 the csv module refuses a NUL anywhere in a line.
-_CSV_REFUSES_NUL = sys.version_info < (3, 11)
+_BLOCK = 1 << 16  # bounds the memory of ``_splits_at_commas``
+_OPENING_QUOTE = re.compile(rb'[,\r\n]"')
 
 
-def _first_char(cell: str) -> str:
-    """An unread cell's first character, for a reader that must refuse NUL."""
-    if "\0" in cell:
-        raise ValueError("NUL in a cell")
-    return cell[:1]
+def _splits_at_commas(path: Path) -> bool:
+    """Whether ``csv`` splits every line of ``path`` at every comma and nowhere else.
+
+    It does when no byte is NUL, no field opens with a quote (a quote inside
+    a field is a plain character) and no line is longer in bytes, so in
+    characters, than ``csv.field_size_limit()``. Blocks are no longer than
+    the limit, so only a line that crosses a block boundary is measured.
+    """
+    limit = csv.field_size_limit()
+    with path.open("rb") as fh:
+        prev, run = b"\n", 0  # the byte before the block; the length of the line it ends
+        while block := fh.read(max(1, min(_BLOCK, limit))):
+            if b"\0" in block or (b'"' in block and _OPENING_QUOTE.search(prev + block)):
+                return False
+            breaks = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
+            if run + min(breaks, default=len(block)) > limit:
+                return False
+            last = max(block.rfind(b"\n"), block.rfind(b"\r"))
+            run = run + len(block) if last < 0 else len(block) - last - 1
+            prev = block[-1:]
+    return True
 
 
 def _read_csv_numpy(
@@ -259,23 +279,21 @@ def _read_csv_numpy(
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...] | None] | None:
     """Read a CSV with numpy's C reader; None unless it is ``_read_csv_python``'s table.
 
-    Each kept column is a float64 field and every other one, the label
-    included, a one-byte ``S1`` field (named by position, since a header
-    may repeat a name), so numpy converts no cell the table does not hold
-    and still refuses a row with another number of cells. Without a quote
-    character in the header or at the start of a cell it does not convert,
-    ``csv`` splits every line where numpy does: a quote in a kept cell fails
-    to convert. numpy converts a cell where ``float()`` does, to the same
-    value, since both strip Unicode whitespace and call
-    ``PyOS_string_to_double``; it rejects what only ``float()`` reads
-    (``1_000``, non-ASCII digits) and whitespace-only lines, which the
-    Python reader skips. Such files, and every error, fall through. So do a
-    label holding NUL, or before Python 3.11 any unread cell holding one,
-    which ``csv`` then rejects, and a table that keeps no column, where
-    numpy would keep whitespace-only lines as rows.
+    Only a regular file where ``csv`` splits every line at every comma
+    (``_splits_at_commas``) is read; numpy's reader, which knows no quotes,
+    splits it the same way. Each kept column is a float64 field and every
+    other one, the label included, a one-byte ``S1`` field (named by
+    position, since a header may repeat a name), so numpy converts no cell
+    the table does not hold and still refuses a row with another number of
+    cells. numpy converts a cell where ``float()`` does, to the same value,
+    since both strip Unicode whitespace and call ``PyOS_string_to_double``;
+    it rejects what only ``float()`` reads (``1_000``, non-ASCII digits)
+    and whitespace-only lines, which the Python reader skips. Such files,
+    and every error, fall through, as does a table that keeps no column,
+    where numpy would keep whitespace-only lines as rows.
     """
-    if not path.is_file():
-        return None  # a pipe cannot be read a second time
+    if not path.is_file() or not _splits_at_commas(path):  # a pipe cannot be read twice
+        return None
     labels: list[str] = []
 
     def keep_label(cell: str) -> str:
@@ -285,31 +303,21 @@ def _read_csv_numpy(
     with path.open() as fh, warnings.catch_warnings():
         warnings.simplefilter("error")  # the empty-input warning, among others
         try:
-            line = fh.readline()
-            if '"' in line:
-                return None
-            header = [h.strip() for h in next(csv.reader([line]), [])]
+            header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
             label_idx = _label_position(path, header, label_column, label_required)
             kept, label_idx = _kept_columns(header, label_idx, columns)
             if not kept:
                 return None
             fields = [(f"f{i}", np.float64 if i in kept else "S1") for i in range(len(header))]
-            converters = {i: _first_char for i in range(len(header))
-                          if i not in kept} if _CSV_REFUSES_NUL else {}
-            if label_idx is not None:
-                converters[label_idx] = keep_label
             # An explicit encoding: under numpy 1.x's default, "bytes",
             # converters would receive bytes.
             A = np.loadtxt(
-                fh, dtype=fields, delimiter=",", comments=None, ndmin=1,
-                encoding=fh.encoding, converters=converters or None,
+                fh, dtype=fields, delimiter=",", comments=None, ndmin=1, encoding=fh.encoding,
+                converters=None if label_idx is None else {label_idx: keep_label},
             )
-        except (ValueError, Warning, csv.Error):  # a DataError is a ValueError
+        except (ValueError, Warning):  # a DataError is a ValueError
             return None
-    if not len(A) or any((A[name] == b'"').any() for name, kind in fields if kind == "S1"):
-        return None
-    joined = "".join(labels)
-    if '"' in joined or "\0" in joined:
+    if not len(A):
         return None
     names = tuple(header[i] for i in kept)
     return names, _kept_fields(A, kept), None if label_idx is None else tuple(labels)

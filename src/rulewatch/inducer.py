@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -171,14 +171,6 @@ def _best_split(
     if Fraction(best[0], best[1]) <= parent_score:
         return None  # no impurity decrease
     return best[2], best[3]
-
-
-def predict_tree(tree: TreeNode, sample: Mapping[str, float]) -> str:
-    """Route one sample to its leaf label."""
-    node = tree
-    while isinstance(node, TreeSplit):
-        node = node.left if sample[node.feature] <= node.threshold else node.right
-    return node.label
 
 
 def _leaf_paths(

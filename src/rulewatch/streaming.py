@@ -253,6 +253,14 @@ class StreamMonitor:
 # Incremental moments
 # ---------------------------------------------------------------------------
 
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, or the plain sum (inf or NaN) where a partial sum leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # ValueError: inf + -inf
+        return sum(terms)
+
+
 class MomentAccumulator:
     """Rolling mean/variance/skewness/kurtosis over a value window.
 
@@ -263,7 +271,8 @@ class MomentAccumulator:
     eviction that leaves a power sum NaN or infinite. Variance is the
     population (divide-by-n) variant; skewness and kurtosis are the usual
     standardized third and fourth moments, defined as 0 for a zero-variance
-    window.
+    window. A moment whose powers leave the float range (values about 1e77
+    apart) is inf or NaN; no method raises ``OverflowError``.
     """
 
     REANCHOR_INTERVAL = 2048
@@ -324,10 +333,10 @@ class MomentAccumulator:
         self._center = self._values[0]
         c = self._center
         ds = [v - c for v in self._values]
-        self._s1 = math.fsum(ds)
-        self._s2 = math.fsum(d * d for d in ds)
-        self._s3 = math.fsum(d * d * d for d in ds)
-        self._s4 = math.fsum(d * d * d * d for d in ds)
+        self._s1 = _fsum(ds)
+        self._s2 = _fsum([d * d for d in ds])
+        self._s3 = _fsum([d * d * d for d in ds])
+        self._s4 = _fsum([d * d * d * d for d in ds])
 
     def _require(self, n: int, what: str) -> None:
         if len(self._values) < n:
@@ -344,8 +353,11 @@ class MomentAccumulator:
         m1, m2, m3, m4 = self._s1, self._s2, self._s3, self._s4
         d = m1 / n
         c2 = m2 - n * d * d
-        c3 = m3 - 3.0 * d * m2 + 2.0 * n * d**3
-        c4 = m4 - 4.0 * d * m3 + 6.0 * d * d * m2 - 3.0 * n * d**4
+        try:
+            c3 = m3 - 3.0 * d * m2 + 2.0 * n * d**3
+            c4 = m4 - 4.0 * d * m3 + 6.0 * d * d * m2 - 3.0 * n * d**4
+        except OverflowError:  # |d| past about 1e77: some fourth power overflowed already
+            c3 = c4 = math.nan
         return n, max(c2, 0.0), c3, c4
 
     def variance(self) -> float:
@@ -359,7 +371,10 @@ class MomentAccumulator:
         var = c2 / n
         if var == 0.0:
             return 0.0
-        return (c3 / n) / var**1.5
+        try:
+            return (c3 / n) / var**1.5
+        except OverflowError:  # a variance past about 1e205
+            return math.nan
 
     def kurtosis(self) -> float:
         self._require(4, "kurtosis")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -724,6 +725,55 @@ def test_a_cell_over_the_csv_field_limit_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "row 3" in err and "field larger than field limit" in err
 
 
+@pytest.mark.parametrize("command", ["baseline", "detect", "stream"])
+def test_an_all_digit_cell_over_the_csv_field_limit_exits_1(workdir, capsys, command):
+    # numpy's reader would convert it, to inf; the csv module refuses it.
+    assert main(_baseline_args(workdir)) == 0
+    name = "train.csv" if command == "baseline" else "op_in.csv"
+    lines = (workdir / name).read_text().splitlines(keepends=True)
+    lines[2] = "1" * 200_000 + "," + lines[2].split(",", 1)[1]
+    big = workdir / "big.csv"
+    big.write_text("".join(lines))
+    rules = ["--rules", str(workdir / "rules.txt")]
+    argv = (_baseline_args(workdir, out="big.json") if command == "baseline" else
+            [command, str(big), *rules, "--baseline", str(workdir / "base.json")])
+    argv[1] = str(big)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {big}: row 3: field larger than field limit (131072)\n"
+    assert len(out.splitlines()) == (command == "stream")  # stream's header, no tick
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400"])
+def test_featurize_refuses_an_infinite_cell_before_writing(workdir, capsys, cell):
+    lines = (workdir / "train.csv").read_text().splitlines(keepends=True)
+    lines[100] = cell + "," + lines[100].split(",", 1)[1]  # data row 99
+    inf_csv = workdir / "inf_train.csv"
+    inf_csv.write_text("".join(lines))
+    features = workdir / "features.csv"
+    assert main(["featurize", str(inf_csv), "--window", "20", "-o", str(features)]) == 1
+    assert capsys.readouterr().err == "error: row 99: feature 'x1' is infinite\n"
+    assert not features.exists()
+
+
+def test_featurize_stops_before_a_window_whose_moments_overflow(workdir, capsys):
+    # 1e80 is finite, but its fourth power is not: the window ending at
+    # data row 10 is the first to hold it.
+    lines = (workdir / "op_in.csv").read_text().splitlines(keepends=True)
+    lines[11] = "1e80," + lines[11].split(",", 1)[1]
+    big = workdir / "big.csv"
+    big.write_text("".join(lines))
+    features = workdir / "features.csv"
+    assert main(["featurize", str(big), "--window", "5", "-o", str(features)]) == 1
+    assert capsys.readouterr().err == (
+        "error: row 10: feature 'x1': the moments of its window overflow\n"
+    )
+    rows = list(csv.reader(features.read_text().splitlines()))
+    assert len(rows) == 1 + 6  # the windows ending at data rows 4 to 9
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[:-1])
+
+
 @pytest.mark.parametrize("window", ["0", "3"])
 def test_featurize_rejects_a_window_below_4_before_reading(tmp_path, capsys, window):
     # Every row featurize writes is a full moment query, which needs 4
@@ -1084,10 +1134,7 @@ def test_a_header_without_a_rule_read_feature_exits_1(workdir, capsys):
     capsys.readouterr()
     assert main(["detect", str(workdir / "no_x3.csv"), "--rules", str(workdir / "rules.txt"),
                  "--baseline", str(workdir / "base.json")]) == 1
-    assert capsys.readouterr().err == (
-        "warning: scored the first 250 of 400 rows; 150 trailing rows ignored\n"
-        "error: feature 'x3' not in columns ['x1', 'x2']\n"
-    )
+    assert capsys.readouterr().err == "error: feature 'x3' not in columns ['x1', 'x2']\n"
 
 
 @pytest.mark.parametrize("command", ["baseline", "detect"])

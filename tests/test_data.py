@@ -1,7 +1,11 @@
+import csv
 import os
+import re
 import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulewatch import CsvFormatError, DataError, DataTable
+from rulewatch import data
 from rulewatch.config import RunConfig, build_config, load_config_file
 from rulewatch.data import _kept_fields, _read_csv_numpy, _read_csv_python
 
@@ -52,6 +57,10 @@ def test_an_optional_label_column_is_split_out_when_present(tmp_path, read, head
 def test_from_csv_names_the_row_over_the_csv_field_limit(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n1,2\n3," + "x" * 200_000 + "\n5,6\n")
+    with pytest.raises(CsvFormatError) as info:
+        DataTable.from_csv(p)
+    assert str(info.value) == f"{p}: row 3: field larger than field limit (131072)"
+    p.write_text("x1,x2\n1,2\n3," + "1" * 200_000 + "\n")  # a cell numpy would convert
     with pytest.raises(CsvFormatError) as info:
         DataTable.from_csv(p)
     assert str(info.value) == f"{p}: row 3: field larger than field limit (131072)"
@@ -288,6 +297,9 @@ def _outcome(read, path, label_column, columns):
 @given(csv_files())
 @example(('a,b,a,label\n1,"x",2,y\n3,,4,"z"\n', "label", ["a"]))
 @example(("a,b\n1,\x00\n", None, ["a"]))
+@example(("a,b,label\n1,x\x00y,p\n2,z,q\n", "label", ["a"]))
+@example(("a,b\n1," + "x" * 200_000 + "\n", None, ["a"]))
+@example(("x1,x2\n1,2\n3," + "1" * 200_000 + "\n", None, None))
 def test_from_csv_equals_the_python_reader(case):
     text, label_column, columns = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -314,13 +326,77 @@ def test_numpy_reader_converts_only_the_kept_columns(tmp_path):
     assert fast is not None
     names, X, labels = fast
     assert (names, X.tolist(), labels) == (("a",), [[2.0], [4.0]], None)
-    # A name the header lacks: every column is read, and b's text is the error.
-    with pytest.raises(CsvFormatError) as info:
+    # A name the header lacks is the error, before any cell is converted.
+    with pytest.raises(DataError) as info:
         DataTable.from_csv(p, "label", columns=("a", "zz"))
-    assert str(info.value) == f"{p}: row 2, column 'b': not a number: 'x y'"
+    assert str(info.value) == "feature 'zz' not in columns ['a', 'b', 'a', 'c']"
     p.write_text('a,b\n1,"x"\n')  # csv unquotes a cell that starts with a quote
     assert _read_csv_numpy(p, None, columns=("a",)) is None
     assert DataTable.from_csv(p, columns=("a",)).X.tolist() == [[1.0]]
+
+
+def test_numpy_reader_takes_a_large_file_to_csv_writes(tmp_path):
+    # The cell format of every generated file: repr floats, unquoted labels.
+    rng = np.random.default_rng(3)
+    t = DataTable(("x1", "x2", "x3"), rng.normal(size=(3000, 3)),
+                  tuple(rng.choice(["0", "1"], 3000).tolist()))
+    p = tmp_path / "d.csv"
+    t.to_csv(p)
+    assert p.stat().st_size > 131072
+    fast = _read_csv_numpy(p, "label")
+    assert fast is not None
+    names, X, labels = fast
+    assert (names, labels) == (t.columns, t.labels) and X.tobytes() == t.X.tobytes()
+
+
+@contextmanager
+def _field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+def _whole_file_splits_at_commas(raw, limit):
+    return (b"\0" not in raw and re.search(rb'(?:^|[,\r\n])"', raw) is None
+            and max(map(len, re.split(rb"[\r\n]", raw))) <= limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=',"\n\r\x001a', max_size=40), st.integers(1, 9), st.integers(0, 10))
+@example('1,"2"', 2, 10)  # the quote opens the second block
+@example("1,2\n123456789\n", 4, 8)  # the long line spans three blocks
+def test_the_admission_scan_equals_a_whole_file_scan(text, block, limit):
+    with tempfile.TemporaryDirectory() as tmp, _field_size_limit(limit), \
+            mock.patch.object(data, "_BLOCK", block):
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode())
+        assert data._splits_at_commas(path) == _whole_file_splits_at_commas(text.encode(), limit)
+
+
+@pytest.mark.parametrize("block", [3, 4, 5, 7])
+def test_a_quote_or_long_line_across_a_block_boundary_leaves_the_fast_path(
+    tmp_path, monkeypatch, block
+):
+    monkeypatch.setattr(data, "_BLOCK", block)
+    p = tmp_path / "d.csv"
+    with _field_size_limit(8):
+        for head in ("a,b\n", "a,b\n1,2\n", "a,b\r\n1,2\r\n"):
+            for tail, admitted in [
+                ('3,4"\n', True),  # a quote inside a field
+                ('3,"4"\n', False),  # a quote that opens a field
+                ('"3",4\n', False),
+                ("3,456789\n", True),  # 8 bytes: at the limit
+                ("3,4567890\n", False),  # 9 bytes: over it
+            ]:
+                p.write_text(head + tail, newline="")
+                assert data._splits_at_commas(p) is admitted, (head, tail)
+                # A quote in a cell numpy converts fails the conversion.
+                assert (_read_csv_numpy(p, None) is not None) is (admitted and '"' not in tail)
+        p.write_text("a,b\n1,2\n3,456789012\n")  # a 9-byte field
+        with pytest.raises(CsvFormatError, match="row 3: field larger than field limit [(]8[)]"):
+            DataTable.from_csv(p)
 
 
 # -- run configuration --------------------------------------------------------

@@ -16,8 +16,16 @@ from rulewatch import (
     ruleset_hits,
 )
 from rulewatch import inducer
-from rulewatch.inducer import TreeLeaf, TreeSplit, induce_tree, predict_tree, tree_to_rules
+from rulewatch.inducer import TreeLeaf, TreeNode, TreeSplit, induce_tree, tree_to_rules
 from tests.conftest import hit_bits
+
+
+def predict_tree(tree: TreeNode, sample: dict[str, float]) -> str:
+    """Route one sample to its leaf label: the oracle of ``tree_to_rules``."""
+    node = tree
+    while isinstance(node, TreeSplit):
+        node = node.left if sample[node.feature] <= node.threshold else node.right
+    return node.label
 
 
 def _table(X, labels, columns=None):

@@ -568,6 +568,18 @@ def test_moments_never_nan(rng):
         assert got == pytest.approx(_batch_moments([6, 7, 8, 9]), rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("big", [1e80, 1e103, 1e200, 1.7e308])
+def test_moments_past_the_float_range_are_not_finite_and_raise_nothing(big):
+    # 1e80's fourth power overflows in the central sums, and a pair near
+    # +-1.7e308 overflows math.fsum when the window re-anchors.
+    for values in ([0, 1, big, 2, 3], [big, -big] * 4, [big * k for k in range(1, 9)]):
+        acc = MomentAccumulator(capacity=4)
+        for v in values:
+            acc.push(v)
+            if acc.count >= 4:
+                assert not all(map(math.isfinite, acc.query())), (big, values)
+
+
 def test_evict_empty_accumulator():
     with pytest.raises(InsufficientSamplesError):
         MomentAccumulator().evict()
