@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import CONFIG_FLAGS, RunConfig, build_config, load_config_file
-from .data import DataError, DataTable, read_csv_rows
+from .data import DataError, DataTable, _check_finite, _kept_columns, read_csv_rows
 from .detection import (
     FINGERPRINT_KEYS,
     BaselineBundle,
@@ -156,16 +156,16 @@ def _iter_stream_records(
     """``(row number, record)`` per data row of ``source`` (``-``: stdin), read as asked for.
 
     Rows are numbered as ``read_csv_rows`` numbers them (the header is row
-    1). A record holds only the columns in ``names`` that the header has
-    (the last of a name the header repeats); no other cell is converted. A
-    cell that is not a number rides along as text: an error only where a
-    rule reads it, as is a name the header lacks.
+    1). A header that lacks a name in ``names`` is refused before any row
+    is read, as ``detect`` refuses it. A record holds the columns in
+    ``names`` (the last of a name the header repeats); no other cell is
+    converted. A cell that is not a number rides along as text: an error
+    only where a rule reads it.
     """
     with nullcontext(sys.stdin) if source == "-" else open(source, newline="") as fh:
         rows = read_csv_rows(fh, source)
         _, header = next(rows)
-        position = {name: i for i, name in enumerate(header)}
-        columns = [(name, position[name]) for name in names if name in position]
+        columns = [(header[i], i) for i in _kept_columns(header, None, names)[0]]
         for rownum, cells in rows:
             record: dict[str, float | str] = {}
             for name, i in columns:
@@ -279,11 +279,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             raise DataError(f"column {name!r} is named twice in --columns")
     window = args.window
     columns = [table.column_index[name] for name in names]
-    bad = ~np.isfinite(table.X[:, columns])
-    if bad.any():  # refused before any row is written, as induce refuses a NaN
-        row, f = np.argwhere(bad)[0]
-        what = "NaN" if np.isnan(table.X[row, columns[f]]) else "infinite"
-        raise DataError(f"row {row}: feature {names[f]!r} is {what}")
+    _check_finite(table.X[:, columns], names)  # before any row is written, as induce does
     accs = [MomentAccumulator(capacity=window) for _ in names]
     # A window's label is that of its last row, so the output is a table
     # that induce, baseline and detect read as they read their input.
@@ -380,18 +376,24 @@ def _fix_malloc_thresholds() -> None:
 
     glibc raises the threshold to the size of each large block freed, so a
     later table of that size goes into whatever free heap space earlier
-    work left, or grows the heap past it: the memory a command touches, and
-    the peak resident size of a process that runs several commands, then
-    depend on what ran before (a 250k-row ``baseline`` after other commands
-    peaked either about 65 MB or about 80 MB). With the threshold fixed, a
-    table that size (12 MB) always gets its own mapping, returned to the
-    system when it is freed, while per-request buffers (a 5000-row
-    ``detect`` table, an ``eval`` repetition's data) stay in the heap for
-    reuse: at glibc's 128 KiB default, mapping those afresh made ``eval``
-    calls slower. Fixing the mmap threshold also fixes the trim threshold,
-    so that is set to 64 MiB, the most glibc would raise it to; trimming
-    the heap top at every 128 KiB free made ``eval`` 25% slower.
-    Elsewhere than glibc this does nothing.
+    work left, or grows the heap past it: the memory a command touches then
+    depends on what ran before. With the threshold fixed, a 12 MB table
+    (250k rows) always gets its own mapping, returned to the system when it
+    is freed, while per-request buffers (a 5000-row ``detect`` table, an
+    ``eval`` repetition's data) stay in the heap for reuse: at glibc's
+    128 KiB default, mapping those afresh made ``eval`` calls slower.
+    Fixing the mmap threshold also fixes the trim threshold, so that is set
+    to 64 MiB, the most glibc would raise it to; trimming the heap top at
+    every 128 KiB free made ``eval`` 25% slower.
+
+    What it holds, in six pairs of 15 s benchmark runs on 2 shared cores
+    with it and without it: ``batch-single`` set-up (input generation,
+    ``induce`` and a 250k-row ``baseline``) took 2.17 s with it and 3.00 s
+    without (slower without in 5 pairs); ``eval-group`` p1 latency read
+    23.9 and 26.1 ms, and its set-up 0.0267 and 0.0307 s (slower without in
+    all 6 pairs, each). Peak resident size did not move on any workload in
+    these runs, nor did ``stream-single`` in 4 pairs. Elsewhere than glibc
+    this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -38,6 +38,15 @@ def _not_a_number(
     )
 
 
+def _check_finite(X: np.ndarray, names: Sequence[str], error: type[ValueError] = DataError) -> None:
+    """Raise ``error`` naming the first NaN or infinite cell of ``X`` by its 0-based row."""
+    bad = ~np.isfinite(X)
+    if bad.any():
+        row, f = np.argwhere(bad)[0]
+        what = "NaN" if np.isnan(X[row, f]) else "infinite"
+        raise error(f"row {row}: feature {names[f]!r} is {what}")
+
+
 @dataclass(frozen=True)
 class DataTable:
     """Feature matrix with named columns and an optional label column.

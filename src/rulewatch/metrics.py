@@ -202,9 +202,6 @@ class SplitScorer:
         self._row_start = np.arange(n_tr) * (n + 1)  # row offsets into flat c_joint
         self._op: np.ndarray | None = None
         self._op_size = 0
-        # Instrumentation: rules whose state the last ``score`` moved (all
-        # of them on a rebuild), for asserting the per-tick work by count.
-        self.last_updated_rules = 0
 
     def score(self, op: np.ndarray, op_size: int) -> SplitMetrics:
         """The metrics of ``op``, counts over ``op_size`` samples, against each training row."""
@@ -219,11 +216,9 @@ class SplitScorer:
         )
         if changed is None or len(changed) > self.MAX_UPDATES:
             self._rebuild(op, op_size)
-            self.last_updated_rules = len(op)
         else:
             for r in changed:
                 self._move(r, op[r])
-            self.last_updated_rules = len(changed)
         l1, l2 = lp_norms(self.train, self.train_size, self._op, op_size)
         scores = SplitMetrics(self.information(l1 / len(op)), l1, l2)
         for values in scores:

@@ -253,29 +253,33 @@ class StreamMonitor:
 # Incremental moments
 # ---------------------------------------------------------------------------
 
-def _fsum(terms: list[float]) -> float:
-    """``math.fsum``, or the plain sum (inf or NaN) where a partial sum leaves the float range."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):  # ValueError: inf + -inf
-        return sum(terms)
+# A query recomputes the power sums from the retained values once an error
+# bound passes this multiple of the central sum it bounds, so each central
+# sum stays within a relative 2**20 unit roundoffs (2**-53 each), about
+# 1.2e-10, of its value.
+_ERROR_BUDGET = 2.0**20
 
 
 class MomentAccumulator:
     """Rolling mean/variance/skewness/kurtosis over a value window.
 
-    Keeps power sums of values centered on the window's first retained
-    value, re-anchoring (full recompute) every ``REANCHOR_INTERVAL``
-    updates so floating drift from long add/subtract chains stays far below
-    the 1e-9 agreement target against batch recomputation, and after an
-    eviction that leaves a power sum NaN or infinite. Variance is the
-    population (divide-by-n) variant; skewness and kurtosis are the usual
-    standardized third and fourth moments, defined as 0 for a zero-variance
-    window. A moment whose powers leave the float range (values about 1e77
-    apart) is inf or NaN; no method raises ``OverflowError``.
+    Keeps the sums ``s1..s4`` of the powers of the retained values' offsets
+    from a center, moved by one term per push and per eviction. Recursive
+    summation errs by at most the unit roundoff times the sum of its
+    running sums' magnitudes (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, §4.2), so each update adds the new ``|s2|`` and
+    ``|s4|`` to two error bounds. A query that finds a bound past
+    ``_ERROR_BUDGET`` times the central sum it bounds (a NaN or infinite
+    sum fails that comparison too) first recomputes the sums from the
+    retained values, centered on the one nearest their mean, which meets
+    the budget again. So every moment stays within about 1e-9 of a
+    two-pass computation over the window, whatever values passed through
+    it before. Variance is the population (divide-by-n) variant; skewness
+    and kurtosis are the standardized third and fourth moments, 0 for a
+    zero-variance window. A moment whose powers leave the float range
+    (values about 1e77 apart) is inf or NaN; no method raises
+    ``OverflowError``.
     """
-
-    REANCHOR_INTERVAL = 2048
 
     def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity < 1:
@@ -284,7 +288,7 @@ class MomentAccumulator:
         self._values: deque[float] = deque()
         self._center = 0.0
         self._s1 = self._s2 = self._s3 = self._s4 = 0.0
-        self._updates = 0
+        self._e2 = self._e4 = 0.0  # error bounds of s2 and s4, in unit roundoffs
 
     @property
     def count(self) -> int:
@@ -301,7 +305,7 @@ class MomentAccumulator:
         x = float(x)
         if not self._values:
             self._center = x
-            self._s1 = self._s2 = self._s3 = self._s4 = 0.0
+            self._s1 = self._s2 = self._s3 = self._s4 = self._e2 = self._e4 = 0.0
         self._values.append(x)
         self._accumulate(x, +1.0)
 
@@ -320,71 +324,52 @@ class MomentAccumulator:
         self._s2 += sign * d2
         self._s3 += sign * d2 * d
         self._s4 += sign * d2 * d2
-        self._updates += 1
-        # A NaN, an infinity or a value whose powers overflow leaves a sum no
-        # subtraction restores; s4 (a sum of d**4 >= 0) is then non-finite.
-        if self._updates >= self.REANCHOR_INTERVAL or (sign < 0 and not math.isfinite(self._s4)):
-            self._reanchor()
+        self._e2 += abs(self._s2)
+        self._e4 += abs(self._s4)
 
-    def _reanchor(self) -> None:
-        self._updates = 0
-        if not self._values:
-            return
-        self._center = self._values[0]
-        c = self._center
-        ds = [v - c for v in self._values]
-        self._s1 = _fsum(ds)
-        self._s2 = _fsum([d * d for d in ds])
-        self._s3 = _fsum([d * d * d for d in ds])
-        self._s4 = _fsum([d * d * d * d for d in ds])
+    def _recompute(self) -> None:
+        values = self._values
+        mean = sum(values) / len(values)
+        self._center = c = min(values, key=lambda v: abs(v - mean))
+        ds = [v - c for v in values]
+        self._s1 = sum(ds)
+        self._s2 = self._e2 = sum([d * d for d in ds])
+        self._s3 = sum([d * d * d for d in ds])
+        self._s4 = self._e4 = sum([d * d * d * d for d in ds])
 
-    def _require(self, n: int, what: str) -> None:
-        if len(self._values) < n:
-            raise InsufficientSamplesError(
-                f"{what} needs at least {n} samples, have {len(self._values)}"
-            )
+    def _central_sums(self, n: int) -> tuple[float, float, float, float]:
+        """The mean offset from the center, and the central sums of powers 2, 3 and 4."""
+        m, s2, s3, s4 = self._s1 / n, self._s2, self._s3, self._s4
+        nm2 = n * m * m
+        return (m, s2 - nm2, s3 - m * (3.0 * s2 - 2.0 * nm2),
+                s4 - m * (4.0 * s3 - m * (6.0 * s2 - 3.0 * nm2)))
+
+    def _query(self, need: int, what: str) -> tuple[float, float, float, float]:
+        n = len(self._values)
+        if n < need:
+            raise InsufficientSamplesError(f"{what} needs at least {need} samples, have {n}")
+        m, c2, c3, c4 = self._central_sums(n)
+        if not (self._e2 <= _ERROR_BUDGET * c2 and self._e4 <= _ERROR_BUDGET * c4):
+            self._recompute()
+            m, c2, c3, c4 = self._central_sums(n)
+        mean, var = self._center + m, max(c2, 0.0) / n
+        if var == 0.0:
+            return mean, 0.0, 0.0, 0.0
+        # Divided in turn: var * var is 0 for a variance below about 1e-162.
+        return mean, var, c3 / n / var / math.sqrt(var), c4 / n / var / var
 
     def mean(self) -> float:
-        self._require(1, "mean")
-        return self._center + self._s1 / len(self._values)
-
-    def _central_sums(self) -> tuple[int, float, float, float]:
-        n = len(self._values)
-        m1, m2, m3, m4 = self._s1, self._s2, self._s3, self._s4
-        d = m1 / n
-        c2 = m2 - n * d * d
-        try:
-            c3 = m3 - 3.0 * d * m2 + 2.0 * n * d**3
-            c4 = m4 - 4.0 * d * m3 + 6.0 * d * d * m2 - 3.0 * n * d**4
-        except OverflowError:  # |d| past about 1e77: some fourth power overflowed already
-            c3 = c4 = math.nan
-        return n, max(c2, 0.0), c3, c4
+        return self._query(1, "mean")[0]
 
     def variance(self) -> float:
-        self._require(2, "variance")
-        n, c2, _, _ = self._central_sums()
-        return c2 / n
+        return self._query(2, "variance")[1]
 
     def skewness(self) -> float:
-        self._require(3, "skewness")
-        n, c2, c3, _ = self._central_sums()
-        var = c2 / n
-        if var == 0.0:
-            return 0.0
-        try:
-            return (c3 / n) / var**1.5
-        except OverflowError:  # a variance past about 1e205
-            return math.nan
+        return self._query(3, "skewness")[2]
 
     def kurtosis(self) -> float:
-        self._require(4, "kurtosis")
-        n, c2, _, c4 = self._central_sums()
-        var = c2 / n
-        if var == 0.0:
-            return 0.0
-        return (c4 / n) / (var * var)
+        return self._query(4, "kurtosis")[3]
 
     def query(self) -> tuple[float, float, float, float]:
         """(mean, variance, skewness, kurtosis) of the retained values."""
-        self._require(4, "full moment query")
-        return self.mean(), self.variance(), self.skewness(), self.kurtosis()
+        return self._query(4, "full moment query")

@@ -1,10 +1,12 @@
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from rulewatch import HitHistogram, HitMatrix, parse_ruleset
 from rulewatch.detection import check_request
+from rulewatch.metrics import SplitScorer
 
 
 @pytest.fixture
@@ -34,6 +36,26 @@ def request_checks(monkeypatch):
         if getattr(module, "check_request", None) is check_request:
             monkeypatch.setattr(module, "check_request", counted)
     return calls
+
+
+@contextmanager
+def scorer_updates():
+    """The rules each ``SplitScorer`` state change moves: 1 per ``_move``, all per ``_rebuild``."""
+    moved = []
+    move, rebuild = SplitScorer._move, SplitScorer._rebuild
+
+    def counted_move(self, r, new):
+        moved.append(1)
+        return move(self, r, new)
+
+    def counted_rebuild(self, op, op_size):
+        moved.append(len(op))
+        return rebuild(self, op, op_size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SplitScorer, "_move", counted_move)
+        patch.setattr(SplitScorer, "_rebuild", counted_rebuild)
+        yield moved
 
 
 def random_histogram(rng, n_rules, split_size):

@@ -757,6 +757,22 @@ def test_featurize_refuses_an_infinite_cell_before_writing(workdir, capsys, cell
     assert not features.exists()
 
 
+@pytest.mark.parametrize("cells", [("inf",), ("-inf", "inf")], ids=["inf", "-inf-and-inf"])
+def test_induce_refuses_an_infinite_cell_before_writing(workdir, capsys, cells):
+    # induce names the first, as featurize does: rules induced over an
+    # infinite cell read "x1 <= inf", which baseline refuses, and cells of
+    # both signs give a threshold of NaN.
+    lines = (workdir / "train.csv").read_text().splitlines(keepends=True)
+    for row, cell in zip((99, 199), cells):
+        lines[row + 1] = cell + "," + lines[row + 1].split(",", 1)[1]
+    inf_csv = workdir / "inf_train.csv"
+    inf_csv.write_text("".join(lines))
+    rules = workdir / "inf_rules.txt"
+    assert main(["induce", str(inf_csv), "-o", str(rules)]) == 1
+    assert capsys.readouterr().err == "error: row 99: feature 'x1' is infinite\n"
+    assert not rules.exists()
+
+
 def test_featurize_stops_before_a_window_whose_moments_overflow(workdir, capsys):
     # 1e80 is finite, but its fourth power is not: the window ending at
     # data row 10 is the first to hold it.
@@ -1002,13 +1018,12 @@ def test_stream_record_policy(workdir, capsys, case):
         expected = _stream_stdout(workdir, capsys, "last.csv",
                                   [header] + [[r[0], r[0], *r[2:]] for r in body])
         assert expected[0] == 0 and expected[1] != clean[1]
-    elif case == "missing-read-feature":
-        edited = [["x1", "x2", "label"]] + [[r[0], r[1], r[3]] for r in body]
-        expected = (1, _TICK_HEADER,
-                    f"error: {workdir / 'edited.csv'}: row 2: sample is missing feature 'x3'\n")
     else:
+        # Refused at the header, with or without rows, as detect refuses it.
         edited = [["x1", "x2", "label"]]
-        expected = (0, _TICK_HEADER, "")
+        if case == "missing-read-feature":
+            edited += [[r[0], r[1], r[3]] for r in body]
+        expected = (1, _TICK_HEADER, "error: feature 'x3' not in columns ['x1', 'x2', 'label']\n")
     assert _stream_stdout(workdir, capsys, "edited.csv", edited) == expected
 
 

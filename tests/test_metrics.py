@@ -26,6 +26,7 @@ from rulewatch.metrics import (
     split_metrics,
     value_multiplicities,
 )
+from tests.conftest import scorer_updates
 
 # Reference histograms whose exact information values are hand-derived:
 # four distinct values each, B and C holding the same values in reversed
@@ -393,14 +394,13 @@ def test_split_scorer_equals_split_metrics_bit_for_bit(case):
     scorer = SplitScorer(train, train_size)
     previous = None
     for op in walk:
-        got = scorer.score(op, op_size)
+        with scorer_updates() as updated:
+            got = scorer.score(op, op_size)
         expected = split_metrics(train, train_size, op, op_size)
         for name in ("wmi", "l1", "l2"):
             assert np.array_equal(getattr(got, name), getattr(expected, name)), name
         moved = len(op) if previous is None else np.count_nonzero(op != previous)
-        assert scorer.last_updated_rules == (
-            moved if moved <= SplitScorer.MAX_UPDATES else len(op)
-        )
+        assert sum(updated) == (moved if moved <= SplitScorer.MAX_UPDATES else len(op))
         previous = op
 
 
@@ -408,9 +408,10 @@ def test_split_scorer_rebuilds_on_a_new_op_size():
     train = np.array([[1, 2, 0], [2, 1, 2]])
     scorer = SplitScorer(train, 2)
     for op, op_size in (([2, 4, 1], 4), ([2, 4, 1], 5), ([2, 3, 1], 5), ([1, 2, 0], 2)):
-        got, expected = scorer.score(op, op_size), split_metrics(train, 2, op, op_size)
-        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-    assert scorer.last_updated_rules == 3
+        with scorer_updates() as updated:
+            got = scorer.score(op, op_size)
+        assert all(np.array_equal(g, e) for g, e in zip(got, split_metrics(train, 2, op, op_size)))
+    assert updated == [3]
     with pytest.raises(MetricError):
         scorer.score([1, 2], 2)
     with pytest.raises(MetricError, match="no operational counts"):

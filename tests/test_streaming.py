@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from rulewatch.detection import build_report
 from rulewatch.histogram import Split, hit_histogram, hit_matrix, make_splits
 from rulewatch.inducer import induce_ruleset
 from rulewatch.synth import GaussianMixtureSource, RuleAlignedSource
-from tests.conftest import hit_bits, random_histogram, stack
+from tests.conftest import hit_bits, random_histogram, scorer_updates, stack
 from tests.test_acceptance import STREAM_RULES
 
 RULES = parse_ruleset(
@@ -206,8 +207,9 @@ def test_tick_updates_only_the_rules_that_changed(rng):
             monitor.push(_record(rng))  # the first tick builds the scorer's state
         updated = []
         for _ in range(64):
-            assert monitor.push(_record(rng)) is not None
-            updated.append(monitor.scorer.last_updated_rules)
+            with scorer_updates() as moved:
+                assert monitor.push(_record(rng)) is not None
+            updated.append(sum(moved))
         most.add(max(updated))
     assert most == {2}  # same work at every capacity
 
@@ -267,13 +269,14 @@ def test_single_split_monitor_scores_only_a_moved_window(rng, monkeypatch, setti
         moved |= now != state
         state = now
         n_built = len(built)
-        tick = monitor.push(s)
+        with scorer_updates() as rules_moved:
+            tick = monitor.push(s)
         if tick is None:
             continue
         if moved:
             assert len(built) == n_built + 1 and tick is built[-1]
             outcomes["scored"] += 1
-            updated.append(monitor.scorer.last_updated_rules)
+            updated.append(sum(rules_moved))
         else:
             assert len(built) == n_built and tick is last
             outcomes["reused"] += 1
@@ -570,14 +573,87 @@ def test_moments_never_nan(rng):
 
 @pytest.mark.parametrize("big", [1e80, 1e103, 1e200, 1.7e308])
 def test_moments_past_the_float_range_are_not_finite_and_raise_nothing(big):
-    # 1e80's fourth power overflows in the central sums, and a pair near
-    # +-1.7e308 overflows math.fsum when the window re-anchors.
+    # 1e80's fourth power overflows, and a pair near +-1.7e308 overflows
+    # the offsets themselves.
     for values in ([0, 1, big, 2, 3], [big, -big] * 4, [big * k for k in range(1, 9)]):
         acc = MomentAccumulator(capacity=4)
         for v in values:
             acc.push(v)
             if acc.count >= 4:
                 assert not all(map(math.isfinite, acc.query())), (big, values)
+
+
+def test_moments_of_a_variance_whose_square_underflows_raise_nothing():
+    acc = MomentAccumulator()
+    for v in (0.0, 1e-85, 2e-85, 3e-85):
+        acc.push(v)
+    mean, variance, _, _ = acc.query()
+    assert mean == pytest.approx(1.5e-85) and variance == pytest.approx(1.25e-170)
+
+
+def _two_pass_moments(values):
+    """(mean, variance, skewness, kurtosis) of ``values``: a two-pass in exact arithmetic."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    m2, m3, m4 = (sum((x - mean) ** k for x in xs) / len(xs) for k in (2, 3, 4))
+    if m2 == 0:
+        return float(mean), 0.0, 0.0, 0.0
+    skewness = math.copysign(math.sqrt(float(m3 * m3 / m2**3)), m3)
+    return float(mean), float(m2), skewness, float(m4 / (m2 * m2))
+
+
+def _agree(got, values):
+    assert np.isclose(got, _two_pass_moments(values), rtol=1e-9, atol=1e-9).all(), (got, values)
+
+
+@pytest.mark.parametrize("capacity, values", [
+    (5, [0, 1, 2, 3, 1e20, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1]),
+    (4, [0, 1, 2, 3, 1e75, 0, 1, 2, 3]),
+    (4, [1e20, 1, 2, 3, 4]),
+    (4, [1e20, *range(1, 10)]),
+], ids=["1e20-left-a-window-of-5", "1e75-left", "1e20-first", "1e20-first-then-9"])
+def test_moments_forget_a_large_value_that_left(capacity, values):
+    # Summed powers of a large value swamp the small ones' digits; once it
+    # has left, the moments are those of the retained values alone.
+    acc = MomentAccumulator(capacity=capacity)
+    for v in values:
+        acc.push(v)
+    _agree(acc.query(), values[-capacity:])
+
+
+# Mixed scale: a mantissa in [1, 10) times 10**-3 .. 10**3, either sign, or 0.
+# Nothing nearer 0, whose fourth power would leave float precision behind
+# in any computation, the two-pass one included.
+_MIXED = st.builds(
+    lambda sign, m, e: sign * m * 10.0**e,
+    st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0, exclude_max=True), st.integers(-3, 3),
+) | st.just(0.0)
+_EVICT = None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([4, 5, 6, 7, 8, None]),
+    st.lists(_MIXED | st.sampled_from([1e20, math.nan, math.inf, -math.inf, _EVICT]),
+             max_size=60),
+)
+def test_moments_match_a_two_pass_after_any_history(capacity, ops):
+    # Every query whose two-pass moments are finite agrees with them,
+    # whatever large, NaN or infinite values came and went before.
+    acc = MomentAccumulator(capacity=capacity)
+    window = []
+    for op in ops:
+        if op is _EVICT:
+            if window:
+                got, oldest = acc.evict(), window.pop(0)
+                assert got == oldest or math.isnan(got) and math.isnan(oldest)
+        else:
+            acc.push(op)
+            window = (window + [op])[-capacity:] if capacity else window + [op]
+        if len(window) >= 4:
+            got = acc.query()
+            if all(map(math.isfinite, window)):
+                _agree(got, window)
 
 
 def test_evict_empty_accumulator():
