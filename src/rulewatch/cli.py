@@ -16,12 +16,12 @@ import sys
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import CONFIG_FLAGS, RunConfig, build_config, load_config_file
-from .data import DataError, DataTable, _check_finite, _kept_columns, read_csv_rows
+from .data import DataError, DataTable, _check_finite, read_csv_records
 from .detection import (
     FINGERPRINT_KEYS,
     BaselineBundle,
@@ -116,8 +116,7 @@ def _print_intervals(bundle: BaselineBundle) -> None:
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset = parse_ruleset(Path(args.rules).read_text())
-    table = DataTable.from_csv(args.data, cfg.label_column, label_required=False,
-                               columns=ruleset.feature_names)
+    table = DataTable.from_csv(args.data, columns=ruleset.feature_names)
     training = hit_matrix(ruleset, table, make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed))
     echo = _fingerprint_config(cfg)
     fingerprint = compute_fingerprint(ruleset, echo)
@@ -135,8 +134,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     base, training = bundle.baselines, bundle.training
     # Refuse a bad request before reading a row, as stream does.
     check_request(training, base, ruleset.n_rules, base.n_op, cfg.metrics)
-    table = DataTable.from_csv(args.op_data, cfg.label_column, label_required=False,
-                               columns=ruleset.feature_names)
+    table = DataTable.from_csv(args.op_data, columns=ruleset.feature_names)
     rows = operational_splits(table, training.split_size, base.n_op)
     if table.n_rows > rows.size:
         warnings.warn(f"scored the first {rows.size} of {table.n_rows} rows; "
@@ -150,32 +148,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OOD if report.is_ood else EXIT_OK
 
 
-def _iter_stream_records(
-    source: str, names: Sequence[str]
-) -> Iterator[tuple[int, dict[str, float | str]]]:
-    """``(row number, record)`` per data row of ``source`` (``-``: stdin), read as asked for.
-
-    Rows are numbered as ``read_csv_rows`` numbers them (the header is row
-    1). A header that lacks a name in ``names`` is refused before any row
-    is read, as ``detect`` refuses it. A record holds the columns in
-    ``names`` (the last of a name the header repeats); no other cell is
-    converted. A cell that is not a number rides along as text: an error
-    only where a rule reads it.
-    """
-    with nullcontext(sys.stdin) if source == "-" else open(source, newline="") as fh:
-        rows = read_csv_rows(fh, source)
-        _, header = next(rows)
-        columns = [(header[i], i) for i in _kept_columns(header, None, names)[0]]
-        for rownum, cells in rows:
-            record: dict[str, float | str] = {}
-            for name, i in columns:
-                try:
-                    record[name] = float(cells[i])
-                except ValueError:
-                    record[name] = cells[i]
-            yield rownum, record
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset, bundle = _load_verified(args)
@@ -187,18 +159,21 @@ def cmd_stream(args: argparse.Namespace) -> int:
         detect_stride=cfg.stride,
         metrics=cfg.metrics,
     )
-    records = _iter_stream_records(args.source, ruleset.feature_names)
-    with _output(args.output) as out:
-        csv.writer(out).writerow(("sample_index", *DetectionReport.CSV_HEADER))
-        try:
-            for index, (rownum, record) in enumerate(records):
-                tick = monitor.push(record)
-                if tick is not None:
-                    # csv.writer never quotes an int: the line it writes for (index, *row)
-                    for line in tick.csv_lines:
-                        out.write(f"{index},{line}")
-        except RuleError as exc:  # a record a rule cannot read: name its row, as detect does
-            raise type(exc)(f"{args.source}: row {rownum}: {exc}") from None
+    source = Path(args.source)  # named in errors as detect names its file
+    with nullcontext(sys.stdin) if args.source == "-" else source.open(newline="") as fh:
+        # The header is checked here, before the output is opened.
+        records = read_csv_records(fh, source, ruleset.feature_names)
+        with _output(args.output) as out:
+            csv.writer(out).writerow(("sample_index", *DetectionReport.CSV_HEADER))
+            try:
+                for index, (rownum, record) in enumerate(records):
+                    tick = monitor.push(record)
+                    if tick is not None:
+                        # csv.writer never quotes an int: the line it writes for (index, *row)
+                        for line in tick.csv_lines:
+                            out.write(f"{index},{line}")
+            except RuleError as exc:  # a NaN a rule reads: name its row, as detect does
+                raise type(exc)(f"{source}: row {rownum}: {exc}") from None
     return EXIT_OK
 
 
@@ -270,13 +245,12 @@ def _moment_window(raw: str) -> int:
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    table = DataTable.from_csv(args.data, cfg.label_column, label_required=False)
-    names = args.columns.split(",") if args.columns else list(table.columns)
-    for i, name in enumerate(names):
-        if name not in table.column_index:
-            raise DataError(f"column {name!r} not in {list(table.columns)}")
-        if names.index(name) != i:
-            raise DataError(f"column {name!r} is named twice in --columns")
+    names = args.columns.split(",") if args.columns else None
+    if names is not None and len(set(names)) < len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise DataError(f"column {twice!r} is named twice in --columns")
+    table = DataTable.from_csv(args.data, cfg.label_column, label_required=False, columns=names)
+    names = names or list(table.columns)
     window = args.window
     columns = [table.column_index[name] for name in names]
     _check_finite(table.X[:, columns], names)  # before any row is written, as induce does
@@ -295,9 +269,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             if i + 1 >= window:  # the accumulators fill in lockstep
                 moments = [m for acc in accs for m in acc.query()]
                 if not all(map(math.isfinite, moments)):
-                    k = next(k for k, m in enumerate(moments) if not math.isfinite(m))
-                    raise DataError(f"row {i}: feature {names[k // 4]!r}: "
-                                    f"the moments of its window overflow")
+                    j = next(k for k, m in enumerate(moments) if not math.isfinite(m)) // 4
+                    # Powers overflow for values about 1e77 apart, underflow about 1e-77.
+                    flow = "underflow" if moments[4 * j + 1] < 1.0 else "overflow"
+                    raise DataError(f"row {i}: feature {names[j]!r}: "
+                                    f"the moments of its window {flow}")
                 writer.writerow(moments if labels is None else [*moments, labels[i]])
     return EXIT_OK
 
@@ -323,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="training CSV")
     p.add_argument("--rules", required=True)
     p.add_argument("-o", "--output", default="baseline.json")
-    _add_config_flags(p, "seed", "n_s", "n_tr", "n_op", "mode", "label_column")
+    _add_config_flags(p, "seed", "n_s", "n_tr", "n_op", "mode")
     p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser("detect", help="score operational data against a baseline")
@@ -331,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("--format", choices=("json-document", "csv"), default="json-document")
-    _add_config_flags(p, "label_column", "metrics")
+    _add_config_flags(p, "metrics")
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("stream", help="incremental detection over a sample stream")

@@ -25,7 +25,7 @@ class InsufficientDataError(DataError):
 
 
 def _not_a_number(
-    path: Path, rownum: int, names: tuple[str, ...], cells: list[str]
+    path: str | Path, rownum: int, names: tuple[str, ...], cells: list[str]
 ) -> CsvFormatError:
     """The error for the first cell of a row that does not parse as a real."""
     for name, cell in zip(names, cells):
@@ -118,13 +118,10 @@ class DataTable:
     ) -> "DataTable":
         """Load a CSV with a header row; values are decimal reals.
 
-        The label column, when named, is split out as strings; a header
-        without it is an error unless ``label_required`` is false, in which
-        case the table has no labels. With ``columns``, the table holds only
-        the header's columns named there, in header order (the last of a
-        name the header repeats), and no labels; a name the header lacks is
-        a ``DataError`` naming the header's columns but the label, raised
-        before any cell is converted. Each cell of a column the table
+        The header is resolved by ``_header_layout``, before any cell is
+        converted: the label column, when named and present, is split out
+        as strings, and ``columns`` narrows the table to the columns named
+        there. Each cell of a column the table
         holds must parse as Python ``float()`` parses it; a non-numeric or
         empty cell is a hard error. No other cell is converted, but every
         row must still have the header's number of cells
@@ -182,35 +179,59 @@ def read_csv_rows(lines: Iterable[str], source: str | Path) -> Iterator[tuple[in
         raise CsvFormatError(f"{source}: row {reader.line_num}: {exc}") from None
 
 
-def _label_position(
-    path: Path, header: list[str], label_column: str | None, label_required: bool
-) -> int | None:
-    """Header position of the label column, None without one; a missing required one is an error."""
-    if label_column in header:
-        return header.index(label_column)
-    if label_column is not None and label_required:
-        raise DataError(f"{path}: label column {label_column!r} not in header {header}")
-    return None
+def _header_layout(
+    source: str | Path, header: list[str], label_column: str | None = None,
+    label_required: bool = True, columns: Sequence[str] | None = None,
+) -> tuple[tuple[str, ...], list[int], int | None]:
+    """The names and header positions of the columns a table holds, and the label's position.
 
-
-def _kept_columns(
-    header: list[str], label_idx: int | None, columns: Sequence[str] | None
-) -> tuple[list[int], int | None]:
-    """Header positions of the columns a table holds, and of its labels (None: no labels).
-
-    Without ``columns`` the table holds every column but the label, and the
-    labels. With it, those columns, in header order (a name the header
-    repeats at its last position), and no labels; a name the header lacks,
-    or has only as its label, is an error.
+    The labels are split out exactly when ``label_column`` is named and in
+    the header (at its first position there); a named one the header lacks
+    is an error unless ``label_required`` is false. Every other column is
+    held, or with ``columns`` only those named there, in header order (a
+    name the header repeats at its last position); a name the header lacks,
+    or has only as its label, is an error naming the header's columns but
+    the label.
     """
-    features = [i for i in range(len(header)) if i != label_idx]
-    if columns is None:
-        return features, label_idx
-    last = {header[i]: i for i in features}
-    for name in columns:
-        if name not in last:
-            raise DataError(f"feature {name!r} not in columns {[header[i] for i in features]}")
-    return sorted({last[name] for name in columns}), None
+    label_idx = header.index(label_column) if label_column in header else None
+    if label_idx is None and label_column is not None and label_required:
+        raise DataError(f"{source}: label column {label_column!r} not in header {header}")
+    kept = [i for i in range(len(header)) if i != label_idx]
+    if columns is not None:
+        last = {header[i]: i for i in kept}
+        for name in columns:
+            if name not in last:
+                raise DataError(f"feature {name!r} not in columns {[header[i] for i in kept]}")
+        kept = sorted({last[name] for name in columns})
+    return tuple(header[i] for i in kept), kept, label_idx
+
+
+def read_csv_records(
+    lines: Iterable[str], source: str | Path, columns: Sequence[str]
+) -> Iterator[tuple[int, dict[str, float]]]:
+    """``(row number, record)`` per data row of ``lines``, read as asked for.
+
+    Rows are ``read_csv_rows``'s; the header is resolved (``_header_layout``)
+    on the call, before any row is read. A record maps each name in
+    ``columns`` to its cell converted by ``float()``; no other cell is
+    converted, and one that does not parse is ``_not_a_number``'s error.
+    """
+    rows = read_csv_rows(lines, source)
+    _, header = next(rows)
+    names, kept, _ = _header_layout(source, header, columns=columns)
+    layout = list(zip(names, kept))
+
+    def records() -> Iterator[tuple[int, dict[str, float]]]:
+        for rownum, cells in rows:
+            record: dict[str, float] = {}
+            try:
+                for name, i in layout:
+                    record[name] = float(cells[i])
+            except ValueError:
+                raise _not_a_number(source, rownum, names, [cells[i] for i in kept]) from None
+            yield rownum, record
+
+    return records()
 
 
 def _read_csv_python(
@@ -232,9 +253,8 @@ def _read_csv_python(
     with path.open(newline="") as fh:
         rows = read_csv_rows(fh, path)
         _, header = next(rows)
-        label_idx = _label_position(path, header, label_column, label_required)
-        kept, label_idx = _kept_columns(header, label_idx, columns)
-        names = tuple(header[i] for i in kept)
+        names, kept, label_idx = _header_layout(path, header, label_column, label_required,
+                                                columns)
         values = array("d")
         n_rows = 0
         labels: list[str] = []
@@ -313,8 +333,8 @@ def _read_csv_numpy(
         warnings.simplefilter("error")  # the empty-input warning, among others
         try:
             header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
-            label_idx = _label_position(path, header, label_column, label_required)
-            kept, label_idx = _kept_columns(header, label_idx, columns)
+            names, kept, label_idx = _header_layout(path, header, label_column,
+                                                    label_required, columns)
             if not kept:
                 return None
             fields = [(f"f{i}", np.float64 if i in kept else "S1") for i in range(len(header))]
@@ -328,7 +348,6 @@ def _read_csv_numpy(
             return None
     if not len(A):
         return None
-    names = tuple(header[i] for i in kept)
     return names, _kept_fields(A, kept), None if label_idx is None else tuple(labels)
 
 

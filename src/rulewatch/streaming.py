@@ -28,6 +28,7 @@ time-series feature extraction.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import deque
 from typing import Iterator, Mapping, Sequence
@@ -276,9 +277,10 @@ class MomentAccumulator:
     two-pass computation over the window, whatever values passed through
     it before. Variance is the population (divide-by-n) variant; skewness
     and kurtosis are the standardized third and fourth moments, 0 for a
-    zero-variance window. A moment whose powers leave the float range
-    (values about 1e77 apart) is inf or NaN; no method raises
-    ``OverflowError``.
+    zero-variance window. The offsets' working range is about 1e-77 to
+    1e77: a moment whose powers overflow is inf or NaN, and so is a
+    kurtosis whose fourth powers underflow (``c4 / n`` below
+    ``sys.float_info.min``); no method raises ``OverflowError``.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -355,8 +357,10 @@ class MomentAccumulator:
         mean, var = self._center + m, max(c2, 0.0) / n
         if var == 0.0:
             return mean, 0.0, 0.0, 0.0
+        # A subnormal or zero c4 / n has too few digits left: NaN, not a wrong kurtosis.
+        m4 = c4 / n if c4 / n >= sys.float_info.min else math.nan
         # Divided in turn: var * var is 0 for a variance below about 1e-162.
-        return mean, var, c3 / n / var / math.sqrt(var), c4 / n / var / var
+        return mean, var, c3 / n / var / math.sqrt(var), m4 / var / var
 
     def mean(self) -> float:
         return self._query(1, "mean")[0]

@@ -482,9 +482,8 @@ def _subparsers():
     "command, accepted",
     [
         ("induce", {"--config", "--label-column", "--max-depth", "--min-leaf"}),
-        ("baseline", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode",
-                      "--label-column"}),
-        ("detect", {"--config", "--label-column", "--metrics"}),
+        ("baseline", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode"}),
+        ("detect", {"--config", "--metrics"}),
         ("stream", {"--config", "--ns", "--stride", "--metrics"}),
         ("eval", {"--config", "--seed", "--ns", "--ntr", "--nop", "--mode",
                   "--label-column", "--repetitions", "--max-depth", "--min-leaf"}),
@@ -790,6 +789,23 @@ def test_featurize_stops_before_a_window_whose_moments_overflow(workdir, capsys)
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[:-1])
 
 
+@pytest.mark.parametrize("step", [1e-85, 1e-70])
+def test_featurize_stops_before_a_window_whose_kurtosis_underflows(tmp_path, capsys, step):
+    # Offsets of 1e-85 have fourth powers below the smallest normal float;
+    # at 1e-70 they are still exact enough. The true kurtosis is 1.64.
+    (tmp_path / "tiny.csv").write_text(f"x1\n0\n{step}\n{2 * step}\n{3 * step}\n")
+    capsys.readouterr()
+    rc = main(["featurize", str(tmp_path / "tiny.csv"), "--window", "4"])
+    out, err = capsys.readouterr()
+    if step == 1e-85:
+        assert rc == 1
+        assert err == "error: row 3: feature 'x1': the moments of its window underflow\n"
+        assert out.splitlines() == ["x1_mean,x1_variance,x1_skewness,x1_kurtosis"]
+    else:
+        assert (rc, err) == (0, "")
+        assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(1.64, abs=1e-9)
+
+
 @pytest.mark.parametrize("window", ["0", "3"])
 def test_featurize_rejects_a_window_below_4_before_reading(tmp_path, capsys, window):
     # Every row featurize writes is a full moment query, which needs 4
@@ -1009,9 +1025,10 @@ def test_stream_record_policy(workdir, capsys, case):
                              for i, r in enumerate(body)]
         kept = [line for line in clean[1].splitlines(keepends=True)[1:]
                 if int(line.split(",", 1)[0]) < 299]
-        problem = "has non-numeric value 'high'" if cell == "high" else "is NaN"
+        problem = ("row 301, column 'x2': not a number: 'high'" if cell == "high" else
+                   "row 301: feature 'x2' is NaN")
         expected = (1, _TICK_HEADER + "".join(kept),
-                    f"error: {workdir / 'edited.csv'}: row 301: feature 'x2' {problem}\n")
+                    f"error: {workdir / 'edited.csv'}: {problem}\n")
     elif case == "repeated-name":
         # The last x2 column wins, as a dict built over the header would have it.
         edited = [header + ["x2"]] + [r + [r[0]] for r in body]
@@ -1023,8 +1040,42 @@ def test_stream_record_policy(workdir, capsys, case):
         edited = [["x1", "x2", "label"]]
         if case == "missing-read-feature":
             edited += [[r[0], r[1], r[3]] for r in body]
-        expected = (1, _TICK_HEADER, "error: feature 'x3' not in columns ['x1', 'x2', 'label']\n")
+        expected = (1, "", "error: feature 'x3' not in columns ['x1', 'x2', 'label']\n")
     assert _stream_stdout(workdir, capsys, "edited.csv", edited) == expected
+
+
+@pytest.mark.parametrize("defect", [
+    "text", "empty", "one-cell-too-many", "over-field-limit", "header-without-x2",
+])
+def test_detect_and_stream_refuse_bad_input_with_one_line(workdir, capsys, monkeypatch, defect):
+    # A cell defect sits in rule-read column x2 of file row 301 (sample 299);
+    # however the file is named, both commands name it as op.csv. A header
+    # without x2 is refused before stream writes anything, -o file included.
+    assert main(_baseline_args(workdir)) == 0
+    lines = (workdir / "op_in.csv").read_text().splitlines(keepends=True)
+    rows = [line.split(",") for line in lines]
+    if defect == "header-without-x2":
+        rows = [[r[0], *r[2:]] for r in rows]
+    else:
+        rows[300][1] = {"text": "high", "empty": "", "one-cell-too-many": "0.5,0.5",
+                        "over-field-limit": "1" * 200_000}[defect]
+    (workdir / "op.csv").write_text("".join(",".join(r) for r in rows))
+    monkeypatch.chdir(workdir)
+    common = ["--rules", "rules.txt", "--baseline", "base.json"]
+    errors = set()
+    for name in ("op.csv", "./op.csv"):
+        for command in ("detect", "stream"):
+            capsys.readouterr()
+            assert main([command, name, *common]) == 1
+            out, err = capsys.readouterr()
+            errors.add(err)
+            if command == "stream":
+                assert (out == "") is (defect == "header-without-x2")
+    assert len(errors) == 1
+    assert errors.pop().startswith("error: op.csv: row 301" if defect != "header-without-x2"
+                                   else "error: feature 'x2' not in columns ['x1', 'x3', 'label']")
+    assert main(["stream", "op.csv", *common, "-o", "ticks.csv"]) == 1
+    assert (workdir / "ticks.csv").exists() is (defect != "header-without-x2")
 
 
 class _WriteLog:
@@ -1140,7 +1191,7 @@ def test_a_header_without_a_rule_read_feature_exits_1(workdir, capsys):
     args[3] = str(workdir / "rules9.txt")
     assert main(args) == 1
     assert capsys.readouterr().err == (
-        "error: feature 'x9' not in columns ['x1', 'x2', 'x3']\n"
+        "error: feature 'x9' not in columns ['x1', 'x2', 'x3', 'label']\n"
     )
     assert main(_baseline_args(workdir)) == 0
     lines = (workdir / "op_in.csv").read_text().splitlines()
@@ -1149,7 +1200,9 @@ def test_a_header_without_a_rule_read_feature_exits_1(workdir, capsys):
     capsys.readouterr()
     assert main(["detect", str(workdir / "no_x3.csv"), "--rules", str(workdir / "rules.txt"),
                  "--baseline", str(workdir / "base.json")]) == 1
-    assert capsys.readouterr().err == "error: feature 'x3' not in columns ['x1', 'x2']\n"
+    assert capsys.readouterr().err == (
+        "error: feature 'x3' not in columns ['x1', 'x2', 'label']\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["baseline", "detect"])

@@ -319,13 +319,13 @@ def test_from_csv_equals_the_python_reader(case):
 
 def test_numpy_reader_converts_only_the_kept_columns(tmp_path):
     # Text, empty cells and a quote inside an unread cell pass; the label
-    # is unread too. A repeated name keeps its last column.
+    # is split out unconverted. A repeated name keeps its last column.
     p = tmp_path / "d.csv"
     p.write_text('a,b,a,label,c\n1,x y,2,p,\n3,,4,q,5"6\n')
     fast = _read_csv_numpy(p, "label", columns=("a",))
     assert fast is not None
     names, X, labels = fast
-    assert (names, X.tolist(), labels) == (("a",), [[2.0], [4.0]], None)
+    assert (names, X.tolist(), labels) == (("a",), [[2.0], [4.0]], ("p", "q"))
     # A name the header lacks is the error, before any cell is converted.
     with pytest.raises(DataError) as info:
         DataTable.from_csv(p, "label", columns=("a", "zz"))

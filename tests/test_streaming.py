@@ -591,6 +591,22 @@ def test_moments_of_a_variance_whose_square_underflows_raise_nothing():
     assert mean == pytest.approx(1.5e-85) and variance == pytest.approx(1.25e-170)
 
 
+@pytest.mark.parametrize("step, kurtosis", [
+    (1e-70, 1.64), (1e-77, 1.64), (1e-79, math.nan), (1e-81, math.nan), (1e-85, math.nan),
+])
+def test_a_kurtosis_whose_fourth_powers_underflow_is_nan(step, kurtosis):
+    # The offsets' working range reaches down to about 1e-77: below it the
+    # fourth central moment leaves the normal floats, and its kurtosis is
+    # NaN, not a value short of digits (1.63982 at 1e-80, 0.0 at 1e-81).
+    acc = MomentAccumulator(capacity=4)
+    for v in (0.0, step, 2 * step, 3 * step):
+        acc.push(v)
+    mean, variance, _, got = acc.query()
+    assert mean == pytest.approx(1.5 * step) and variance == pytest.approx(1.25 * step**2)
+    assert got == pytest.approx(kurtosis, abs=1e-9, nan_ok=True)
+    assert acc.kurtosis() == pytest.approx(kurtosis, abs=1e-9, nan_ok=True)
+
+
 def _two_pass_moments(values):
     """(mean, variance, skewness, kurtosis) of ``values``: a two-pass in exact arithmetic."""
     xs = [Fraction(v) for v in values]
