@@ -25,7 +25,6 @@ from .data import DataError, DataTable, _check_finite, read_csv_records
 from .detection import (
     FINGERPRINT_KEYS,
     BaselineBundle,
-    DetectionError,
     DetectionReport,
     FingerprintMismatchError,
     check_request,
@@ -34,8 +33,7 @@ from .detection import (
 )
 from .eval import run_eval
 from .histogram import hit_matrix, make_splits, operational_splits
-from .inducer import InducerError, induce_ruleset
-from .metrics import MetricError
+from .inducer import induce_ruleset
 from .rules import RuleError, Ruleset, format_ruleset, parse_ruleset
 from .streaming import MomentAccumulator, StreamMonitor, StreamStateError
 from .synth import make_source
@@ -166,14 +164,14 @@ def cmd_stream(args: argparse.Namespace) -> int:
         with _output(args.output) as out:
             csv.writer(out).writerow(("sample_index", *DetectionReport.CSV_HEADER))
             try:
-                for index, (rownum, record) in enumerate(records):
+                for index, record in enumerate(records):
                     tick = monitor.push(record)
                     if tick is not None:
                         # csv.writer never quotes an int: the line it writes for (index, *row)
                         for line in tick.csv_lines:
                             out.write(f"{index},{line}")
-            except RuleError as exc:  # a NaN a rule reads: name its row, as detect does
-                raise type(exc)(f"{source}: row {rownum}: {exc}") from None
+            except RuleError as exc:  # a NaN a rule reads: name its data row, as detect does
+                raise type(exc)(f"row {index}: {exc}") from None
     return EXIT_OK
 
 
@@ -391,8 +389,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FingerprintMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINGERPRINT
-    except (DataError, RuleError, DetectionError, InducerError, MetricError,
-            StreamStateError, OSError, ValueError) as exc:
+    except (StreamStateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

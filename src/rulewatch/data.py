@@ -190,8 +190,8 @@ def _header_layout(
     is an error unless ``label_required`` is false. Every other column is
     held, or with ``columns`` only those named there, in header order (a
     name the header repeats at its last position); a name the header lacks,
-    or has only as its label, is an error naming the header's columns but
-    the label.
+    or has only as its label, is an error naming ``source`` and the
+    header's columns but the label.
     """
     label_idx = header.index(label_column) if label_column in header else None
     if label_idx is None and label_column is not None and label_required:
@@ -201,15 +201,16 @@ def _header_layout(
         last = {header[i]: i for i in kept}
         for name in columns:
             if name not in last:
-                raise DataError(f"feature {name!r} not in columns {[header[i] for i in kept]}")
+                raise DataError(f"{source}: feature {name!r} not in columns "
+                                f"{[header[i] for i in kept]}")
         kept = sorted({last[name] for name in columns})
     return tuple(header[i] for i in kept), kept, label_idx
 
 
 def read_csv_records(
     lines: Iterable[str], source: str | Path, columns: Sequence[str]
-) -> Iterator[tuple[int, dict[str, float]]]:
-    """``(row number, record)`` per data row of ``lines``, read as asked for.
+) -> Iterator[dict[str, float]]:
+    """The record of each data row of ``lines``, read as asked for.
 
     Rows are ``read_csv_rows``'s; the header is resolved (``_header_layout``)
     on the call, before any row is read. A record maps each name in
@@ -221,7 +222,7 @@ def read_csv_records(
     names, kept, _ = _header_layout(source, header, columns=columns)
     layout = list(zip(names, kept))
 
-    def records() -> Iterator[tuple[int, dict[str, float]]]:
+    def records() -> Iterator[dict[str, float]]:
         for rownum, cells in rows:
             record: dict[str, float] = {}
             try:
@@ -229,7 +230,7 @@ def read_csv_records(
                     record[name] = float(cells[i])
             except ValueError:
                 raise _not_a_number(source, rownum, names, [cells[i] for i in kept]) from None
-            yield rownum, record
+            yield record
 
     return records()
 
@@ -244,7 +245,7 @@ def _read_csv_python(
 
     This reader defines what a valid file is and owns every error message.
     Values are gathered into one flat float64 buffer, not a Python float
-    object per cell.
+    object per cell, and the table is a view of that buffer.
     """
     # Imported here: only this reader needs it, and loading the extension
     # module adds about 0.2 MB of resident memory to every process.
@@ -269,7 +270,7 @@ def _read_csv_python(
             n_rows += 1
     if not n_rows:
         raise DataError(f"{path}: no data rows")
-    X = np.frombuffer(values, dtype=np.float64).reshape(n_rows, len(names)).copy()
+    X = np.frombuffer(values, dtype=np.float64).reshape(n_rows, len(names))
     return names, X, tuple(labels) if label_idx is not None else None
 
 
@@ -311,15 +312,17 @@ def _read_csv_numpy(
     Only a regular file where ``csv`` splits every line at every comma
     (``_splits_at_commas``) is read; numpy's reader, which knows no quotes,
     splits it the same way. Each kept column is a float64 field and every
-    other one, the label included, a one-byte ``S1`` field (named by
+    other one, the label included, a zero-width ``S0`` field (named by
     position, since a header may repeat a name), so numpy converts no cell
     the table does not hold and still refuses a row with another number of
-    cells. numpy converts a cell where ``float()`` does, to the same value,
-    since both strip Unicode whitespace and call ``PyOS_string_to_double``;
-    it rejects what only ``float()`` reads (``1_000``, non-ASCII digits)
-    and whitespace-only lines, which the Python reader skips. Such files,
-    and every error, fall through, as does a table that keeps no column,
-    where numpy would keep whitespace-only lines as rows.
+    cells; a record is then the row's kept cells in header order, so the
+    table is a view of the record array, not a copy. numpy converts a cell
+    where ``float()`` does, to the same value, since both strip Unicode
+    whitespace and call ``PyOS_string_to_double``; it rejects what only
+    ``float()`` reads (``1_000``, non-ASCII digits) and whitespace-only
+    lines, which the Python reader skips. Such files, and every error,
+    fall through, as does a table that keeps no column, where numpy would
+    keep whitespace-only lines as rows.
     """
     if not path.is_file() or not _splits_at_commas(path):  # a pipe cannot be read twice
         return None
@@ -337,7 +340,7 @@ def _read_csv_numpy(
                                                     label_required, columns)
             if not kept:
                 return None
-            fields = [(f"f{i}", np.float64 if i in kept else "S1") for i in range(len(header))]
+            fields = [(f"f{i}", np.float64 if i in kept else "S0") for i in range(len(header))]
             # An explicit encoding: under numpy 1.x's default, "bytes",
             # converters would receive bytes.
             A = np.loadtxt(
@@ -348,28 +351,5 @@ def _read_csv_numpy(
             return None
     if not len(A):
         return None
-    return names, _kept_fields(A, kept), None if label_idx is None else tuple(labels)
-
-
-def _kept_fields(A: np.ndarray, kept: list[int]) -> np.ndarray:
-    """The float64 fields ``f{i}`` for ``i`` in ``kept`` of a fresh record array, as an (n, k) matrix.
-
-    The matrix is written inside A's own buffer: each block of records is
-    gathered before it is written to its place in the matrix, which ends
-    before the next block's records begin, since a record is at least as
-    wide as a matrix row. So no record is overwritten before it has moved,
-    and no second table is held: 8 MB less at 250k rows of 4 kept columns.
-    """
-    n, k = len(A), len(kept)
-    row_bytes = 8 * k
-    names = [f"f{i}" for i in kept]
-    flat = A.view(np.uint8)
-    for start in range(0, n, 4096):
-        block = A[start : start + 4096]
-        rows = np.empty((len(block), k))
-        for j, name in enumerate(names):
-            rows[:, j] = block[name]
-        flat[start * row_bytes : (start + len(block)) * row_bytes] = rows.view(np.uint8).ravel()
-    del flat, block
-    A.resize((-(-n * row_bytes // A.itemsize),), refcheck=False)  # gives the freed tail back
-    return A.view(np.uint8)[: n * row_bytes].view(np.float64).reshape(n, k)
+    X = A.view(np.float64).reshape(len(A), len(kept))  # a record is its kept cells
+    return names, X, None if label_idx is None else tuple(labels)

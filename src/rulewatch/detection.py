@@ -43,7 +43,6 @@ import csv
 import hashlib
 import json
 import math
-import statistics
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -448,11 +447,12 @@ def calibrated_rbi_interval(
     median of 0, +inf or NaN, or a LOO median of 0 or +inf), so a degenerate
     ratio never scales the rotation scores to 0 (the most-OoD value) or +inf.
     """
+    loo_scores = np.asarray(loo_scores, dtype=np.float64)
     rotation_scores = np.asarray(rotation_scores, dtype=np.float64)
-    pools = [np.asarray(loo_scores, dtype=np.float64), rotation_scores]
-    rotation_median = float(np.median(rotation_scores))
+    pools = [loo_scores, rotation_scores]
+    rotation_median = _sorted_median(sorted(rotation_scores.tolist()))
     if 0.0 < rotation_median < math.inf:
-        ratio = statistics.median(loo_scores) / rotation_median
+        ratio = _sorted_median(sorted(loo_scores.tolist())) / rotation_median
         if 0.0 < ratio < math.inf:
             pools.append(rotation_scores * ratio)
     return (

@@ -425,12 +425,15 @@ def test_featurize_output_feeds_induce_and_baseline(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
 
 
-def test_featurize_unknown_column(workdir):
+def test_featurize_unknown_column(workdir, capsys):
     rc = main([
         "featurize", str(workdir / "op_in.csv"),
         "--window", "10", "--columns", "zz",
     ])
     assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / 'op_in.csv'}: feature 'zz' not in columns ['x1', 'x2', 'x3']\n"
+    )
 
 
 def test_nan_input_exits_1(workdir, capsys):
@@ -1025,10 +1028,10 @@ def test_stream_record_policy(workdir, capsys, case):
                              for i, r in enumerate(body)]
         kept = [line for line in clean[1].splitlines(keepends=True)[1:]
                 if int(line.split(",", 1)[0]) < 299]
-        problem = ("row 301, column 'x2': not a number: 'high'" if cell == "high" else
-                   "row 301: feature 'x2' is NaN")
-        expected = (1, _TICK_HEADER + "".join(kept),
-                    f"error: {workdir / 'edited.csv'}: {problem}\n")
+        # A NaN is named by its data row, as detect names it.
+        problem = (f"{workdir / 'edited.csv'}: row 301, column 'x2': not a number: 'high'"
+                   if cell == "high" else "row 299: feature 'x2' is NaN")
+        expected = (1, _TICK_HEADER + "".join(kept), f"error: {problem}\n")
     elif case == "repeated-name":
         # The last x2 column wins, as a dict built over the header would have it.
         edited = [header + ["x2"]] + [r + [r[0]] for r in body]
@@ -1040,7 +1043,8 @@ def test_stream_record_policy(workdir, capsys, case):
         edited = [["x1", "x2", "label"]]
         if case == "missing-read-feature":
             edited += [[r[0], r[1], r[3]] for r in body]
-        expected = (1, "", "error: feature 'x3' not in columns ['x1', 'x2', 'label']\n")
+        expected = (1, "", f"error: {workdir / 'edited.csv'}: "
+                           "feature 'x3' not in columns ['x1', 'x2', 'label']\n")
     assert _stream_stdout(workdir, capsys, "edited.csv", edited) == expected
 
 
@@ -1073,7 +1077,8 @@ def test_detect_and_stream_refuse_bad_input_with_one_line(workdir, capsys, monke
                 assert (out == "") is (defect == "header-without-x2")
     assert len(errors) == 1
     assert errors.pop().startswith("error: op.csv: row 301" if defect != "header-without-x2"
-                                   else "error: feature 'x2' not in columns ['x1', 'x3', 'label']")
+                                   else "error: op.csv: feature 'x2' not in columns "
+                                        "['x1', 'x3', 'label']")
     assert main(["stream", "op.csv", *common, "-o", "ticks.csv"]) == 1
     assert (workdir / "ticks.csv").exists() is (defect != "header-without-x2")
 
@@ -1191,7 +1196,8 @@ def test_a_header_without_a_rule_read_feature_exits_1(workdir, capsys):
     args[3] = str(workdir / "rules9.txt")
     assert main(args) == 1
     assert capsys.readouterr().err == (
-        "error: feature 'x9' not in columns ['x1', 'x2', 'x3', 'label']\n"
+        f"error: {workdir / 'train.csv'}: "
+        "feature 'x9' not in columns ['x1', 'x2', 'x3', 'label']\n"
     )
     assert main(_baseline_args(workdir)) == 0
     lines = (workdir / "op_in.csv").read_text().splitlines()
@@ -1201,7 +1207,7 @@ def test_a_header_without_a_rule_read_feature_exits_1(workdir, capsys):
     assert main(["detect", str(workdir / "no_x3.csv"), "--rules", str(workdir / "rules.txt"),
                  "--baseline", str(workdir / "base.json")]) == 1
     assert capsys.readouterr().err == (
-        "error: feature 'x3' not in columns ['x1', 'x2', 'label']\n"
+        f"error: {workdir / 'no_x3.csv'}: feature 'x3' not in columns ['x1', 'x2', 'label']\n"
     )
 
 

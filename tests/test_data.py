@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rulewatch import CsvFormatError, DataError, DataTable
 from rulewatch import data
 from rulewatch.config import RunConfig, build_config, load_config_file
-from rulewatch.data import _kept_fields, _read_csv_numpy, _read_csv_python
+from rulewatch.data import _read_csv_numpy, _read_csv_python
 
 
 def test_from_csv_with_labels(tmp_path):
@@ -219,17 +219,34 @@ def test_numpy_reader_takes_a_plain_labeled_file(tmp_path):
     assert X.tobytes() == _read_csv_python(p, "label")[1].tobytes()
 
 
-@pytest.mark.parametrize("j", [0, 2, 4])
-def test_drop_column_equals_np_delete_across_blocks(j):
-    # Column j is read as a one-byte field, as an unread column or the label is.
-    X = np.random.default_rng(j).normal(size=(2 * 4096 + 5, 5))
-    fields = [(f"f{i}", np.float64 if i != j else "S1") for i in range(5)]
-    A = np.empty(len(X), dtype=fields)
-    for i in range(5):
-        if i != j:
-            A[f"f{i}"] = X[:, i]
-    expected = np.delete(X, j, axis=1)
-    assert _kept_fields(A, [i for i in range(5) if i != j]).tobytes() == expected.tobytes()
+@pytest.mark.parametrize("header", [
+    "note,x1,x2,label", "x1,note,x2,label", "x1,x2,label,note", "x2,x1,x2,label,note",
+])
+def test_numpy_reader_views_its_record_array_as_the_table(tmp_path, header):
+    # Text the table does not hold sits first, in the middle, last, or in the
+    # first of two x2 columns (the last one is read); more than 8192 rows.
+    names = header.split(",")
+    rng = np.random.default_rng(len(names))
+    n = 2 * 4096 + 5
+    x1, x2 = rng.normal(size=(2, n))
+    x2_read = len(names) - 1 - names[::-1].index("x2")
+    lines = [header]
+    for r, (a, b) in enumerate(zip(x1.tolist(), x2.tolist())):
+        cells = {"x1": repr(a), "label": "ab"[r % 2], "note": f"text {r}"}
+        lines.append(",".join(repr(b) if i == x2_read else cells.get(name, "n/a")
+                              for i, name in enumerate(names)))
+    p = tmp_path / "d.csv"
+    p.write_text("\n".join(lines) + "\n")
+    fast = _read_csv_numpy(p, "label", columns=("x1", "x2"))
+    assert fast is not None  # the fast path is taken
+    got, X, labels = fast
+    assert got == ("x1", "x2") and labels == tuple("ab"[r % 2] for r in range(n))
+    assert X.tobytes() == _read_csv_python(p, "label", columns=("x1", "x2"))[1].tobytes()
+    assert X.tobytes() == np.column_stack([x1, x2]).tobytes()
+    assert X.flags.c_contiguous
+    # No second table: X is the buffer of the record array numpy loaded.
+    assert X.base.dtype.names == tuple(f"f{i}" for i in range(len(names)))
+    assert X.base.base is None and X.base.nbytes == X.nbytes
 
 
 _NUMBERS = (
@@ -329,7 +346,7 @@ def test_numpy_reader_converts_only_the_kept_columns(tmp_path):
     # A name the header lacks is the error, before any cell is converted.
     with pytest.raises(DataError) as info:
         DataTable.from_csv(p, "label", columns=("a", "zz"))
-    assert str(info.value) == "feature 'zz' not in columns ['a', 'b', 'a', 'c']"
+    assert str(info.value) == f"{p}: feature 'zz' not in columns ['a', 'b', 'a', 'c']"
     p.write_text('a,b\n1,"x"\n')  # csv unquotes a cell that starts with a quote
     assert _read_csv_numpy(p, None, columns=("a",)) is None
     assert DataTable.from_csv(p, columns=("a",)).X.tolist() == [[1.0]]
