@@ -23,7 +23,6 @@ import numpy as np
 from .config import CONFIG_FLAGS, RunConfig, build_config, load_config_file
 from .data import DataError, DataTable, _check_finite, read_csv_records
 from .detection import (
-    FINGERPRINT_KEYS,
     BaselineBundle,
     DetectionReport,
     FingerprintMismatchError,
@@ -69,11 +68,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return build_config(file_values, **{name: getattr(args, name, None) for name in CONFIG_FLAGS})
 
 
-def _fingerprint_config(cfg: RunConfig) -> dict:
-    echo = cfg.echo()
-    return {k: echo[k] for k in FINGERPRINT_KEYS}
-
-
 def _output(path: str | None):
     """stdout for ``None`` or ``-``, else the file at ``path``; for a ``with`` block."""
     return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="")
@@ -101,28 +95,21 @@ def cmd_induce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_intervals(bundle: BaselineBundle) -> None:
-    base = bundle.baselines
-    print(f"{'metric':<8}{'min':>14}{'max':>14}")
-    for name in ("wmi", "rbi", "l1", "l2"):
-        iv = getattr(base, name)
-        if iv is not None:
-            print(f"{name:<8}{iv[0]:>14.6g}{iv[1]:>14.6g}")
-    print(f"fingerprint {base.config_fingerprint[:16]}", file=sys.stderr)
-
-
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ruleset = parse_ruleset(Path(args.rules).read_text())
     table = DataTable.from_csv(args.data, columns=ruleset.feature_names)
     training = hit_matrix(ruleset, table, make_splits(table, cfg.n_s, cfg.n_tr, seed=cfg.seed))
-    echo = _fingerprint_config(cfg)
-    fingerprint = compute_fingerprint(ruleset, echo)
-    base = cfg.build_baseline(training, config=echo, fingerprint=fingerprint)
-    bundle = BaselineBundle(base, training)
+    base = cfg.build_baseline(training)
+    bundle = BaselineBundle(base, training, compute_fingerprint(ruleset, base.config))
     with _output(args.output) as out:
         out.write(bundle.to_document())
-    _print_intervals(bundle)
+    if args.output not in (None, "-"):  # on stdout, the table would follow the document
+        print(f"{'metric':<8}{'min':>14}{'max':>14}")
+        for name in base.metrics:
+            lo, hi = base.interval(name)
+            print(f"{name:<8}{lo:>14.6g}{hi:>14.6g}")
+    print(f"fingerprint {bundle.fingerprint[:16]}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -134,10 +121,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     check_request(training, base, ruleset.n_rules, base.n_op, cfg.metrics)
     table = DataTable.from_csv(args.op_data, columns=ruleset.feature_names)
     rows = operational_splits(table, training.split_size, base.n_op)
+    unit = hit_matrix(ruleset, table, rows)  # refuses a NaN before any warning
     if table.n_rows > rows.size:
         warnings.warn(f"scored the first {rows.size} of {table.n_rows} rows; "
                       f"{table.n_rows - rows.size} trailing rows ignored")
-    report = detect(training, hit_matrix(ruleset, table, rows), base, cfg.metrics)
+    report = detect(training, unit, base, cfg.metrics)
     if args.format == "csv":
         csv.writer(sys.stdout).writerow(report.CSV_HEADER)
         sys.stdout.writelines(report.csv_lines)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import DataError
-from .detection import Baselines, group_baseline, single_split_baseline
+from .detection import FINGERPRINT_KEYS, Baselines, group_baseline, single_split_baseline
 from .histogram import HitMatrix
 from .metrics import SIGMA_FLOOR_DEFAULT
 
@@ -56,13 +56,16 @@ class RunConfig:
         out["sigma_floor"] = SIGMA_FLOOR_DEFAULT  # the one floor of every group bank
         return out
 
-    def build_baseline(
-        self, training: HitMatrix, config: dict | None = None, fingerprint: str = ""
-    ) -> Baselines:
-        """The baseline ``mode`` names: groups of ``resolved_n_op`` splits, or single splits."""
+    def build_baseline(self, training: HitMatrix) -> Baselines:
+        """The baseline ``mode`` names: groups of ``resolved_n_op`` splits, or single splits.
+
+        Its config records the ``FINGERPRINT_KEYS`` of ``echo()``.
+        """
+        echo = self.echo()
+        config = {k: echo[k] for k in FINGERPRINT_KEYS}
         if self.mode == "single":
-            return single_split_baseline(training, config=config, fingerprint=fingerprint)
-        return group_baseline(training, self.resolved_n_op, config=config, fingerprint=fingerprint)
+            return single_split_baseline(training, config=config)
+        return group_baseline(training, self.resolved_n_op, config=config)
 
 
 def metric_list(raw: str) -> tuple[str, ...]:

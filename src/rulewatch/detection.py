@@ -114,15 +114,14 @@ class Baselines:
     and it decides ``mode``, ``n_op`` and ``metrics``; the norm intervals
     exist in both. ``config`` echoes the build parameters, and a group
     baseline's config records the ``n_op`` its reference partition was
-    built for. ``config_fingerprint`` binds the baseline to the exact
-    ruleset and conventions it was built under.
+    built for. The fingerprint binding it to its ruleset is the bundle's
+    (``BaselineBundle.fingerprint``).
     """
 
     l1: tuple[float, float]
     l2: tuple[float, float]
     wmi: tuple[float, float] | None = None
     rbi: tuple[float, float] | None = None
-    config_fingerprint: str = ""
     config: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -165,17 +164,23 @@ class Baselines:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Votes and envelope position of one metric at detection time."""
+    """Votes and envelope position of one metric at detection time.
 
-    name: str
+    Its name is its key in ``DetectionReport.per_metric``.
+    """
+
     values: tuple[float, ...]
     flag: bool
     votes_out: int
-    votes_total: int
     normalized_distance: float
     baseline: tuple[float, float]
     # Median value; the plottable per-tick summary of this metric.
     representative: float
+
+    @property
+    def votes_total(self) -> int:
+        """One vote per value."""
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -241,9 +246,7 @@ def _sorted_median(ordered: Sequence[float]) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _metric_report(
-    name: str, values: list[float], interval: tuple[float, float]
-) -> MetricReport:
+def _metric_report(values: list[float], interval: tuple[float, float]) -> MetricReport:
     """Votes and envelope position of one metric's values, from one sort.
 
     A value votes out unless it lies in the closed interval. Its normalised
@@ -265,11 +268,9 @@ def _metric_report(
     )
     votes_out, votes_total = len(distances), len(ordered)
     return MetricReport(
-        name=name,
         values=tuple(values),
         flag=_majority(votes_out, votes_total),
         votes_out=votes_out,
-        votes_total=votes_total,
         normalized_distance=_sorted_median([0.0] * (votes_total - votes_out) + distances),
         baseline=interval,
         representative=_sorted_median(ordered),
@@ -281,10 +282,13 @@ def _metric_report(
 # ---------------------------------------------------------------------------
 
 def compute_fingerprint(ruleset: Ruleset, config: Mapping[str, object]) -> str:
-    """Hash binding a baseline to its ruleset, parameters and conventions."""
+    """Hash binding a baseline to its ruleset, parameters and conventions.
+
+    Only the ``FINGERPRINT_KEYS`` entries of ``config`` are read.
+    """
     payload = {
         "ruleset": format_ruleset(ruleset),
-        "config": {k: config[k] for k in sorted(config)},
+        "config": {k: config[k] for k in FINGERPRINT_KEYS if k in config},
         "decisions": DECISIONS_TAG,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -334,7 +338,7 @@ def build_report(
 ) -> DetectionReport:
     """Each of ``metrics``' values (as Python floats) voted against ``base``."""
     reports = {
-        name: _metric_report(name, values[name].tolist(), base.interval(name))
+        name: _metric_report(values[name].tolist(), base.interval(name))
         for name in metrics
     }
     return DetectionReport(mode=base.mode, per_metric=reports)
@@ -349,9 +353,7 @@ def _envelope(values: np.ndarray) -> tuple[float, float]:
 
 
 def single_split_baseline(
-    training: HitMatrix,
-    config: Mapping[str, object] | None = None,
-    fingerprint: str = "",
+    training: HitMatrix, config: Mapping[str, object] | None = None
 ) -> Baselines:
     """Envelope of weighted mutual information and norms over training pairs.
 
@@ -372,10 +374,7 @@ def single_split_baseline(
         for name in SINGLE_METRICS
     }
     cfg = {**(config or {}), "n_rules": training.n_rules, "n_tr": training.n_splits}
-    return Baselines(
-        l1=iv["l1"], l2=iv["l2"], wmi=iv["wmi"],
-        config_fingerprint=fingerprint, config=cfg,
-    )
+    return Baselines(l1=iv["l1"], l2=iv["l2"], wmi=iv["wmi"], config=cfg)
 
 
 def detect_split(
@@ -462,10 +461,7 @@ def calibrated_rbi_interval(
 
 
 def group_baseline(
-    training: HitMatrix,
-    n_op: int,
-    config: Mapping[str, object] | None = None,
-    fingerprint: str = "",
+    training: HitMatrix, n_op: int, config: Mapping[str, object] | None = None
 ) -> Baselines:
     """Rotation-calibrated rule-based-information envelope plus norm envelopes.
 
@@ -520,8 +516,7 @@ def group_baseline(
     }
     return Baselines(
         l1=iv["l1"], l2=iv["l2"],
-        rbi=calibrated_rbi_interval(loo_scores, rotation_scores),
-        config_fingerprint=fingerprint, config=cfg,
+        rbi=calibrated_rbi_interval(loo_scores, rotation_scores), config=cfg,
     )
 
 
@@ -591,16 +586,19 @@ class BaselineBundle:
     persisted artifact carries them alongside the intervals. The bundle is
     the one source of detection settings: the mode is ``baselines.mode``,
     the operational split size ``training.split_size`` and the unit size
-    ``baselines.n_op``.
+    ``baselines.n_op``. ``fingerprint`` binds it to the exact ruleset and
+    conventions it was built under (``compute_fingerprint``); the bundle
+    alone writes, reads and checks it.
     """
 
     baselines: Baselines
     training: HitMatrix
+    fingerprint: str = ""
 
     def to_document(self) -> str:
         base = self.baselines
         doc = {
-            "fingerprint": base.config_fingerprint,
+            "fingerprint": self.fingerprint,
             "config": {k: base.config[k] for k in sorted(base.config)},
             "intervals": {
                 name: (list(iv) if (iv := getattr(base, name)) is not None else None)
@@ -635,24 +633,18 @@ class BaselineBundle:
                 l2=tuple(intervals["l2"]),
                 wmi=tuple(intervals["wmi"]) if intervals.get("wmi") else None,
                 rbi=tuple(intervals["rbi"]) if intervals.get("rbi") else None,
-                config_fingerprint=doc.get("fingerprint", ""),
                 config=config,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DetectionError(f"malformed baseline document: {exc}") from exc
-        return cls(baselines=base, training=training)
+        return cls(base, training, doc.get("fingerprint", ""))
 
     def verify(self, ruleset: Ruleset) -> None:
         """Raise ``FingerprintMismatchError`` unless built for ``ruleset``.
 
-        The fingerprint is recomputed from the ruleset and the
-        ``FINGERPRINT_KEYS`` entries of the stored config.
+        The fingerprint is recomputed from the ruleset and the stored config.
         """
-        cfg = self.baselines.config
-        expected = compute_fingerprint(
-            ruleset, {k: cfg[k] for k in FINGERPRINT_KEYS if k in cfg}
-        )
-        if expected != self.baselines.config_fingerprint:
+        if compute_fingerprint(ruleset, self.baselines.config) != self.fingerprint:
             raise FingerprintMismatchError(
                 "baseline fingerprint does not match the supplied ruleset/configuration; "
                 "rebuild the baseline or supply the original rules"

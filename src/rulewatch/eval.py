@@ -85,7 +85,7 @@ def _run_repetition(
     train_table = in_source.sample(cfg.n_tr * cfg.n_s, rng)
     splits = make_splits(train_table, cfg.n_s, cfg.n_tr, seed=int(rng.integers(2**31)))
     training = hit_matrix(ruleset, train_table, splits)
-    base = cfg.build_baseline(training, config={"n_s": cfg.n_s})
+    base = cfg.build_baseline(training)
     reports = []
     for source in (in_source, ood_source):
         op_table = source.sample(base.n_op * cfg.n_s, rng)

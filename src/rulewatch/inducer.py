@@ -192,10 +192,7 @@ def tree_to_rules(tree: TreeNode) -> Ruleset:
         raise InducerError(
             "tree has no splits; a single always-true rule cannot be expressed"
         )
-    return Ruleset(tuple(
-        Rule(id=j, premise=path, consequence=leaf.label)
-        for j, (path, leaf) in enumerate(_leaf_paths(tree), start=1)
-    ))
+    return Ruleset(tuple(Rule(path, leaf.label) for path, leaf in _leaf_paths(tree)))
 
 
 def induce_ruleset(

@@ -131,15 +131,17 @@ class Condition:
 
 @dataclass(frozen=True)
 class Rule:
-    """One if-then rule: a non-empty conjunction of conditions and a label."""
+    """One if-then rule: a non-empty conjunction of conditions and a label.
 
-    id: int
+    A rule has no number of its own: rule ``j`` is ``ruleset.rules[j - 1]``.
+    """
+
     premise: tuple[Condition, ...]
     consequence: str
 
     def __post_init__(self) -> None:
         if len(self.premise) == 0:
-            raise RuleError(f"rule {self.id}: empty premise")
+            raise RuleError("rule has an empty premise")
 
     def to_text(self) -> str:
         conds = " and ".join(c.to_text() for c in self.premise)
@@ -148,16 +150,13 @@ class Rule:
 
 @dataclass(frozen=True)
 class Ruleset:
-    """Ordered, immutable, nonempty collection of rules; ids must run 1..N."""
+    """Ordered, immutable, nonempty collection of rules; rule ``j`` is ``rules[j - 1]``."""
 
     rules: tuple[Rule, ...]
 
     def __post_init__(self) -> None:
         if not self.rules:
             raise RuleError("ruleset has no rules")
-        ids = [r.id for r in self.rules]
-        if ids != list(range(1, len(ids) + 1)):
-            raise RuleError(f"rule ids must be contiguous 1..{len(ids)}, got {ids}")
 
     @property
     def n_rules(self) -> int:
@@ -352,7 +351,7 @@ def _expect(pattern: re.Pattern, line: str, pos: int, what: str, line_no: int) -
     return m
 
 
-def _parse_rule(line: str, line_no: int, rule_id: int) -> Rule:
+def _parse_rule(line: str, line_no: int) -> Rule:
     """One ``if COND (and COND)* then LABEL`` line, matched left to right."""
     pos = _expect(_IF, line, 0, "'if'", line_no).end()
     conditions, more = [], True
@@ -362,7 +361,7 @@ def _parse_rule(line: str, line_no: int, rule_id: int) -> Rule:
         m = _expect(_AND_OR_THEN, line, cond.end(), "'and' or 'then'", line_no)
         pos, more = m.end(), m["and"] is not None
     label = _expect(_LABEL, line, pos, "a class label ending the line", line_no)
-    return Rule(id=rule_id, premise=tuple(conditions), consequence=label.group())
+    return Rule(tuple(conditions), label.group())
 
 
 def _condition(m: re.Match, line_no: int) -> Condition:
@@ -379,13 +378,11 @@ def _condition(m: re.Match, line_no: int) -> Condition:
 
 
 def parse_ruleset(text: str) -> Ruleset:
-    """Parse ruleset text; rules are numbered 1..N in textual order."""
-    rules: list[Rule] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line:
-            rules.append(_parse_rule(line, line_no, len(rules) + 1))
-    return Ruleset(tuple(rules))
+    """Parse ruleset text; rule ``j`` is the ``j``-th rule line."""
+    lines = (raw.split("#", 1)[0].rstrip() for raw in text.splitlines())
+    return Ruleset(tuple(
+        _parse_rule(line, line_no) for line_no, line in enumerate(lines, start=1) if line
+    ))
 
 
 def format_ruleset(ruleset: Ruleset) -> str:

@@ -78,9 +78,8 @@ class SlidingHitWindow:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._ruleset = ruleset
         self._capacity = capacity
-        self._n_rules = ruleset.n_rules
         self._masks: list[int] = [0] * capacity
-        self._counts = np.zeros(self._n_rules, dtype=np.int64)
+        self._counts = np.zeros(ruleset.n_rules, dtype=np.int64)
         self._view = self._counts.view()
         self._view.setflags(write=False)
         self._head = 0
@@ -97,10 +96,6 @@ class SlidingHitWindow:
     @property
     def is_full(self) -> bool:
         return self._fill == self._capacity
-
-    @property
-    def n_rules(self) -> int:
-        return self._n_rules
 
     @property
     def counts(self) -> np.ndarray:
@@ -213,16 +208,14 @@ class StreamMonitor:
             )
         self.base = base
         self.training = training
-        self.mode = base.mode
-        self.n_op = base.n_op
         # The single-split scorer, built once: each tick moves its state
         # only for the rules whose counts changed since the last score.
         self.scorer = (
-            None if self.mode == GROUP else SplitScorer(training.counts, training.split_size)
+            None if base.mode == GROUP else SplitScorer(training.counts, training.split_size)
         )
         self.detect_stride = detect_stride
         self._pushes = 0
-        self._snapshots: deque[np.ndarray] = deque(maxlen=self.n_op)
+        self._snapshots: deque[np.ndarray] = deque(maxlen=base.n_op)
         # The last tick's report; None once the scored unit has changed.
         self._report: DetectionReport | None = None
 
@@ -232,7 +225,7 @@ class StreamMonitor:
         self._pushes += 1
         if not self.window.is_full:
             return None
-        if self.mode == GROUP:
+        if self.scorer is None:
             if self._pushes % self.window.capacity == 0:
                 self._snapshots.append(self.window.histogram().counts)
                 self._report = None
@@ -244,7 +237,7 @@ class StreamMonitor:
             if self.scorer is not None:
                 scores = self.scorer.score(self.window.counts, self.window.capacity)
                 self._report = build_report(self.base, scores._asdict(), self.metrics)
-            elif len(self._snapshots) == self.n_op:
+            elif len(self._snapshots) == self.base.n_op:
                 group = HitMatrix(list(self._snapshots), self.window.capacity)
                 self._report = detect(self.training, group, self.base, self.metrics)
         return self._report

@@ -15,7 +15,7 @@ import pytest
 from rulewatch.cli import main
 from rulewatch.config import load_config_file
 from rulewatch.data import DataError
-from rulewatch.detection import BaselineBundle
+from rulewatch.detection import BaselineBundle, compute_fingerprint
 from rulewatch.rules import parse_ruleset
 from rulewatch.streaming import StreamMonitor
 from rulewatch.synth import GaussianMixtureSource, RuleAlignedSource
@@ -91,6 +91,23 @@ def test_baseline_writes_bundle_and_prints_table(workdir, capsys):
     assert doc["intervals"]["wmi"] is not None
     assert doc["intervals"]["rbi"] is None
     assert len(doc["training_hits"]["columns"]) == 12
+
+
+@pytest.mark.parametrize("mode_args", [(), ("--mode", "group", "--nop", "4")])
+def test_baseline_to_stdout_writes_only_the_bundle(workdir, capsys, mode_args):
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    to_file = capsys.readouterr()
+    assert to_file.out.startswith("metric ")  # the interval table goes to stdout
+    args = _baseline_args(workdir, extra=mode_args)
+    args[args.index("-o") + 1] = "-"
+    assert main(args) == 0
+    piped = capsys.readouterr()
+    assert piped.out == (workdir / "base.json").read_text()
+    assert piped.err == to_file.err  # the fingerprint line
+    bundle = BaselineBundle.from_document(piped.out)
+    ruleset = parse_ruleset((workdir / "rules.txt").read_text())
+    assert bundle.fingerprint == compute_fingerprint(ruleset, bundle.baselines.config)
+    assert piped.err == f"fingerprint {bundle.fingerprint[:16]}\n"
 
 
 def test_baseline_determinism_byte_identical(workdir):
@@ -224,6 +241,21 @@ def test_detect_warns_about_ignored_trailing_rows(workdir, capsys, mode_args, sc
     head_rc, head_out = detect("op_head.csv")
     assert (rc, out.out) == (head_rc, head_out.out)
     assert head_out.err == ""
+
+
+@pytest.mark.parametrize("mode_args", [(), ("--mode", "group", "--nop", "3", "--ns", "100")])
+def test_detect_refuses_a_nan_in_a_scored_row_with_streams_one_line(workdir, capsys, mode_args):
+    # Both baselines leave trailing rows unscored, yet detect refuses the
+    # NaN of data row 99 before it warns of them.
+    assert main(_baseline_args(workdir, extra=mode_args)) == 0
+    (workdir / "op_nan.csv").write_text("".join(_op_in_with_x2(workdir, 101, "nan")))
+    common = ["--rules", str(workdir / "rules.txt"), "--baseline", str(workdir / "base.json")]
+    errors = []
+    for command in ("detect", "stream"):
+        capsys.readouterr()
+        assert main([command, str(workdir / "op_nan.csv"), *common]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: row 99: feature 'x2' is NaN\n"] * 2
 
 
 def _op_in_with_x2(workdir, line_no, cell):

@@ -24,7 +24,9 @@ from rulewatch import (
     single_split_baseline,
     weighted_mutual_information,
 )
+from rulewatch.config import RunConfig
 from rulewatch.detection import (
+    FINGERPRINT_KEYS,
     GROUP,
     GROUP_METRICS,
     IN_DISTRIBUTION,
@@ -92,7 +94,7 @@ def oracle_report(values, interval):
 
 
 def _distance(interval, value):
-    return _metric_report("m", [value], interval).normalized_distance
+    return _metric_report([value], interval).normalized_distance
 
 
 def test_normalized_distance():
@@ -115,7 +117,7 @@ _VALUES = st.one_of(
 @given(bounds=st.tuples(_BOUNDS, _BOUNDS), values=st.lists(_VALUES, min_size=1, max_size=12))
 def test_metric_report_matches_scalar_oracle(bounds, values):
     interval = (min(bounds), max(bounds))  # includes zero-width intervals
-    report = _metric_report("m", values, interval)
+    report = _metric_report(values, interval)
     flag, votes_out, distance, representative = oracle_report(values, interval)
     assert report.flag is flag
     assert (report.votes_out, report.votes_total) == (votes_out, len(values))
@@ -472,11 +474,12 @@ def test_bundle_round_trip(rng):
     m = _matrix(rng)
     rs = parse_ruleset("if x1 <= 1 then a\nif x1 > 1 then b\n")
     fp = compute_fingerprint(rs, {"n_s": 50})
-    base = single_split_baseline(m, config={"n_s": 50}, fingerprint=fp)
-    bundle = BaselineBundle(base, m)
+    base = single_split_baseline(m, config={"n_s": 50})
+    bundle = BaselineBundle(base, m, fp)
     text = bundle.to_document()
     loaded = BaselineBundle.from_document(text)
     assert loaded.baselines == bundle.baselines
+    assert loaded.fingerprint == fp
     assert loaded.training.counts.tolist() == m.counts.tolist()
     assert loaded.training.split_size == m.split_size
     assert loaded.to_document() == text  # byte-stable round trip
@@ -487,8 +490,9 @@ def test_bundle_verify_rejects_ruleset_one_threshold_apart(rng):
     rs = parse_ruleset("if x1 <= 1 then a\nif x1 > 1 then b\n")
     moved = parse_ruleset("if x1 <= 1 then a\nif x1 > 1.5 then b\n")
     cfg = {"n_s": 50, "n_tr": 6, "mode": "single"}
-    base = single_split_baseline(m, config=cfg, fingerprint=compute_fingerprint(rs, cfg))
-    bundle = BaselineBundle.from_document(BaselineBundle(base, m).to_document())
+    base = single_split_baseline(m, config=cfg)
+    bundle = BaselineBundle(base, m, compute_fingerprint(rs, cfg))
+    bundle = BaselineBundle.from_document(bundle.to_document())
     bundle.verify(rs)
     with pytest.raises(FingerprintMismatchError):
         bundle.verify(moved)
@@ -554,6 +558,18 @@ def test_fingerprint_binds_ruleset_and_config():
     assert compute_fingerprint(rs1, cfg) != compute_fingerprint(rs2, cfg)
     assert compute_fingerprint(rs1, cfg) != compute_fingerprint(rs1, {**cfg, "n_s": 200})
     assert compute_fingerprint(rs1, cfg) == compute_fingerprint(rs1, dict(cfg))
+    # Keys outside FINGERPRINT_KEYS, such as the n_rules a builder adds, are not read.
+    assert compute_fingerprint(rs1, {**cfg, "n_rules": 5, "k": 3}) == compute_fingerprint(rs1, cfg)
+
+
+@pytest.mark.parametrize("mode", ["single", "group"])
+def test_run_config_baseline_records_the_fingerprint_keys(rng, mode):
+    m = _matrix(rng, n_tr=8)
+    cfg = RunConfig(n_s=50, n_tr=8, n_op=3 if mode == "group" else None, mode=mode, seed=4)
+    base = cfg.build_baseline(m)
+    assert set(base.config) == {*FINGERPRINT_KEYS, "n_rules"}
+    echo = cfg.echo()
+    assert {k: base.config[k] for k in FINGERPRINT_KEYS} == {k: echo[k] for k in FINGERPRINT_KEYS}
 
 
 def test_baselines_interval_validation():

@@ -30,7 +30,6 @@ def test_parse_simple_rule():
     rs = parse_ruleset("if x1 <= 3.2 and x2 > 0.5 then 1\n")
     assert rs.n_rules == 1
     rule = rs.rules[0]
-    assert rule.id == 1
     assert len(rule.premise) == 2
     assert rule.premise[0] == Condition("x1", "<=", 3.2)
     assert rule.premise[1] == Condition("x2", ">", 0.5)
@@ -76,18 +75,12 @@ def test_parse_case_insensitive_keywords_and_comments():
 
 def test_rule_requires_nonempty_premise():
     with pytest.raises(RuleError):
-        Rule(id=1, premise=(), consequence="1")
+        Rule(premise=(), consequence="1")
 
 
 def test_condition_rejects_nan_threshold():
     with pytest.raises(RuleError):
         Condition("x1", "<", math.nan)
-
-
-def test_ruleset_requires_contiguous_ids():
-    c = Condition("x1", "<", 0.0)
-    with pytest.raises(RuleError):
-        Ruleset((Rule(1, (c,), "a"), Rule(3, (c,), "b")))
 
 
 def test_ruleset_requires_a_rule():
@@ -182,7 +175,7 @@ def rulesets(draw, thresholds=st.integers(-4, 4).map(float), max_conds=3):
     n_rules = draw(st.integers(1, 6))
     features = [f"x{i}" for i in range(1, 5)]
     rules = []
-    for rid in range(1, n_rules + 1):
+    for _ in range(n_rules):
         n_conds = draw(st.integers(1, max_conds))
         conds = []
         for _ in range(n_conds):
@@ -195,7 +188,7 @@ def rulesets(draw, thresholds=st.integers(-4, 4).map(float), max_conds=3):
                 )
             else:
                 conds.append(Condition(feat, draw(st.sampled_from(_OPERATORS)), draw(thresholds)))
-        rules.append(Rule(rid, tuple(conds), draw(st.sampled_from(("0", "1", "ok")))))
+        rules.append(Rule(tuple(conds), draw(st.sampled_from(("0", "1", "ok")))))
     return Ruleset(tuple(rules))
 
 
@@ -302,10 +295,7 @@ def test_rule_permutation_permutes_mask(rs, raw_values, rand):
     sample = {f"x{i + 1}": float(v) for i, v in enumerate(raw_values)}
     order = list(range(rs.n_rules))
     rand.shuffle(order)
-    permuted = Ruleset(tuple(
-        Rule(i + 1, rs.rules[order[i]].premise, rs.rules[order[i]].consequence)
-        for i in range(rs.n_rules)
-    ))
+    permuted = Ruleset(tuple(rs.rules[order[i]] for i in range(rs.n_rules)))
     base = hit_bits(ruleset_hits(rs, sample), rs.n_rules)
     permuted_hits = hit_bits(ruleset_hits(permuted, sample), rs.n_rules)
     assert permuted_hits == [base[order[i]] for i in range(rs.n_rules)]
@@ -440,7 +430,7 @@ def wide_rulesets(draw):
     """Up to 140 rules over x1..x3, so masks span several bytes and words."""
     ends = st.sampled_from(_KERNEL_EDGES)
     rules = []
-    for rid in range(1, draw(st.integers(1, 140)) + 1):
+    for _ in range(draw(st.integers(1, 140))):
         conds = []
         for _ in range(draw(st.integers(1, 3))):
             feat = draw(st.sampled_from(("x1", "x2", "x3")))
@@ -450,7 +440,7 @@ def wide_rulesets(draw):
                 conds.append(Condition(feat, "in", interval=interval))
             else:
                 conds.append(Condition(feat, draw(st.sampled_from(_OPERATORS)), draw(ends)))
-        rules.append(Rule(rid, tuple(conds), "r"))
+        rules.append(Rule(tuple(conds), "r"))
     return Ruleset(tuple(rules))
 
 
@@ -754,7 +744,7 @@ class _LineParser:
         self.pos += 1
         return tok
 
-    def parse_rule(self, rule_id: int) -> Rule:
+    def parse_rule(self) -> Rule:
         self.expect("if", "'if'")
         tok = self.peek()
         if tok is not None and tok.kind == "then":
@@ -771,7 +761,7 @@ class _LineParser:
         label = self.expect_label()
         if self.peek() is not None:
             self._fail(f"unexpected trailing token {self.peek().text!r}")
-        return Rule(id=rule_id, premise=tuple(conditions), consequence=label)
+        return Rule(tuple(conditions), label)
 
     def expect_label(self) -> str:
         tok = self.peek()
@@ -818,7 +808,7 @@ def _reference_parse_ruleset(text: str) -> Ruleset:
             continue
         tokens = _tokenize(line, line_no)
         parser = _LineParser(tokens, line_no, len(line))
-        rules.append(parser.parse_rule(len(rules) + 1))
+        rules.append(parser.parse_rule())
     return Ruleset(tuple(rules))
 
 

@@ -323,7 +323,9 @@ def test_monitor_window_defaults_to_the_training_split_size(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             monitor = StreamMonitor(RULES, base, matrix)
-        assert (monitor.window.capacity, monitor.mode, monitor.n_op) == (24, base.mode, n_op)
+        assert (monitor.window.capacity, monitor.base.mode, monitor.base.n_op) == (
+            24, base.mode, n_op
+        )
 
 
 def test_monitor_tick_cadence_and_stride(rng):
